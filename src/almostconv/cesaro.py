@@ -15,6 +15,22 @@ Window conventions
 - continuous: trapezoid-rule means over [x-k, x+k] resp. [x, x+k], with
   window lengths snapped to grid multiples.
 
+How extremes are computed
+-------------------------
+The sweep builds one running sum per signal (``signals.running_sum``: a plain
+sum for discrete data, a cumulative trapezoid for continuous data) and
+splits it into real and imaginary float arrays, extended with their end
+values so that windows reaching outside the data read zero there.  Each
+window length then takes all its window sums as one slice difference per
+part and scales them by the reciprocal of the window width, which is how
+NumPy divides a complex array by a real number, so the means are the same
+bits as dividing complex window sums (a running sum holding -0.0, which
+only leading -0.0 data gives, takes that complex division itself, so even
+the signs of zero means agree).  Sup, inf, argmax and argmin come
+straight from the two parts; only the winning shifts are converted to
+positions.  :func:`window_average` and :func:`shift_extremes` evaluate
+just the windows they are asked for from the same running sum.
+
 The verdict logic is a finite-data surrogate, not a theorem: a limit is
 reported when the sup-inf gap at the largest window is below tolerance
 and has been non-increasing over the last three windows; divergence is
@@ -39,6 +55,8 @@ from .signals import (
     Sidedness,
     Signal,
     WindowSchedule,
+    running_sum,
+    step_of,
     subtract,
 )
 
@@ -134,107 +152,92 @@ def _snap_length(signal: Signal, k) -> tuple:
     return m, m * signal.h
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    out = np.empty(len(values) + 1, dtype=np.complex128)
-    out[0] = 0.0
-    np.cumsum(values, out=out[1:])
-    return out
+@dataclass(frozen=True)
+class _Layout:
+    """Where one window length's means sit in the running sum ``P``.
+
+    The mean at the i-th admissible shift is ``(P[lo + i + width] -
+    P[lo + i]) / scale``, indices clipped into ``P`` (zero outside the
+    data); that shift is the position of sample index ``idx0 + i``.
+    """
+
+    lo: int
+    width: int
+    count: int
+    idx0: int
+    scale: float
 
 
-def _prefix_trapz(signal: ContinuousSignal) -> np.ndarray:
-    v = signal.samples
-    out = np.empty(len(v), dtype=np.complex128)
-    out[0] = 0.0
-    np.cumsum((v[1:] + v[:-1]) * (signal.h / 2.0), out=out[1:])
-    return out
-
-
-def _discrete_grid_and_means(signal: DiscreteSignal, m: int,
-                             sidedness: Sidedness) -> tuple:
-    """All admissible shifts and their window means for one length."""
+def _layout(signal: Signal, m: int, sidedness: Sidedness) -> _Layout:
     n = len(signal)
-    cs = _prefix_sums(signal.values)
+    discrete = isinstance(signal, DiscreteSignal)
     zero_out = signal.extension is Extension.ZERO_OUTSIDE
     if sidedness is Sidedness.TWO_SIDED:
-        width = 2 * m + 1
-        if zero_out:
-            shifts = np.arange(signal.n_min - m - 1, signal.n_max + m + 2)
-            idx = shifts - signal.n_min
-            lo = np.clip(idx - m, 0, n)
-            hi = np.clip(idx + m + 1, 0, n)
-        else:
-            if width > n:
-                raise WindowOutOfRange(
-                    f"window of {width} samples exceeds signal length {n}")
-            idx = np.arange(m, n - m)
-            shifts = idx + signal.n_min
-            lo = idx - m
-            hi = idx + m + 1
+        width = 2 * m + 1 if discrete else 2 * m
+        scale = width if discrete else 2 * (m * signal.h)
+        idx0, count = (-m - 1, n + 2 * m + 2) if zero_out else (m, n - 2 * m)
+        lo = idx0 - m
     else:
         width = m
-        first = max(0, signal.n_min)
-        if zero_out:
-            shifts = np.arange(first, signal.n_max + 2)
-            idx = shifts - signal.n_min
-            lo = np.clip(idx, 0, n)
-            hi = np.clip(idx + m, 0, n)
+        scale = m if discrete else m * signal.h
+        if discrete:
+            idx0 = max(0, signal.n_min) - signal.n_min
         else:
-            if signal.n_max - m + 1 < first:
-                raise WindowOutOfRange(
-                    f"no one-sided window of {m} samples fits in "
-                    f"[{first}, {signal.n_max}]")
-            shifts = np.arange(first, signal.n_max - m + 2)
-            idx = shifts - signal.n_min
-            lo = idx
-            hi = idx + m
-    means = (cs[hi] - cs[lo]) / width
-    return shifts.astype(np.float64), means
-
-
-def _continuous_grid_and_means(signal: ContinuousSignal, m: int,
-                               sidedness: Sidedness) -> tuple:
-    n = len(signal)
-    cum = _prefix_trapz(signal)
-    zero_out = signal.extension is Extension.ZERO_OUTSIDE
-    theta = m * signal.h
-    if sidedness is Sidedness.TWO_SIDED:
-        span = 2 * theta
+            first_x = max(0.0, signal.x0)
+            idx0 = int(np.ceil((first_x - signal.x0) / signal.h - 1e-9))
+        lo = idx0
+        # zero outside, discrete shifts stop one past the data, continuous
+        # ones a window length past it
         if zero_out:
-            idx = np.arange(-m - 1, n + m + 1)
-            lo = np.clip(idx - m, 0, n - 1)
-            hi = np.clip(idx + m, 0, n - 1)
+            count = (n + 1 if discrete else n + m + 1) - idx0
         else:
-            if 2 * m >= n:
-                raise WindowOutOfRange(
-                    f"window of half-width {theta} exceeds the rendered span")
-            idx = np.arange(m, n - m)
-            lo = idx - m
-            hi = idx + m
-    else:
-        span = theta
-        first_x = max(0.0, signal.x0)
-        first = int(np.ceil((first_x - signal.x0) / signal.h - 1e-9))
-        if zero_out:
-            idx = np.arange(first, n + m + 1)
-            lo = np.clip(idx, 0, n - 1)
-            hi = np.clip(idx + m, 0, n - 1)
-        else:
-            if n - 1 - m < first:
-                raise WindowOutOfRange(
-                    f"no one-sided window of length {theta} fits the range")
-            idx = np.arange(first, n - m)
-            lo = idx
-            hi = idx + m
-    means = (cum[hi] - cum[lo]) / span
-    shifts = signal.x0 + signal.h * idx
-    return shifts, means
+            count = (n + 1 if discrete else n) - m - idx0
+    if count < 1 and not zero_out:
+        raise WindowOutOfRange(
+            f"no {sidedness.value} window of {m} steps fits the {n} samples")
+    return _Layout(lo, width, max(count, 0), idx0, scale)
 
 
-def _grid_and_means(signal: Signal, k, sidedness: Sidedness) -> tuple:
-    m, _ = _snap_length(signal, k)
+def _shift_at(signal: Signal, idx):
+    """Position of sample index ``idx`` (int or int array) on the shift axis."""
+    idx = np.asarray(idx, dtype=np.int64)
     if isinstance(signal, DiscreteSignal):
-        return _discrete_grid_and_means(signal, m, sidedness)
-    return _continuous_grid_and_means(signal, m, sidedness)
+        return (signal.n_min + idx).astype(np.float64)
+    return signal.x0 + signal.h * idx
+
+
+def _positions(signal: Signal, lay: _Layout, shifts: np.ndarray) -> tuple:
+    """(grid index, admissible) for each requested shift.
+
+    The index is the one ``np.searchsorted`` finds on the layout's shift
+    grid; a shift is admissible when it lies within ``1e-9 * max(1, step)``
+    of the grid point at that index.
+    """
+    first = _shift_at(signal, lay.idx0)
+    guess = np.ceil((shifts - first) / step_of(signal))
+    pos = np.clip(np.nan_to_num(guess, nan=lay.count), 0, lay.count)
+    pos = pos.astype(np.int64)
+    while True:  # the guess is off by rounding only: step to the exact index
+        down = (pos > 0) & (_shift_at(signal, lay.idx0 + pos - 1) >= shifts)
+        up = (pos < lay.count) & (_shift_at(signal, lay.idx0 + pos) < shifts)
+        if not (down.any() or up.any()):
+            break
+        pos += up.astype(np.int64) - down
+    step = 1.0
+    if lay.count > 1:
+        step = float(_shift_at(signal, lay.idx0 + 1) - first)
+    ok = pos < lay.count
+    ok[ok] = (np.abs(_shift_at(signal, lay.idx0 + pos[ok]) - shifts[ok])
+              <= 1e-9 * max(1.0, abs(step)))
+    return pos, ok
+
+
+def _means_at(p: np.ndarray, lay: _Layout, pos: np.ndarray) -> np.ndarray:
+    """Complex window means at the given grid indices of running sum ``p``."""
+    last = len(p) - 1
+    lo = np.clip(lay.lo + pos, 0, last)
+    hi = np.clip(lay.lo + lay.width + pos, 0, last)
+    return (p[hi] - p[lo]) / lay.scale
 
 
 def window_average(signal: Signal, k, shift,
@@ -246,13 +249,13 @@ def window_average(signal: Signal, k, shift,
     on their grid.  Raises :class:`WindowOutOfRange` when the window does
     not fit under the VALID_ONLY policy.
     """
-    shifts, means = _grid_and_means(signal, k, sidedness)
-    pos = np.searchsorted(shifts, shift)
-    step = shifts[1] - shifts[0] if len(shifts) > 1 else 1.0
-    if pos >= len(shifts) or abs(shifts[pos] - shift) > 1e-9 * max(1.0, abs(step)):
+    m, _ = _snap_length(signal, k)
+    lay = _layout(signal, m, sidedness)
+    pos, ok = _positions(signal, lay, np.asarray([shift], dtype=np.float64))
+    if not ok[0]:
         raise WindowOutOfRange(
             f"shift {shift} not admissible for window length {k}")
-    return complex(means[pos])
+    return complex(_means_at(running_sum(signal), lay, pos)[0])
 
 
 def shift_extremes(signal: Signal, k, shift_grid,
@@ -267,27 +270,65 @@ def shift_extremes(signal: Signal, k, shift_grid,
     if grid.size == 0:
         raise EmptyGrid("shift grid is empty")
     grid = np.sort(grid)
-    shifts, means = _grid_and_means(signal, k, sidedness)
-    pos = np.searchsorted(shifts, grid)
-    step = shifts[1] - shifts[0] if len(shifts) > 1 else 1.0
-    ok = (pos < len(shifts))
-    if not np.all(ok) or np.any(np.abs(shifts[pos[ok]] - grid[ok]) > 1e-9 * max(1.0, abs(step))):
-        bad = grid[~ok] if not np.all(ok) else grid[np.abs(shifts[pos] - grid) > 1e-9]
-        raise WindowOutOfRange(f"shifts {bad[:4]} not admissible for length {k}")
-    sel = means[pos]
-    return _extremes_from(grid, sel)
+    m, _ = _snap_length(signal, k)
+    lay = _layout(signal, m, sidedness)
+    pos, ok = _positions(signal, lay, grid)
+    if not ok.all():
+        raise WindowOutOfRange(
+            f"shifts {grid[~ok][:4]} not admissible for length {k}")
+    means = _means_at(running_sum(signal), lay, pos)
+    return _extremes_from(means.real, means.imag, lambda j: float(grid[j]))
 
 
-def _extremes_from(shifts: np.ndarray, means: np.ndarray) -> ShiftExtremes:
-    re, im = means.real, means.imag
-    sup = complex(re.max(), im.max())
-    inf = complex(re.min(), im.min())
-    re_gap = re.max() - re.min()
-    im_gap = im.max() - im.min()
-    comp = re if re_gap >= im_gap else im
-    return ShiftExtremes(sup=sup, inf=inf,
-                         argmax=float(shifts[int(np.argmax(comp))]),
-                         argmin=float(shifts[int(np.argmin(comp))]))
+def _extremes_from(re: np.ndarray, im: np.ndarray, shift_of) -> ShiftExtremes:
+    re_max, re_min, im_max, im_min = re.max(), re.min(), im.max(), im.min()
+    comp = re if re_max - re_min >= im_max - im_min else im
+    return ShiftExtremes(sup=complex(re_max, im_max),
+                         inf=complex(re_min, im_min),
+                         argmax=shift_of(int(np.argmax(comp))),
+                         argmin=shift_of(int(np.argmin(comp))))
+
+
+def _sweep_means(p: np.ndarray, layouts, stride: int):
+    """Yield (re, im) means of each layout at every ``stride``-th shift.
+
+    They equal ``_means_at`` bit for bit, but come from slice differences
+    of the real and imaginary parts of ``p``, extended with its end values
+    so that slicing reproduces the clipping.  NumPy divides complex by real
+    as a multiply by the reciprocal, so the scaling does the same.  A -0.0
+    in ``p`` (only leading -0.0 data makes one) reaches the means, where
+    complex division and strided max/min treat signed zeros their own way:
+    such sums take the complex route itself.  The yielded arrays are
+    reused by the next window.
+    """
+    head = p[1:2].view(np.float64)
+    if np.any((head == 0) & np.signbit(head)):
+        for lay in layouts:
+            means = _means_at(p, lay, np.arange(0, lay.count, stride))
+            yield means.real, means.imag
+        return
+    last = len(p) - 1
+    pad = max([0] + [-lay.lo for lay in layouts])
+    end = max([0] + [lay.lo + lay.width + lay.count - 1 - last
+                     for lay in layouts])
+    parts = np.empty((2, pad + len(p) + end))
+    for row, part in zip(parts, (p.real, p.imag)):
+        row[:pad] = part[0]
+        row[pad:pad + len(p)] = part
+        row[pad + len(p):] = part[-1]
+    del p, head, part
+    buf = np.empty((2, max(-(-lay.count // stride) for lay in layouts)))
+    for lay in layouts:
+        a = pad + lay.lo
+        b = a + lay.width
+        re, im = buf[:, :-(-lay.count // stride)]
+        for part, out in zip(parts, (re, im)):
+            np.subtract(part[b:b + lay.count:stride],
+                        part[a:a + lay.count:stride], out=out)
+        inv = 1.0 / lay.scale
+        re *= inv
+        im *= inv
+        yield re, im
 
 
 def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
@@ -302,16 +343,19 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
     """
     if shift_stride < 1:
         raise ValueError("shift_stride must be >= 1")
-    lengths, sups, infs, argmaxes, argmins = [], [], [], [], []
+    lengths, layouts = [], []
     for k in schedule.lengths:
         m, actual = _snap_length(signal, k)
-        shifts, means = _grid_and_means(signal, k, schedule.sidedness)
-        shifts = shifts[::shift_stride]
-        means = means[::shift_stride]
-        if means.size == 0:
+        lay = _layout(signal, m, schedule.sidedness)
+        if lay.count == 0:
             raise EmptyGrid(f"no shifts remain for window length {k}")
-        ext = _extremes_from(shifts, means)
         lengths.append(actual)
+        layouts.append(lay)
+    means = _sweep_means(running_sum(signal), layouts, shift_stride)
+    sups, infs, argmaxes, argmins = [], [], [], []
+    for lay, (re, im) in zip(layouts, means):
+        ext = _extremes_from(re, im, lambda j: float(
+            _shift_at(signal, lay.idx0 + j * shift_stride)))
         sups.append(ext.sup)
         infs.append(ext.inf)
         argmaxes.append(ext.argmax)
@@ -392,7 +436,7 @@ def convolution_invariance_residual(signal: Signal, kernel: Signal,
     if np.any(vals.real < -1e-12) or np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("kernel must be nonnegative")
     if isinstance(kernel, ContinuousSignal):
-        mass = _prefix_trapz(kernel)[-1]
+        mass = running_sum(kernel)[-1]
     else:
         mass = vals.sum()
     if abs(mass - 1.0) > 1e-9:

@@ -212,6 +212,22 @@ def step_of(signal: Signal) -> float:
     return signal.h if isinstance(signal, ContinuousSignal) else 1.0
 
 
+def running_sum(signal: Signal) -> np.ndarray:
+    """Running sum from 0: a window's sum is the difference of two entries.
+
+    Discrete: ``n + 1`` entries, entry ``j`` the sum of the first ``j``
+    values.  Continuous: ``n`` entries, entry ``j`` the trapezoid integral
+    from ``x0`` to ``x_j``.
+    """
+    v = signal.values
+    if isinstance(signal, ContinuousSignal):
+        v = (v[1:] + v[:-1]) * (signal.h / 2.0)
+    out = np.empty(len(v) + 1, dtype=np.complex128)
+    out[0] = 0.0
+    np.cumsum(v, out=out[1:])
+    return out
+
+
 def subtract(a: Signal, b: Signal) -> Signal:
     """Pointwise ``a - b`` on the intersection of the two valid ranges."""
     if isinstance(a, DiscreteSignal) and isinstance(b, DiscreteSignal):

@@ -49,6 +49,7 @@ from .signals import (
     WindowSchedule,
     gaussian_kernel,
     gaussian_kernel_continuous,
+    running_sum,
     step_of,
     subtract,
 )
@@ -353,7 +354,8 @@ def _kernel_transform_floor(kernel: Signal, band: float, floor: float) -> float:
     else:
         w = vals
         step = 1.0
-    n_pad = 4096
+    # zero-pad to at least 4x the kernel, never truncate it
+    n_pad = max(4096, 1 << (4 * len(w) - 1).bit_length())
     spec = np.fft.fft(w, n_pad)
     freqs = np.fft.fftfreq(n_pad, d=step)
     sel = np.abs(freqs) <= band + 1e-15
@@ -488,9 +490,7 @@ def primitive_oac_check(psi: ContinuousSignal, L0: complex, tol: float,
         raise HypothesisViolated(
             f"stream not bounded below by -{bounded_below_C} componentwise")
     v = psi.samples
-    prim = np.empty(len(v), dtype=np.complex128)
-    prim[0] = 0.0
-    np.cumsum((v[1:] + v[:-1]) * (psi.h / 2.0), out=prim[1:])
+    prim = running_sum(psi)
     big = ContinuousSignal(psi.x0, psi.h, prim, float(np.max(np.abs(prim))) + 1.0,
                            psi.extension, "primitive")
     if window_schedule is None:

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import cesaro
 from almostconv.errors import EmptyGrid, WindowOutOfRange
 from almostconv.signals import (
+    ContinuousSignal,
     DiscreteSignal,
     Extension,
     Sidedness,
@@ -281,3 +284,115 @@ def test_window_average_random_against_oracle(k, shift):
     sig = DiscreteSignal(0, vals, float(np.max(np.abs(vals))))
     oracle = brute_window_mean(vals, 0, k, shift, "one")
     assert cesaro.window_average(sig, k, shift, ONE) == pytest.approx(oracle)
+
+
+def _gather_means(sig, k, side):
+    """Reference: every admissible shift and its window mean, gathered from
+    a complex running sum through clipped index arrays, then ``/ width``."""
+    zero = sig.extension is Extension.ZERO_OUTSIDE
+    n = len(sig)
+    v = sig.values
+    if isinstance(sig, DiscreteSignal):
+        m = int(round(k))
+        cs = np.concatenate(([0j], np.cumsum(v)))
+        if side is TWO:
+            width = 2 * m + 1
+            shifts = (np.arange(sig.n_min - m - 1, sig.n_max + m + 2) if zero
+                      else np.arange(sig.n_min + m, sig.n_max - m + 1))
+            lo, hi = shifts - sig.n_min - m, shifts - sig.n_min + m + 1
+        else:
+            width = m
+            first = max(0, sig.n_min)
+            shifts = np.arange(first, sig.n_max + 2 if zero
+                               else sig.n_max - m + 2)
+            lo = shifts - sig.n_min
+            hi = lo + m
+        lo, hi = np.clip(lo, 0, n), np.clip(hi, 0, n)
+        return shifts.astype(np.float64), (cs[hi] - cs[lo]) / width
+    m = int(round(k / sig.h))
+    theta = m * sig.h
+    cs = np.concatenate(([0j], np.cumsum((v[1:] + v[:-1]) * (sig.h / 2.0))))
+    if side is TWO:
+        width = 2 * theta
+        idx = np.arange(-m - 1, n + m + 1) if zero else np.arange(m, n - m)
+        lo, hi = idx - m, idx + m
+    else:
+        width = theta
+        first = int(np.ceil((max(0.0, sig.x0) - sig.x0) / sig.h - 1e-9))
+        idx = np.arange(first, n + m + 1 if zero else n - m)
+        lo, hi = idx, idx + m
+    lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
+    return sig.x0 + sig.h * idx, (cs[hi] - cs[lo]) / width
+
+
+def _same(a, b):
+    """Equal, and equal in the sign of every zero part."""
+    a, b = complex(a), complex(b)
+    return a == b and all(math.copysign(1.0, x) == math.copysign(1.0, y)
+                          for x, y in ((a.real, b.real), (a.imag, b.imag)))
+
+
+_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(-4.0, 4.0))
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+@pytest.mark.parametrize("side", [ONE, TWO])
+@pytest.mark.parametrize("ext", list(Extension))
+@pytest.mark.parametrize("stride", [1, 3])
+@given(re=st.lists(_parts, min_size=1, max_size=40),
+       im=st.lists(_parts, min_size=1, max_size=40),
+       steps=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       at=st.integers(0, 200))
+@example(re=[-0.0, -1.0, -2.0, 0.5], im=[0.0], steps=[1, 2], at=0)  # -0.0 first
+@settings(max_examples=20, deadline=None)
+def test_sweep_and_window_average_match_gather_reference(
+        kind, side, ext, stride, re, im, steps, at):
+    # the window means and their extremes are those of the gather
+    # formulation exactly; a lone window mean keeps even the sign of a zero
+    vals = np.asarray(re, dtype=complex)
+    vals.imag = (im * len(vals))[:len(vals)]
+    bound = float(np.max(np.abs(vals))) + 1.0
+    for origin in (-13, 0, 9):  # below, at and above 0
+        if kind == "discrete":
+            sig = DiscreteSignal(origin, vals, bound, ext)
+            lengths = tuple(sorted(set(steps)))
+        else:
+            sig = ContinuousSignal(origin * 0.37, 0.37, vals, bound, ext)
+            lengths = tuple(sorted(set(0.37 * s for s in steps)))
+        refs = [_gather_means(sig, k, side) for k in lengths]
+        sched = WindowSchedule(lengths, side)
+        if any(len(shifts) == 0 for shifts, _ in refs):
+            with pytest.raises((WindowOutOfRange, EmptyGrid)):
+                cesaro.cesaro_sweep(sig, sched, stride)
+            continue
+        sweep = cesaro.cesaro_sweep(sig, sched, stride)
+        assert sweep.lengths == tuple(
+            float(round(k)) if kind == "discrete"
+            else round(k / sig.h) * sig.h for k in lengths)
+        for i, (shifts, means) in enumerate(refs):
+            shifts, means = shifts[::stride], means[::stride]
+            r, j = means.real, means.imag
+            comp = r if r.max() - r.min() >= j.max() - j.min() else j
+            assert sweep.sup[i] == complex(r.max(), j.max())
+            assert sweep.inf[i] == complex(r.min(), j.min())
+            assert sweep.argmax[i] == shifts[np.argmax(comp)]
+            assert sweep.argmin[i] == shifts[np.argmin(comp)]
+        shifts, means = refs[0]
+        pos = at % len(shifts)
+        got = cesaro.window_average(sig, lengths[0], shifts[pos], side)
+        assert _same(got, means[pos])
+
+
+def test_negated_signal_keeps_zero_signs():
+    # negation turns the leading 0.0 into -0.0; the complex division of the
+    # gather formulation still gives the first window's mean as +0.0
+    sig = ac.signals.scaled(
+        DiscreteSignal(0, [0.0, 1.0, 2.0, 1.0, 3.0], 3.0), -1.0)
+    assert math.copysign(1.0, sig.values[0].real) < 0
+    sweep = cesaro.cesaro_sweep(sig, WindowSchedule((1, 2, 3), ONE))
+    for i, k in enumerate((1, 2, 3)):
+        _, means = _gather_means(sig, k, ONE)
+        assert _same(sweep.sup[i], complex(means.real.max(), means.imag.max()))
+        assert _same(sweep.inf[i], complex(means.real.min(), means.imag.min()))
+    assert _same(sweep.sup[0], 0.0)

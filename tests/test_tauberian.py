@@ -207,6 +207,12 @@ def test_weak_star_kernel_floor():
         tb.weak_star_verdict(sig, wide, shifts, 1e-3)
 
 
+def test_kernel_transform_floor_keeps_wide_kernels():
+    wide = gaussian_kernel(2000.0)  # unit mass, longer than a 4096-point pad
+    assert len(wide) == 16001
+    assert tb._kernel_transform_floor(wide, 1e-5, 0.5) >= 0.99
+
+
 def test_oscillation_modulus_constant():
     sig = ac.render_discrete(ac.TrigPoly(((1.0, 0.0),)), -100, 100)
     assert tb.oscillation_modulus(sig, 3.0, 10.0) == pytest.approx(0.0)
