@@ -115,6 +115,14 @@ def generator_to_dict(spec: GeneratorSpec) -> dict:
     raise TypeError(f"not a generator spec: {spec!r}")
 
 
+def _present(obj: dict, **convert) -> dict:
+    """Converted values of the optional keys ``obj`` has.
+
+    A missing key is left out, so the spec class's own default applies.
+    """
+    return {key: conv(obj[key]) for key, conv in convert.items() if key in obj}
+
+
 def generator_from_dict(obj: dict) -> GeneratorSpec:
     try:
         kind = obj["kind"]
@@ -126,7 +134,7 @@ def generator_from_dict(obj: dict) -> GeneratorSpec:
         if kind == "dirichlet_line":
             return DirichletLine(tuple(_j2c(c) for c in obj["coeffs"]),
                                  float(obj["sigma"]),
-                                 float(obj.get("abscissa", 1.0)))
+                                 **_present(obj, abscissa=float))
         if kind == "measure_transform":
             dens = None
             if obj.get("density") is not None:
@@ -136,18 +144,18 @@ def generator_from_dict(obj: dict) -> GeneratorSpec:
             return MeasureTransform(tuple((float(a["frequency"]), _j2c(a["weight"]))
                                           for a in obj["atoms"]), dens)
         if kind == "block_sequence":
-            return BlockSequence(tuple(_j2c(s) for s in obj["symbols"]),
-                                 float(obj.get("growth", 2.0)))
+            return BlockSequence(**_present(
+                obj, symbols=lambda v: tuple(_j2c(s) for s in v),
+                growth=float))
         if kind == "partial_sums":
             return PartialSums(generator_from_dict(obj["inner"]))
         if kind == "convergent":
-            return Convergent(_j2c(obj["limit"]), obj.get("decay", "exp"),
-                              float(obj.get("rate", 1.0)),
-                              _j2c(obj.get("amplitude", 1.0)))
+            return Convergent(_j2c(obj["limit"]),
+                              **_present(obj, decay=str, rate=float,
+                                         amplitude=_j2c))
         if kind == "custom":
             return Custom(tuple(_j2c(v) for v in obj["values"]),
-                          float(obj.get("start", 0.0)),
-                          float(obj.get("step", 1.0)))
+                          **_present(obj, start=float, step=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed generator spec: {exc}") from exc
     raise ConfigError(f"unknown generator kind {obj.get('kind')!r}")

@@ -17,11 +17,17 @@ Generators are small frozen recipes (:data:`GeneratorSpec`) with exact
 closed forms, so every rendered signal comes with a certified bound and,
 where theory pins it down, a known almost-convergence limit
 (:func:`known_limit`) that the analysis routes can be checked against.
+
+Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
+thread pool, one thread per CPU.  Each sample has the same bits as the
+whole-array formula gives it, whatever the number of points rendered.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -479,16 +485,6 @@ def kind_of(spec: GeneratorSpec) -> str:
     return _KIND_NAMES[type(spec)]
 
 
-def _character_values(freq: float, xs: np.ndarray) -> np.ndarray:
-    """exp(2*pi*i*freq*xs) with the phase reduced mod 1 first.
-
-    Keeps the exp argument O(1) so dyadic frequencies on integer grids
-    (e.g. the alternating sequence) come out exact instead of drifting
-    by eps * |freq * x|.
-    """
-    return np.exp(2j * np.pi * np.mod(freq * xs, 1.0))
-
-
 def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
     """Cumulative block end indices covering [0, n_top]."""
     ends = []
@@ -501,48 +497,200 @@ def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
     return np.asarray(ends)
 
 
-def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
-    """Closed-form values of the generated function at the given points."""
-    xs = np.asarray(points, dtype=np.float64)
+# ---------------------------------------------------------------------------
+# Block evaluation
+# ---------------------------------------------------------------------------
+
+#: Points per block of :func:`evaluate_many`.  A block's buffers, about
+#: 1 MB, stay in a 2 MiB L2 cache.
+BLOCK = 16384
+
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor():
+    """The render pool, created on first use: one thread per extra CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_CPUS - 1,
+                                       thread_name_prefix="almostconv-render")
+        return _pool
+
+
+def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
+    """Call ``fill(x, o, z, w)`` on every block of ``xs`` and ``out``.
+
+    ``z`` and ``w`` are complex scratch buffers of the block's length,
+    reused by one thread across its blocks.  The blocks are dealt out in
+    turn to min(CPUs, blocks) threads, the caller among them; the ufunc
+    loops run with the GIL released.
+    """
+    n = len(xs)
+    workers = max(1, min(_CPUS, -(-n // BLOCK)))
+
+    def work(first: int) -> None:
+        zbuf = np.empty(min(BLOCK, n), dtype=np.complex128)
+        wbuf = np.empty_like(zbuf)
+        for lo in range(first * BLOCK, n, workers * BLOCK):
+            hi = min(lo + BLOCK, n)
+            fill(xs[lo:hi], out[lo:hi], zbuf[:hi - lo], wbuf[:hi - lo])
+
+    if workers == 1:
+        work(0)
+        return
+    pool = _executor()
+    futures = [pool.submit(work, first) for first in range(1, workers)]
+    try:
+        work(0)
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _reduce_phase(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``np.mod(t, 1.0)`` in place, with the same bits at a tenth of the cost.
+
+    ``fmod(t, 1)`` is exact and equals ``t - trunc(t)``.  NumPy's remainder
+    then adds 1 to a negative result and gives +0.0 for a zero, which is
+    what ``t - trunc(t)`` already gives.  ``scratch`` has ``t``'s shape.
+    """
+    np.trunc(t, out=scratch)
+    np.subtract(t, scratch, out=t)
+    np.add(t, 1.0, out=t, where=t < 0.0)
+    return t
+
+
+def _unit_phases(freq: float, x: np.ndarray, z: np.ndarray,
+                 t: np.ndarray) -> None:
+    """``z = exp(2*pi*i*freq*x)`` with the phase reduced mod 1 first.
+
+    Keeps the exp argument O(1) so dyadic frequencies on integer grids
+    (e.g. the alternating sequence) come out exact instead of drifting
+    by eps * |freq * x|.  ``t`` is float scratch of ``x``'s length.
+    """
+    np.multiply(x, freq, out=t)
+    _reduce_phase(t, z.view(np.float64)[:len(t)])
+    np.multiply(t, 2j * np.pi, out=z)
+    np.exp(z, out=z)
+
+
+def _add_characters(terms, x: np.ndarray, out: np.ndarray, z: np.ndarray,
+                    w: np.ndarray) -> None:
+    """``out += c * exp(2*pi*i*f*x)`` for each ``(c, f)`` in ``terms``.
+
+    The product is taken as ``phases * c``.  NumPy's FMA complex multiply
+    is not bitwise commutative, and this is the order that a whole-array
+    ``out += c * phases`` of 256 KiB or more runs in, once NumPy's
+    temporary elision turns it into ``phases *= c``.  It is written to
+    ``w``: in place, NumPy multiplies a single sample without FMA.
+    """
+    t = w.view(np.float64)[:len(x)]
+    for c, f in terms:
+        _unit_phases(f, x, z, t)
+        np.multiply(z, c, out=w)
+        out += w
+
+
+def _add_density(density: Density, x: np.ndarray, out: np.ndarray,
+                 z: np.ndarray, w: np.ndarray) -> None:
+    """Add the trapezoid integral of ``exp(2*pi*i*f*x) dens(f) df``.
+
+    Takes one density point at a time through ``np.trapezoid``'s
+    arithmetic, in its order, so the memory is a few blocks however many
+    points the density has.
+    """
+    grid = density.grid()
+    steps = np.diff(grid)
+    t = w.view(np.float64)[:len(x)]
+    prev, cur, total = (np.empty_like(z) for _ in range(3))
+    for k, (f, c) in enumerate(zip(grid, density.values)):
+        _unit_phases(f, x, z, t)
+        np.multiply(c, z, out=cur)
+        if k:
+            np.add(cur, prev, out=z)
+            np.multiply(z, steps[k - 1], out=w)
+            np.divide(w, 2.0, out=total if k == 1 else z)
+            if k > 1:
+                total += z
+        prev, cur = cur, prev
+    out += total
+
+
+def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
+    """The ``fill(x, o, z, w)`` that writes one block of ``spec``'s values."""
     if isinstance(spec, Character):
-        return _character_values(spec.frequency, xs)
+        freq = spec.frequency
+        return lambda x, o, z, w: _unit_phases(
+            freq, x, o, z.view(np.float64)[:len(x)])
     if isinstance(spec, TrigPoly):
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for c, f in spec.terms:
-            out += c * _character_values(f, xs)
-        return out
+        return lambda x, o, z, w: _add_characters(spec.terms, x, o, z, w)
     if isinstance(spec, DirichletLine):
         if not spec.sigma > spec.abscissa:
             raise DivergentSeries(
                 f"sigma={spec.sigma} not above declared abscissa {spec.abscissa}")
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for n, a in enumerate(spec.coeffs, start=1):
-            out += a * n ** (-spec.sigma) * _character_values(
-                -math.log(n) / (2 * math.pi), xs)
-        return out
+        terms = [(a * n ** (-spec.sigma), -math.log(n) / (2 * math.pi))
+                 for n, a in enumerate(spec.coeffs, start=1)]
+        return lambda x, o, z, w: _add_characters(terms, x, o, z, w)
     if isinstance(spec, MeasureTransform):
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        for f, w in spec.atoms:
-            out += w * _character_values(f, xs)
-        if spec.density is not None:
-            grid = spec.density.grid()
-            dens = np.asarray(spec.density.values, dtype=np.complex128)
-            phases = np.exp(2j * np.pi * np.mod(np.outer(grid, xs), 1.0))
-            out += np.trapezoid(dens[:, None] * phases, grid, axis=0)
-        return out
+        terms = [(weight, f) for f, weight in spec.atoms]
+
+        def fill(x, o, z, w):
+            _add_characters(terms, x, o, z, w)
+            if spec.density is not None:
+                _add_density(spec.density, x, o, z, w)
+        return fill
     if isinstance(spec, BlockSequence):
-        ns = np.floor(xs).astype(np.int64)
-        out = np.zeros(xs.shape, dtype=np.complex128)
-        pos = ns >= 0
-        if np.any(pos):
-            ends = _block_boundaries(spec, int(ns[pos].max()))
-            blocks = np.searchsorted(ends, ns[pos], side="right")
-            syms = np.asarray(spec.symbols)
-            out[pos] = syms[blocks % len(syms)]
-        return out
+        ends = _block_boundaries(spec, int(np.floor(xs.max(initial=-1.0))))
+        syms = np.asarray(spec.symbols)
+
+        def fill(x, o, z, w):
+            ns = np.floor(x).astype(np.int64)
+            pos = ns >= 0
+            if np.any(pos):
+                blocks = np.searchsorted(ends, ns[pos], side="right")
+                o[pos] = syms[blocks % len(syms)]
+        return fill
+    if isinstance(spec, Convergent):
+        def fill(x, o, z, w):
+            a = np.abs(x)
+            if spec.decay == "exp":
+                tail = np.exp(-spec.rate * a)
+            else:
+                tail = (1.0 + a) ** (-spec.rate)
+            o[...] = spec.limit + spec.amplitude * tail
+        return fill
+    if isinstance(spec, Custom):
+        raise UnsupportedPoint("custom samples have no closed form")
+    raise TypeError(f"not a generator spec: {spec!r}")
+
+
+def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
+    """Closed-form values of the generated function at the given points.
+
+    Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
+    small thread pool.  A sample's bits do not depend on the number of
+    points or on where the blocks fall.
+    """
+    xs = np.asarray(points, dtype=np.float64)
+    out = np.zeros(xs.shape, dtype=np.complex128)
     if isinstance(spec, PartialSums):
         ns = np.floor(xs).astype(np.int64)
-        out = np.zeros(xs.shape, dtype=np.complex128)
         pos = ns >= 0
         if np.any(pos):
             top = int(ns[pos].max())
@@ -550,16 +698,9 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
             sums = np.cumsum(coeffs)
             out[pos] = sums[ns[pos]]
         return out
-    if isinstance(spec, Convergent):
-        a = np.abs(xs)
-        if spec.decay == "exp":
-            tail = np.exp(-spec.rate * a)
-        else:
-            tail = (1.0 + a) ** (-spec.rate)
-        return spec.limit + spec.amplitude * tail
-    if isinstance(spec, Custom):
-        raise UnsupportedPoint("custom samples have no closed form")
-    raise TypeError(f"not a generator spec: {spec!r}")
+    fill = _block_filler(spec, xs)
+    _map_blocks(fill, xs.reshape(-1), out.reshape(-1))
+    return out
 
 
 def evaluate(spec: GeneratorSpec, point: float) -> complex:
@@ -714,15 +855,6 @@ def delta_kernel() -> DiscreteSignal:
     return DiscreteSignal(0, [1.0], 1.0, Extension.VALID_ONLY, "kernel")
 
 
-def box_kernel(width: int) -> DiscreteSignal:
-    """Flat unit-mass kernel on ``width`` consecutive offsets centered at 0."""
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    vals = np.full(width, 1.0 / width)
-    return DiscreteSignal(-(width // 2), vals, 1.0 / width,
-                          Extension.VALID_ONLY, "kernel")
-
-
 def fejer_kernel(width: int) -> DiscreteSignal:
     """Triangular unit-mass kernel supported on ``[-width//2, width//2]``."""
     m = max(1, width // 2)
@@ -756,12 +888,3 @@ def gaussian_kernel_continuous(sigma: float, h: float,
     return ContinuousSignal(-m * h, h, w, float(w.max()),
                             Extension.VALID_ONLY, "kernel")
 
-
-def fejer_kernel_continuous(width: float, h: float) -> ContinuousSignal:
-    """Triangular kernel of total support ``width`` with unit trapezoid mass."""
-    m = max(1, int(round(width / (2 * h))))
-    t = np.arange(-m, m + 1)
-    w = 1.0 - np.abs(t) / (m + 1.0)
-    w /= np.trapezoid(w, dx=h)
-    return ContinuousSignal(-m * h, h, w, float(w.max()),
-                            Extension.VALID_ONLY, "kernel")

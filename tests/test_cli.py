@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import cesaro, cli, serialize
@@ -194,6 +195,58 @@ def test_generator_json_round_trip(tmp_path):
         path = tmp_path / f"s{i}.json"
         serialize.save_generator(spec, str(path))
         assert serialize.load_generator(str(path)) == spec
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _finite, _finite)
+_positive = st.floats(1e-3, 10.0)
+
+
+def _tuples(elements, min_size=1):
+    return st.lists(elements, min_size=min_size, max_size=4).map(tuple)
+
+
+_density = st.builds(lambda lo, width, values: ac.Density(lo, lo + width, values),
+                     st.floats(-1e3, 1e3), _positive, _tuples(_complex, 2))
+_SPEC_STRATEGIES = {
+    "character": st.builds(ac.Character, _finite),
+    "trig_poly": st.builds(ac.TrigPoly, _tuples(st.tuples(_complex, _finite))),
+    "dirichlet_line": st.builds(ac.DirichletLine, _tuples(_complex), _finite,
+                                _finite),
+    "measure_transform": st.builds(ac.MeasureTransform,
+                                   _tuples(st.tuples(_finite, _complex), 0),
+                                   st.none() | _density),
+    "block_sequence": st.builds(ac.BlockSequence, _tuples(_complex),
+                                st.floats(1.01, 8.0)),
+    "convergent": st.builds(ac.Convergent, _complex,
+                            st.sampled_from(["exp", "power"]), _positive,
+                            _complex),
+    "custom": st.builds(ac.Custom, _tuples(_complex), _finite, _positive),
+}
+_SPEC_STRATEGIES["partial_sums"] = st.builds(
+    ac.PartialSums, st.one_of(*_SPEC_STRATEGIES.values()))
+
+
+@pytest.mark.parametrize("kind", sorted(_SPEC_STRATEGIES))
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_generator_dict_round_trip_every_kind(kind, data):
+    spec = data.draw(_SPEC_STRATEGIES[kind])
+    text = json.dumps(serialize.generator_to_dict(spec))
+    assert serialize.generator_from_dict(json.loads(text)) == spec
+
+
+@pytest.mark.parametrize("obj, spec", [
+    ({"kind": "block_sequence"}, ac.BlockSequence()),
+    ({"kind": "block_sequence", "growth": 3}, ac.BlockSequence(growth=3.0)),
+    ({"kind": "dirichlet_line", "coeffs": [1], "sigma": 2}, ac.DirichletLine((1,), 2.0)),
+    ({"kind": "measure_transform", "atoms": []}, ac.MeasureTransform(())),
+    ({"kind": "convergent", "limit": 0.5}, ac.Convergent(0.5)),
+    ({"kind": "custom", "values": [1, 2]}, ac.Custom((1.0, 2.0))),
+], ids=["block_sequence", "block_sequence_growth", "dirichlet_line",
+        "measure_transform", "convergent", "custom"])
+def test_missing_spec_keys_take_the_spec_defaults(obj, spec):
+    assert serialize.generator_from_dict(obj) == spec
 
 
 def test_signal_csv_round_trip(tmp_path):

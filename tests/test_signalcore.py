@@ -1,4 +1,10 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
 from almostconv.errors import AliasingError, DivergentSeries, UnsupportedPoint
-from almostconv.signals import evaluate, evaluate_many, kind_of
+from almostconv.signals import (
+    BLOCK,
+    _block_boundaries,
+    _reduce_phase,
+    evaluate,
+    evaluate_many,
+    kind_of,
+)
 
 
 def test_character_zero_is_one_everywhere():
@@ -182,3 +195,174 @@ def test_kind_names_cover_union():
              ac.BlockSequence(), ac.PartialSums(ac.Character(0.0)),
              ac.Convergent(1.0), ac.Custom((1.0,))]
     assert len({kind_of(s) for s in specs}) == 8
+
+
+# ---------------------------------------------------------------------------
+# Block rendering keeps the bits of the whole-array formulas
+# ---------------------------------------------------------------------------
+
+def _whole_array_characters(freq, xs):
+    return np.exp(2j * np.pi * np.mod(freq * xs, 1.0))
+
+
+def _whole_array(spec, xs):
+    """The whole-array formulas evaluate_many used before block rendering."""
+    if isinstance(spec, ac.Character):
+        return _whole_array_characters(spec.frequency, xs)
+    if isinstance(spec, ac.TrigPoly):
+        out = np.zeros(xs.shape, dtype=np.complex128)
+        for c, f in spec.terms:
+            out += c * _whole_array_characters(f, xs)
+        return out
+    if isinstance(spec, ac.DirichletLine):
+        out = np.zeros(xs.shape, dtype=np.complex128)
+        for n, a in enumerate(spec.coeffs, start=1):
+            out += a * n ** (-spec.sigma) * _whole_array_characters(
+                -math.log(n) / (2 * math.pi), xs)
+        return out
+    if isinstance(spec, ac.MeasureTransform):
+        out = np.zeros(xs.shape, dtype=np.complex128)
+        for f, w in spec.atoms:
+            out += w * _whole_array_characters(f, xs)
+        if spec.density is not None:
+            grid = spec.density.grid()
+            dens = np.asarray(spec.density.values, dtype=np.complex128)
+            phases = np.exp(2j * np.pi * np.mod(np.outer(grid, xs), 1.0))
+            out += np.trapezoid(dens[:, None] * phases, grid, axis=0)
+        return out
+    if isinstance(spec, ac.BlockSequence):
+        ns = np.floor(xs).astype(np.int64)
+        out = np.zeros(xs.shape, dtype=np.complex128)
+        pos = ns >= 0
+        if np.any(pos):
+            ends = _block_boundaries(spec, int(ns[pos].max()))
+            blocks = np.searchsorted(ends, ns[pos], side="right")
+            syms = np.asarray(spec.symbols)
+            out[pos] = syms[blocks % len(syms)]
+        return out
+    if isinstance(spec, ac.Convergent):
+        a = np.abs(xs)
+        if spec.decay == "exp":
+            tail = np.exp(-spec.rate * a)
+        else:
+            tail = (1.0 + a) ** (-spec.rate)
+        return spec.limit + spec.amplitude * tail
+    raise TypeError(spec)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.complex128).view(np.float64)
+
+
+_POINTWISE_SPECS = [
+    ac.Character(0.1234567),
+    ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 1 / 3), (-0.2 + 0.9j, -0.0731))),
+    ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
+    ac.MeasureTransform(((0.0, 0.3), (0.21, 0.2 - 0.5j)),
+                        ac.Density(-0.05, 0.07,
+                                   (1.0, 0.5j, -0.25, 0.3 + 0.3j, 0.1))),
+    ac.BlockSequence((1 + 2j, -0.5, 3j), 1.7),
+    ac.Convergent(0.3 - 0.2j, "exp", 0.01, 1.5 + 0.5j),
+    ac.Convergent(2.0, "power", 0.7, -1.5 + 0.25j),
+]
+
+
+@pytest.mark.parametrize("spec", _POINTWISE_SPECS, ids=[
+    "character", "trig_poly", "dirichlet_line", "measure_transform",
+    "block_sequence", "convergent_exp", "convergent_power"])
+def test_block_rendering_matches_whole_array_bits(spec):
+    # whole-array sizes of 2^14 points and more, where NumPy elides the
+    # temporaries; blocks end mid-array, on one point, and on a boundary
+    for n in (BLOCK, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17):
+        grids = [np.arange(-70000, n - 70000), np.arange(1234, n + 1234),
+                 -5.5 + 0.0137 * np.arange(n), 3.25 + 0.0137 * np.arange(n)]
+        for xs in grids:
+            xs = xs.astype(np.float64)
+            got = evaluate_many(spec, xs)
+            assert np.array_equal(_bits(got), _bits(_whole_array(spec, xs))), \
+                (n, xs[0])
+
+
+@pytest.mark.parametrize("spec", [
+    ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 1 / 3), (-0.2 + 0.9j, -0.0731))),
+    ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
+], ids=kind_of)
+def test_sample_bits_do_not_depend_on_render_length(spec):
+    short = ac.render_discrete(spec, 0, 99).values
+    long = ac.render_discrete(spec, 0, 2 ** 15 - 1).values
+    assert np.array_equal(_bits(short), _bits(long[:100]))
+    assert np.array_equal(_bits([evaluate(spec, 77.0)]), _bits(long[77:78]))
+
+
+def test_reduce_phase_matches_np_mod_bitwise():
+    rng = np.random.default_rng(20230104)
+    scales = 10.0 ** np.arange(-3, 18)
+    edges = [0.0, -0.0, 2.0 ** 52, -2.0 ** 52, 2.0 ** 52 - 0.5,
+             -(2.0 ** 52 - 0.5), 2.0 ** 53 + 2, 5e-324, -5e-324,
+             2.2250738585072014e-308, -1e-310, 1 - 2 ** -53, -(1 - 2 ** -53),
+             -1e-17, 1.7976931348623157e308, -1.7976931348623157e308,
+             np.inf, -np.inf, np.nan]
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 100_000) * s for s in scales]
+                       + [np.asarray(edges)])
+    with np.errstate(invalid="ignore"):
+        want = np.mod(t, 1.0)
+        got = _reduce_phase(t.copy(), np.empty_like(t))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_density_render_memory_stays_bounded():
+    spec = ac.MeasureTransform((), ac.Density(-0.01, 0.01, tuple([1.0] * 64)))
+    tracemalloc.start()
+    try:
+        ac.render_discrete(spec, 0, 2 ** 17 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
+
+
+def test_concurrent_renders_match_serial_ones():
+    specs = _POINTWISE_SPECS[:4]
+    xs = np.arange(5 * BLOCK + 3, dtype=np.float64) - 1000.0
+    want = [_bits(evaluate_many(s, xs)) for s in specs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        # more callers than cores, all sharing the render pool
+        with ThreadPoolExecutor(max_workers=8) as callers:
+            futures = [callers.submit(evaluate_many, specs[i % 4], xs)
+                       for i in range(16)]
+            got = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, values in enumerate(got):
+        assert np.array_equal(_bits(values), want[i % 4])
+
+
+def _render_several_blocks():
+    ac.render_discrete(ac.TrigPoly(((1.0, 0.1), (0.5j, 0.3))), 0, 4 * BLOCK)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_forked_child_can_render():
+    _render_several_blocks()  # the parent's pool threads now exist
+    child = multiprocessing.get_context("fork").Process(
+        target=_render_several_blocks)
+    child.start()
+    child.join(timeout=120)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung and child.exitcode == 0
+
+
+def test_import_starts_no_thread():
+    code = ("import sys, threading, almostconv; "
+            "print(threading.active_count(), "
+            "'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["1", "False"]
