@@ -16,10 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-import numpy as np
 
 from . import cesaro, cyclic, spectral, tauberian
 from .errors import (
@@ -37,7 +35,6 @@ from .serialize import (
     SCHEMA_VERSION,
     chain_report_to_dict,
     dump_json,
-    generator_to_dict,
     load_generator,
     mean_sweep_to_csv,
     mean_sweep_to_dict,
@@ -48,7 +45,6 @@ from .serialize import (
     verdict_to_dict,
 )
 from .signals import (
-    ContinuousSignal,
     DiscreteSignal,
     Sidedness,
     WindowSchedule,

@@ -10,20 +10,28 @@ File formats:
 - verdicts and reports: JSON with a ``"schema"`` version field.
 
 All writers are deterministic (sorted keys, shortest-roundtrip floats)
-so identical inputs produce byte-identical files.
+so identical inputs produce byte-identical files.  CSV writers stream
+rows in blocks of ``signals.BLOCK``, every float as its ``repr``.
+Sample files are parsed by ``np.loadtxt``, whose float conversion is
+correctly rounded like ``float()``.  Unlike a ``float()`` per field, it
+reads a ``#`` after the data on a row as the start of a comment, and it
+rejects ``1_000``, non-ASCII digits, and lines after the header that
+hold only whitespace or whitespace and then a ``#`` comment.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
-from typing import Optional
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ConfigError
 from .signals import (
+    BLOCK,
     BlockSequence,
     Character,
     ContinuousSignal,
@@ -39,7 +47,7 @@ from .signals import (
     Signal,
     TrigPoly,
 )
-from .cesaro import ACVerdict, CesaroSweep, VerdictStatus
+from .cesaro import ACVerdict, CesaroSweep
 from .cyclic import CyclicFunction
 from .spectral import SpectrumEstimate
 from .tauberian import ChainReport, MeanSweep
@@ -57,13 +65,13 @@ def _j2c(obj) -> complex:
     return complex(obj)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never see a partial file."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks, then rename, so readers never see a partial file."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -72,7 +80,7 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def dump_json(obj, path: str) -> None:
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n",))
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +185,35 @@ def save_generator(spec: GeneratorSpec, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# signals
+# CSV tables
 # ---------------------------------------------------------------------------
 
-def signal_to_csv(signal: Signal, path: str) -> None:
-    lines = []
-    if isinstance(signal, DiscreteSignal):
-        lines.append(f"# signal kind=discrete n_min={signal.n_min} "
-                     f"bound={signal.bound!r} extension={signal.extension.value} "
-                     f"source={signal.source or '-'}")
-        lines.append("index,re,im")
-        for i, v in enumerate(signal.values):
-            lines.append(f"{signal.n_min + i},{float(v.real)!r},{float(v.imag)!r}")
-    else:
-        lines.append(f"# signal kind=continuous x0={signal.x0!r} h={signal.h!r} "
-                     f"bound={signal.bound!r} extension={signal.extension.value} "
-                     f"source={signal.source or '-'}")
-        lines.append("x,re,im")
-        for i, v in enumerate(signal.samples):
-            lines.append(f"{float(signal.x_at(i))!r},{float(v.real)!r},{float(v.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _floats(values) -> list:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _parts(values) -> tuple:
+    z = np.asarray(values, dtype=np.complex128)
+    return z.real.tolist(), z.imag.tolist()
+
+
+def _write_rows(path: str, head: str, row, *columns) -> None:
+    """Write ``head``, then ``row(*values)`` for each row of the columns.
+
+    ``row`` is a bound ``str.format`` ending in a newline and the columns
+    are equal-length lists or ranges; rows are joined ``BLOCK`` at a time,
+    so no string of the whole file is built.
+    """
+    def chunks():
+        yield head
+        for lo in range(0, len(columns[0]), BLOCK):
+            yield "".join(map(row, *(c[lo:lo + BLOCK] for c in columns)))
+
+    atomic_write_text(path, chunks())
+
+
+_META_LINE = re.compile(r"^\s*#(.*)", re.M)
+_TABLE_LINE = re.compile(r"^\s*[^#\s]", re.M)
 
 
 def _parse_meta(line: str) -> dict:
@@ -208,52 +225,85 @@ def _parse_meta(line: str) -> dict:
     return out
 
 
-def signal_from_csv(path: str) -> Signal:
+def _read_table(path: str, what: str) -> tuple:
+    """Metadata, first column and complex values of an ``index,re,im`` file.
+
+    Every line starting with ``#`` contributes ``key=value`` metadata; the
+    first other non-blank line is the column header; ``np.loadtxt`` reads
+    the rows after it, treating ``#`` as the start of a comment.
+    """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read samples {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     meta = {}
-    rows = []
-    header_seen = False
-    for ln in lines:
-        if ln.startswith("#"):
-            meta.update(_parse_meta(ln))
-            continue
-        if not header_seen:
-            header_seen = True  # column header
-            continue
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"bad sample row {ln!r}")
-        rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-    if not rows:
+    for m in _META_LINE.finditer(text):
+        meta.update(_parse_meta(m.group(1)))
+    lines = _TABLE_LINE.finditer(text)
+    header = next(lines, None)
+    if next(lines, None) is None:
         raise ConfigError("no sample rows found")
-    vals = np.asarray([complex(r, i) for _, r, i in rows])
-    ext = Extension(meta.get("extension", "valid_only"))
+    try:
+        table = np.loadtxt(path, delimiter=",", comments="#",
+                           skiprows=text.count("\n", 0, header.end()) + 1,
+                           dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"bad sample rows in {path}: {exc}") from exc
+    if table.shape[1] != 3:
+        raise ConfigError(f"sample rows need 3 columns, found {table.shape[1]}")
+    vals = np.empty(len(table), dtype=np.complex128)
+    vals.real = table[:, 1]
+    vals.imag = table[:, 2]
+    return meta, table[:, 0], vals
+
+
+# ---------------------------------------------------------------------------
+# signals
+# ---------------------------------------------------------------------------
+
+def signal_to_csv(signal: Signal, path: str) -> None:
+    tail = (f"bound={signal.bound!r} extension={signal.extension.value} "
+            f"source={signal.source or '-'}\n")
+    if isinstance(signal, DiscreteSignal):
+        n = len(signal.values)
+        head = f"# signal kind=discrete n_min={signal.n_min} {tail}index,re,im\n"
+        _write_rows(path, head, "{},{!r},{!r}\n".format,
+                    range(signal.n_min, signal.n_min + n), *_parts(signal.values))
+        return
+    # x_at(i) = x0 + i*h: the same multiply and add, element by element
+    xs = float(signal.x0) + np.arange(len(signal.samples)) * float(signal.h)
+    head = f"# signal kind=continuous x0={signal.x0!r} h={signal.h!r} {tail}x,re,im\n"
+    _write_rows(path, head, "{!r},{!r},{!r}\n".format, xs.tolist(),
+                *_parts(signal.samples))
+
+
+def signal_from_csv(path: str) -> Signal:
+    meta, xs, vals = _read_table(path, "samples")
     source = meta.get("source")
     if source in (None, "-"):
         source = "custom"
     kind = meta.get("kind")
     if kind is None:
-        xs = [r[0] for r in rows]
-        kind = "discrete" if all(abs(x - round(x)) < 1e-9 for x in xs) and \
+        if not np.isfinite(xs).all():
+            raise ConfigError("sample positions must be finite")
+        kind = "discrete" if np.all(np.abs(xs - np.round(xs)) < 1e-9) and \
             (len(xs) < 2 or abs(xs[1] - xs[0] - 1) < 1e-9) else "continuous"
-    bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
     try:
+        ext = Extension(meta.get("extension", "valid_only"))
+        bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
         if kind == "discrete":
-            n_min = int(meta.get("n_min", round(rows[0][0])))
+            n_min = int(meta["n_min"]) if "n_min" in meta else round(float(xs[0]))
             return DiscreteSignal(n_min, vals, bound, ext, source)
-        x0 = float(meta.get("x0", rows[0][0]))
+        x0 = float(meta.get("x0", xs[0]))
         if "h" in meta:
             h = float(meta["h"])
-        elif len(rows) > 1:
-            h = rows[1][0] - rows[0][0]
+        elif len(xs) > 1:
+            h = float(xs[1] - xs[0])
         else:
             raise ConfigError("continuous samples need a step")
         return ContinuousSignal(x0, h, vals, bound, ext, source)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"inconsistent samples: {exc}") from exc
 
 
@@ -262,27 +312,21 @@ def signal_from_csv(path: str) -> Signal:
 # ---------------------------------------------------------------------------
 
 def sweep_to_csv(sweep: CesaroSweep, path: str) -> None:
-    lines = ["k,sup_re,sup_im,inf_re,inf_im,argmax,argmin"]
-    for k, s, i, am, an in zip(sweep.lengths, sweep.sup, sweep.inf,
-                               sweep.argmax, sweep.argmin):
-        lines.append(f"{float(k)!r},{float(s.real)!r},{float(s.imag)!r},"
-                     f"{float(i.real)!r},{float(i.imag)!r},"
-                     f"{float(am)!r},{float(an)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "k,sup_re,sup_im,inf_re,inf_im,argmax,argmin\n",
+                "{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n".format,
+                _floats(sweep.lengths), *_parts(sweep.sup), *_parts(sweep.inf),
+                _floats(sweep.argmax), _floats(sweep.argmin))
 
 
 def spectrum_to_csv(est: SpectrumEstimate, path: str) -> None:
-    lines = ["freq,magnitude,masked"]
-    for f, m, b in zip(est.freqs, est.magnitudes, est.support_mask):
-        lines.append(f"{float(f)!r},{float(m)!r},{int(b)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "freq,magnitude,masked\n", "{!r},{!r},{}\n".format,
+                _floats(est.freqs), _floats(est.magnitudes),
+                np.asarray(est.support_mask, dtype=np.int64).tolist())
 
 
 def mean_sweep_to_csv(sweep: MeanSweep, path: str) -> None:
-    lines = ["abscissa,re,im"]
-    for x, v in zip(sweep.abscissas, sweep.values):
-        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, "abscissa,re,im\n", "{!r},{!r},{!r}\n".format,
+                _floats(sweep.abscissas), *_parts(sweep.values))
 
 
 def verdict_to_dict(v: ACVerdict) -> dict:
@@ -328,31 +372,13 @@ def chain_report_to_dict(report: ChainReport) -> dict:
 
 
 def cyclic_to_csv(f: CyclicFunction, path: str) -> None:
-    lines = [f"# cyclic N={f.N}", "index,re,im"]
-    for i, v in enumerate(f.values):
-        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_rows(path, f"# cyclic N={f.N}\nindex,re,im\n", "{},{!r},{!r}\n".format,
+                range(f.N), *_parts(f.values))
 
 
 def cyclic_from_csv(path: str) -> CyclicFunction:
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read cyclic samples {path}: {exc}") from exc
-    meta = {}
-    rows = []
-    header_seen = False
-    for ln in lines:
-        if ln.startswith("#"):
-            meta.update(_parse_meta(ln))
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        parts = ln.split(",")
-        rows.append(complex(float(parts[1]), float(parts[2])))
-    n = int(meta.get("N", len(rows)))
-    if n != len(rows):
-        raise ConfigError(f"declared N={n} but {len(rows)} rows present")
-    return CyclicFunction(n, np.asarray(rows))
+    meta, _, vals = _read_table(path, "cyclic samples")
+    n = int(meta.get("N", len(vals)))
+    if n != len(vals):
+        raise ConfigError(f"declared N={n} but {len(vals)} rows present")
+    return CyclicFunction(n, vals)

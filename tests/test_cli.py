@@ -275,3 +275,320 @@ def test_cyclic_csv_round_trip(tmp_path):
     back = serialize.cyclic_from_csv(str(path))
     assert back.N == 6
     assert np.allclose(back.values, f.values)
+
+
+# ---------------------------------------------------------------------------
+# CSV files: the block writers and the np.loadtxt reader against in-test
+# copies of the per-row code they replaced
+# ---------------------------------------------------------------------------
+
+def _old_write(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _old_signal_to_csv(signal, path):
+    lines = []
+    if isinstance(signal, ac.DiscreteSignal):
+        lines.append(f"# signal kind=discrete n_min={signal.n_min} "
+                     f"bound={signal.bound!r} extension={signal.extension.value} "
+                     f"source={signal.source or '-'}")
+        lines.append("index,re,im")
+        for i, v in enumerate(signal.values):
+            lines.append(f"{signal.n_min + i},{float(v.real)!r},{float(v.imag)!r}")
+    else:
+        lines.append(f"# signal kind=continuous x0={signal.x0!r} h={signal.h!r} "
+                     f"bound={signal.bound!r} extension={signal.extension.value} "
+                     f"source={signal.source or '-'}")
+        lines.append("x,re,im")
+        for i, v in enumerate(signal.samples):
+            lines.append(f"{float(signal.x_at(i))!r},{float(v.real)!r},{float(v.imag)!r}")
+    _old_write(path, lines)
+
+
+def _old_sweep_to_csv(sweep, path):
+    lines = ["k,sup_re,sup_im,inf_re,inf_im,argmax,argmin"]
+    for k, s, i, am, an in zip(sweep.lengths, sweep.sup, sweep.inf,
+                               sweep.argmax, sweep.argmin):
+        lines.append(f"{float(k)!r},{float(s.real)!r},{float(s.imag)!r},"
+                     f"{float(i.real)!r},{float(i.imag)!r},"
+                     f"{float(am)!r},{float(an)!r}")
+    _old_write(path, lines)
+
+
+def _old_spectrum_to_csv(est, path):
+    lines = ["freq,magnitude,masked"]
+    for f, m, b in zip(est.freqs, est.magnitudes, est.support_mask):
+        lines.append(f"{float(f)!r},{float(m)!r},{int(b)}")
+    _old_write(path, lines)
+
+
+def _old_mean_sweep_to_csv(sweep, path):
+    lines = ["abscissa,re,im"]
+    for x, v in zip(sweep.abscissas, sweep.values):
+        lines.append(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}")
+    _old_write(path, lines)
+
+
+def _old_cyclic_to_csv(f, path):
+    lines = [f"# cyclic N={f.N}", "index,re,im"]
+    for i, v in enumerate(f.values):
+        lines.append(f"{i},{float(v.real)!r},{float(v.imag)!r}")
+    _old_write(path, lines)
+
+
+def _old_parse_meta(line):
+    out = {}
+    for token in line.lstrip("# ").split():
+        if "=" in token:
+            key, val = token.split("=", 1)
+            out[key] = val
+    return out
+
+
+def _old_signal_from_csv(path):
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    meta = {}
+    rows = []
+    header_seen = False
+    for ln in lines:
+        if ln.startswith("#"):
+            meta.update(_old_parse_meta(ln))
+            continue
+        if not header_seen:
+            header_seen = True
+            continue
+        parts = ln.split(",")
+        assert len(parts) == 3
+        rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+    vals = np.asarray([complex(r, i) for _, r, i in rows])
+    ext = ac.Extension(meta.get("extension", "valid_only"))
+    source = meta.get("source")
+    if source in (None, "-"):
+        source = "custom"
+    kind = meta.get("kind")
+    if kind is None:
+        xs = [r[0] for r in rows]
+        kind = "discrete" if all(abs(x - round(x)) < 1e-9 for x in xs) and \
+            (len(xs) < 2 or abs(xs[1] - xs[0] - 1) < 1e-9) else "continuous"
+    bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
+    if kind == "discrete":
+        n_min = int(meta.get("n_min", round(rows[0][0])))
+        return ac.DiscreteSignal(n_min, vals, bound, ext, source)
+    x0 = float(meta.get("x0", rows[0][0]))
+    h = float(meta["h"]) if "h" in meta else rows[1][0] - rows[0][0]
+    return ac.ContinuousSignal(x0, h, vals, bound, ext, source)
+
+
+def _signal_fields(sig):
+    """Everything a signal carries, floats as bits."""
+    if isinstance(sig, ac.DiscreteSignal):
+        grid = ("discrete", sig.n_min)
+        vals = sig.values
+    else:
+        grid = ("continuous", np.float64(sig.x0).view(np.int64),
+                np.float64(sig.h).view(np.int64))
+        vals = sig.samples
+    return (grid, np.float64(sig.bound).view(np.int64), sig.extension,
+            sig.source, vals.view(np.float64).tobytes())
+
+
+# the points where repr switches notation, the extremes, and signed zeros
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0,
+                1.0000000000000002e16, 1e-5, 9.999999999999999e-06,
+                1.0000000000000001e-05, -1e-5, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1 / 3]
+_csv_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+_LENGTHS = [1, ac.signals.BLOCK, ac.signals.BLOCK + 1, 3 * ac.signals.BLOCK + 7]
+
+
+def _column(data, n, elements=_csv_floats):
+    """``n`` floats drawn, with their bits, from a small drawn pool."""
+    pool = np.array(data.draw(st.lists(elements, min_size=1, max_size=24)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    return pool[rng.integers(0, len(pool), n)]
+
+
+def _complex_column(data, n, elements=_csv_floats):
+    out = np.empty(n, dtype=np.complex128)
+    out.real = _column(data, n)
+    out.imag = _column(data, n, elements)
+    return out
+
+
+@pytest.mark.parametrize("n", _LENGTHS)
+@pytest.mark.parametrize("grid", ["discrete", "continuous"])
+@pytest.mark.parametrize("sign", [-1, 1])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_signal_csv_matches_per_row_code(tmp_path_factory, n, grid, sign, data):
+    # |z| must stay finite, so imaginary parts keep clear of the overflow edge
+    vals = _complex_column(data, n, _csv_floats.filter(lambda v: abs(v) <= 1e300))
+    bound = float(np.max(np.abs(vals)))
+    if grid == "discrete":
+        n_min = sign * data.draw(st.integers(0, 10 ** 12))
+        sig = ac.DiscreteSignal(n_min, vals, bound, ac.Extension.ZERO_OUTSIDE)
+    else:
+        x0 = sign * data.draw(st.sampled_from([0.0, 1e-5, 1e16]) | st.floats(0, 1e6))
+        h = data.draw(st.sampled_from([0.1, 0.05, 1e-5]) | st.floats(1e-6, 10.0))
+        sig = ac.ContinuousSignal(x0, h, vals, bound, source="drawn")
+    tmp = tmp_path_factory.mktemp("csv")
+    new, old = str(tmp / "new.csv"), str(tmp / "old.csv")
+    serialize.signal_to_csv(sig, new)
+    _old_signal_to_csv(sig, old)
+    with open(new, "rb") as a, open(old, "rb") as b:
+        assert a.read() == b.read()
+    back = serialize.signal_from_csv(new)
+    assert _signal_fields(back) == _signal_fields(_old_signal_from_csv(new))
+    assert back.values.view(np.float64).tobytes() == vals.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", _LENGTHS)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_analysis_csv_writers_match_per_row_code(tmp_path_factory, n, data):
+    from almostconv.cyclic import CyclicFunction
+    from almostconv.spectral import SpectrumEstimate, Taper
+    from almostconv.tauberian import MeanMethod, MeanSweep
+
+    a, b = _complex_column(data, n), _complex_column(data, n)
+    sup = np.maximum(a.real, b.real) + 1j * np.maximum(a.imag, b.imag)
+    inf = np.minimum(a.real, b.real) + 1j * np.minimum(a.imag, b.imag)
+    sweep = cesaro.CesaroSweep(
+        lengths=tuple(range(1, n + 1)), sup=tuple(sup.tolist()),
+        inf=tuple(inf.tolist()), argmax=tuple(_column(data, n).tolist()),
+        argmin=tuple(_column(data, n).tolist()), sidedness=Sidedness.TWO_SIDED,
+        shift_stride=1, p_bar_est=sup[-1], p_lower_est=inf[-1])
+    est = SpectrumEstimate(
+        freqs=_column(data, n), magnitudes=np.abs(_column(data, n)),
+        taper=Taper.HANN, mask_threshold=0.5,
+        support_mask=_column(data, n, st.booleans()).astype(bool),
+        parseval_rel_error=0.0, window_length=n, step=1.0)
+    step = data.draw(st.sampled_from([1e-5, 0.1, 1e16]) | st.floats(1e-300, 1e300))
+    means = MeanSweep(MeanMethod.LAPLACE, tuple((step * np.arange(n, 0, -1)).tolist()),
+                      tuple(_complex_column(data, n).tolist()), None, 0.0)
+    cyc = CyclicFunction(n, _complex_column(data, n))
+    tmp = tmp_path_factory.mktemp("csv")
+    for new_writer, old_writer, obj in (
+            (serialize.sweep_to_csv, _old_sweep_to_csv, sweep),
+            (serialize.spectrum_to_csv, _old_spectrum_to_csv, est),
+            (serialize.mean_sweep_to_csv, _old_mean_sweep_to_csv, means),
+            (serialize.cyclic_to_csv, _old_cyclic_to_csv, cyc)):
+        new_writer(obj, str(tmp / "new.csv"))
+        old_writer(obj, str(tmp / "old.csv"))
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes(), \
+            new_writer.__name__
+    back = serialize.cyclic_from_csv(str(tmp / "new.csv"))
+    assert back.N == n
+    assert back.values.view(np.float64).tobytes() == cyc.values.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "\n\n  \n# signal kind=discrete n_min=3 bound=2.0 extension=zero_outside "
+    "source=-\n\n \nindex,re,im\n3,1,0\n4,-0.0,2\n",
+    "index,re,im\n0,1,0\n\n\n1,2,-0.0\n\n2,0.5,0.25\n\n",
+    "x,re,im\n# kind=continuous x0=0.5 h=0.25 source=late\n0.5,1,0\n"
+    "# a comment among the rows\n0.75,1,1\n",
+    "# signal kind=discrete n_min=-2 bound=3.0\r\nindex,re,im\r\n"
+    "-2,1,0\r\n-1,0,3\r\n",
+    "index , re , im\n 0 , 1.5 ,  -2 \n1,\t2,0\t\n  2,2,1\n",
+    "index,re,im\n-3,1,0\n-2,0.5,0\n-1,0,0.25\n",
+    "x,re,im\n0.5,1,0\n0.75,0.5,0\n1.0,0,0.25\n",
+    "x,re,im\n7,1,0\n",
+], ids=["leading_blank_lines", "blank_lines_between_rows", "comment_after_header",
+        "crlf", "spaces_around_fields", "no_kind_discrete", "no_kind_continuous",
+        "no_kind_one_row"])
+def test_odd_but_valid_sample_files_read_as_before(tmp_path, text):
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode())
+    expected = _old_signal_from_csv(str(path))
+    assert _signal_fields(serialize.signal_from_csv(str(path))) == \
+        _signal_fields(expected)
+
+
+@pytest.mark.parametrize("rows", ["0,1,0\ninf,0.5,0\n", "0,1,0\n1,1,0\ninf,0.5,0\n",
+                                  "0,1,0\nnan,0.5,0\n"],
+                         ids=["inf_step", "inf_after_unit_steps", "nan"])
+def test_sample_positions_must_be_finite_without_kind(tmp_path, rows):
+    path = tmp_path / "a.csv"
+    path.write_text("index,re,im\n" + rows)
+    rc = cli.main(["spectrum", "--input", str(path),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    with pytest.raises(ac.errors.ConfigError):
+        serialize.signal_from_csv(str(path))
+
+
+def test_infinite_first_index_without_n_min_is_a_config_error(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("# signal kind=discrete\nindex,re,im\ninf,1,0\n")
+    with pytest.raises(ac.errors.ConfigError):
+        serialize.signal_from_csv(str(path))
+
+
+@pytest.mark.parametrize("rows", ["0,1\n1,2,0\n", "0,1\n1,2\n", "0,abc,0\n1,2,0\n",
+                                  "0,1,0,5\n1,2,0,5\n"],
+                         ids=["short_row", "short_rows", "bad_number", "long_row"])
+def test_cyclic_from_csv_rejects_bad_rows(tmp_path, rows):
+    path = tmp_path / "f.csv"
+    path.write_text("# cyclic N=2\nindex,re,im\n" + rows)
+    with pytest.raises(ac.errors.ConfigError):
+        serialize.cyclic_from_csv(str(path))
+
+
+@pytest.mark.parametrize("text", ["", "# only metadata\n", "index,re,im\n",
+                                  "index,re,im\n# c\n  \n"])
+def test_sample_file_without_rows_is_rejected(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ac.errors.ConfigError, match="no sample rows"):
+        serialize.signal_from_csv(str(path))
+
+
+def test_hash_after_the_data_starts_a_comment(tmp_path):
+    # float() rejected "0 # first"; np.loadtxt cuts the comment off
+    path = tmp_path / "c.csv"
+    path.write_text("index,re,im\n0,1,0 # first\n1,2,0\n")
+    sig = serialize.signal_from_csv(str(path))
+    assert sig.n_min == 0 and sig.values.tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("rows", ["0,1_000,0\n", "0,1,0\n   \n1,2,0\n",
+                                  "0,1,0\n  # indented\n1,2,0\n"],
+                         ids=["underscore_digits", "whitespace_only_line",
+                              "indented_comment_line"])
+def test_rows_float_took_but_loadtxt_rejects(tmp_path, rows):
+    # float("1_000") is 1000.0, and the per-row reader skipped lines that were
+    # blank after stripping; np.loadtxt reads both as malformed rows
+    path = tmp_path / "u.csv"
+    path.write_text("index,re,im\n" + rows)
+    with pytest.raises(ac.errors.ConfigError):
+        serialize.signal_from_csv(str(path))
+
+
+def test_csv_memory_stays_bounded(tmp_path):
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    n = 1 << 18
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sig = ac.DiscreteSignal(-5, vals, float(np.max(np.abs(vals))))
+    path = str(tmp_path / "big.csv")
+    tracemalloc.start()
+    try:
+        serialize.signal_to_csv(sig, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = serialize.signal_from_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, vals)
+    assert write_peak < 40 * 2 ** 20
+    assert read_peak < 40 * 2 ** 20
