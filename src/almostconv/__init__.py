@@ -11,9 +11,7 @@ for batch use.
 """
 
 from .cesaro import (
-    ACVerdict,
     CesaroSweep,
-    VerdictStatus,
     ac_verdict,
     cesaro_sweep,
     convolution_invariance_residual,
@@ -77,5 +75,6 @@ from .tauberian import (
     residue_oac_estimate,
     weak_star_verdict,
 )
+from .verdict import ACVerdict, VerdictStatus
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ Window conventions
 
 How extremes are computed
 -------------------------
-The sweep builds one running sum per signal (``signals.running_sum``: a plain
+The sweep builds one running sum per signal (``Signal.running_sum``: a plain
 sum for discrete data, a cumulative trapezoid for continuous data) and
 splits it into real and imaginary float arrays, extended with their end
 values so that windows reaching outside the data read zero there.  Each
@@ -42,23 +42,14 @@ inconclusive.  Real and imaginary parts are tracked separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import EmptyGrid, WindowOutOfRange
-from .signals import (
-    ContinuousSignal,
-    DiscreteSignal,
-    Extension,
-    Sidedness,
-    Signal,
-    WindowSchedule,
-    running_sum,
-    step_of,
-    subtract,
-)
+from .signals import Extension, Sidedness, Signal, WindowSchedule, subtract
+from .spectral import convolve
+from .verdict import ACVerdict, VerdictStatus
 
 _MONOTONE_SLACK = 1e-12
 _NEGATIVE_FACTOR = 10.0
@@ -105,51 +96,16 @@ class CesaroSweep:
         return np.asarray([abs(s - i) for s, i in zip(self.sup, self.inf)])
 
 
-class VerdictStatus(str, Enum):
-    ALMOST_CONVERGENT = "almost_convergent"
-    NOT_ALMOST_CONVERGENT = "not_almost_convergent"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class ACVerdict:
-    """Tri-state almost-convergence decision.
-
-    ``limit`` is the midpoint of the final [inf, sup] box when the
-    verdict is positive; ``witness`` records (window length, sup shift,
-    inf shift, gap) when divergence is certified on the grid.
-    """
-
-    status: VerdictStatus
-    limit: Optional[complex]
-    uncertainty: float
-    witness: Optional[Tuple[float, float, float, float]] = None
-    notes: str = ""
-
-    @property
-    def positive(self) -> bool:
-        return self.status is VerdictStatus.ALMOST_CONVERGENT
-
-    @property
-    def negative(self) -> bool:
-        return self.status is VerdictStatus.NOT_ALMOST_CONVERGENT
-
-
 # ---------------------------------------------------------------------------
 # window means
 # ---------------------------------------------------------------------------
 
 def _snap_length(signal: Signal, k) -> tuple:
     """(integer half/full width in samples, actual length in x units)."""
-    if isinstance(signal, DiscreteSignal):
-        m = int(round(k))
-        if m < 1:
-            raise WindowOutOfRange(f"window length {k} below one sample")
-        return m, float(m)
-    m = int(round(k / signal.h))
+    m = int(round(k / signal.step))
     if m < 1:
-        raise WindowOutOfRange(f"window length {k} below one grid step {signal.h}")
-    return m, m * signal.h
+        raise WindowOutOfRange(f"window length {k} below one grid step {signal.step}")
+    return m, m * signal.step
 
 
 @dataclass(frozen=True)
@@ -170,40 +126,29 @@ class _Layout:
 
 def _layout(signal: Signal, m: int, sidedness: Sidedness) -> _Layout:
     n = len(signal)
-    discrete = isinstance(signal, DiscreteSignal)
     zero_out = signal.extension is Extension.ZERO_OUTSIDE
+    # a plain sum's running sum has one entry more than the data: its
+    # closed windows count both end points
+    extra = 0 if signal.trapezoid else 1
     if sidedness is Sidedness.TWO_SIDED:
-        width = 2 * m + 1 if discrete else 2 * m
-        scale = width if discrete else 2 * (m * signal.h)
+        width = 2 * m + extra
         idx0, count = (-m - 1, n + 2 * m + 2) if zero_out else (m, n - 2 * m)
         lo = idx0 - m
     else:
         width = m
-        scale = m if discrete else m * signal.h
-        if discrete:
-            idx0 = max(0, signal.n_min) - signal.n_min
-        else:
-            first_x = max(0.0, signal.x0)
-            idx0 = int(np.ceil((first_x - signal.x0) / signal.h - 1e-9))
+        first_x = max(0.0, signal.start)
+        idx0 = int(np.ceil((first_x - signal.start) / signal.step - 1e-9))
         lo = idx0
-        # zero outside, discrete shifts stop one past the data, continuous
+        # zero outside, plain-sum shifts stop one past the data, trapezoid
         # ones a window length past it
         if zero_out:
-            count = (n + 1 if discrete else n + m + 1) - idx0
+            count = (n + 1 if extra else n + m + 1) - idx0
         else:
-            count = (n + 1 if discrete else n) - m - idx0
+            count = n + extra - m - idx0
     if count < 1 and not zero_out:
         raise WindowOutOfRange(
             f"no {sidedness.value} window of {m} steps fits the {n} samples")
-    return _Layout(lo, width, max(count, 0), idx0, scale)
-
-
-def _shift_at(signal: Signal, idx):
-    """Position of sample index ``idx`` (int or int array) on the shift axis."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if isinstance(signal, DiscreteSignal):
-        return (signal.n_min + idx).astype(np.float64)
-    return signal.x0 + signal.h * idx
+    return _Layout(lo, width, max(count, 0), idx0, width * signal.step)
 
 
 def _positions(signal: Signal, lay: _Layout, shifts: np.ndarray) -> tuple:
@@ -213,21 +158,21 @@ def _positions(signal: Signal, lay: _Layout, shifts: np.ndarray) -> tuple:
     grid; a shift is admissible when it lies within ``1e-9 * max(1, step)``
     of the grid point at that index.
     """
-    first = _shift_at(signal, lay.idx0)
-    guess = np.ceil((shifts - first) / step_of(signal))
+    first = signal.x_at(lay.idx0)
+    guess = np.ceil((shifts - first) / signal.step)
     pos = np.clip(np.nan_to_num(guess, nan=lay.count), 0, lay.count)
     pos = pos.astype(np.int64)
     while True:  # the guess is off by rounding only: step to the exact index
-        down = (pos > 0) & (_shift_at(signal, lay.idx0 + pos - 1) >= shifts)
-        up = (pos < lay.count) & (_shift_at(signal, lay.idx0 + pos) < shifts)
+        down = (pos > 0) & (signal.x_at(lay.idx0 + pos - 1) >= shifts)
+        up = (pos < lay.count) & (signal.x_at(lay.idx0 + pos) < shifts)
         if not (down.any() or up.any()):
             break
         pos += up.astype(np.int64) - down
     step = 1.0
     if lay.count > 1:
-        step = float(_shift_at(signal, lay.idx0 + 1) - first)
+        step = float(signal.x_at(lay.idx0 + 1) - first)
     ok = pos < lay.count
-    ok[ok] = (np.abs(_shift_at(signal, lay.idx0 + pos[ok]) - shifts[ok])
+    ok[ok] = (np.abs(signal.x_at(lay.idx0 + pos[ok]) - shifts[ok])
               <= 1e-9 * max(1.0, abs(step)))
     return pos, ok
 
@@ -255,7 +200,7 @@ def window_average(signal: Signal, k, shift,
     if not ok[0]:
         raise WindowOutOfRange(
             f"shift {shift} not admissible for window length {k}")
-    return complex(_means_at(running_sum(signal), lay, pos)[0])
+    return complex(_means_at(signal.running_sum(), lay, pos)[0])
 
 
 def shift_extremes(signal: Signal, k, shift_grid,
@@ -276,7 +221,7 @@ def shift_extremes(signal: Signal, k, shift_grid,
     if not ok.all():
         raise WindowOutOfRange(
             f"shifts {grid[~ok][:4]} not admissible for length {k}")
-    means = _means_at(running_sum(signal), lay, pos)
+    means = _means_at(signal.running_sum(), lay, pos)
     return _extremes_from(means.real, means.imag, lambda j: float(grid[j]))
 
 
@@ -351,11 +296,11 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
             raise EmptyGrid(f"no shifts remain for window length {k}")
         lengths.append(actual)
         layouts.append(lay)
-    means = _sweep_means(running_sum(signal), layouts, shift_stride)
+    means = _sweep_means(signal.running_sum(), layouts, shift_stride)
     sups, infs, argmaxes, argmins = [], [], [], []
     for lay, (re, im) in zip(layouts, means):
         ext = _extremes_from(re, im, lambda j: float(
-            _shift_at(signal, lay.idx0 + j * shift_stride)))
+            signal.x_at(lay.idx0 + j * shift_stride)))
         sups.append(ext.sup)
         infs.append(ext.inf)
         argmaxes.append(ext.argmax)
@@ -404,24 +349,6 @@ def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
     return ACVerdict(VerdictStatus.INCONCLUSIVE, None, float(g3), None, notes)
 
 
-def analyze(signal: Signal, schedule: WindowSchedule, tol: float,
-            shift_stride: int = 1) -> tuple:
-    """Convenience: sweep then verdict.  Returns (sweep, verdict)."""
-    sweep = cesaro_sweep(signal, schedule, shift_stride)
-    return sweep, ac_verdict(sweep, tol)
-
-
-def convolve_signal(signal: Signal, kernel: Signal) -> Signal:
-    """Convolution against a finite kernel; see :mod:`almostconv.spectral`.
-
-    Re-exported there; kept here to avoid an import cycle for
-    :func:`convolution_invariance_residual`.
-    """
-    from .spectral import convolve
-
-    return convolve(signal, kernel)
-
-
 def convolution_invariance_residual(signal: Signal, kernel: Signal,
                                     schedule: WindowSchedule,
                                     shift_stride: int = 1) -> float:
@@ -435,13 +362,10 @@ def convolution_invariance_residual(signal: Signal, kernel: Signal,
     vals = np.asarray(kernel.values)
     if np.any(vals.real < -1e-12) or np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("kernel must be nonnegative")
-    if isinstance(kernel, ContinuousSignal):
-        mass = running_sum(kernel)[-1]
-    else:
-        mass = vals.sum()
+    mass = kernel.weights().sum()
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"kernel mass {mass} is not 1")
-    smoothed = convolve_signal(signal, kernel)
+    smoothed = convolve(signal, kernel)
     diff = subtract(signal, smoothed)
     sweep = cesaro_sweep(diff, schedule, shift_stride)
     return float(max(abs(sweep.p_bar_est), abs(sweep.p_lower_est)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -45,7 +46,10 @@ from .serialize import (
     verdict_to_dict,
 )
 from .signals import (
+    Convergent,
+    DirichletLine,
     DiscreteSignal,
+    MeasureTransform,
     Sidedness,
     WindowSchedule,
     render_continuous,
@@ -81,6 +85,11 @@ class AnalysisConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        for name in ("tol", "growth", "k_min", "k_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if not all(math.isfinite(d) for d in self.deltas):
+            raise ConfigError("deltas must be finite")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.k_min >= self.k_max:
@@ -89,6 +98,8 @@ class AnalysisConfig:
             raise ConfigError("growth factor must exceed 1")
         if self.sidedness not in ("one", "two"):
             raise ConfigError("sidedness must be 'one' or 'two'")
+        if self.cases < 1:
+            raise ConfigError("cases must be at least 1")
 
     def schedule(self) -> WindowSchedule:
         side = Sidedness.ONE_SIDED if self.sidedness == "one" else Sidedness.TWO_SIDED
@@ -138,8 +149,6 @@ def load_input_signal(config: AnalysisConfig):
 
 
 def _prefers_continuous(spec) -> bool:
-    from .signals import Convergent, DirichletLine, MeasureTransform
-
     return isinstance(spec, (DirichletLine, MeasureTransform, Convergent))
 
 

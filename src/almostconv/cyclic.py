@@ -92,27 +92,18 @@ def zero_set(f: CyclicFunction, tol: float = DEFAULT_TOL) -> FrozenSet[int]:
 
 
 def spectrum_of(psi: CyclicFunction, tol: float = DEFAULT_TOL) -> FrozenSet[int]:
-    """Support of the transform; equals the zero set of the annihilating ideal.
+    """Support of the transform: the frequencies whose magnitude exceeds
+    ``tol`` times the peak.
 
-    Both descriptions are computed - the direct support, and the
-    intersection of zero sets over a basis of the ideal of functions
-    convolving psi to zero (diagonalized in the Fourier basis) - and
-    must agree.
+    This is the zero set of the ideal of functions convolving psi to zero,
+    since that ideal is spanned by the characters off the support.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     ph = np.abs(np.fft.fft(psi.values))
     top = ph.max()
     keep = ph > tol * top
-    support = frozenset(int(i) for i in np.nonzero(keep)[0])
-    # ideal route: J(psi) is spanned by the frequencies off the support,
-    # and each such basis element vanishes everywhere except its own bin,
-    # so intersecting their zero sets clears exactly the complement.
-    ideal_zero = np.ones(psi.N, dtype=bool)
-    ideal_zero[~keep] = False
-    if frozenset(int(i) for i in np.nonzero(ideal_zero)[0]) != support:
-        raise RuntimeError("support and ideal zero-set computations disagree")
-    return support
+    return frozenset(int(i) for i in np.nonzero(keep)[0])
 
 
 @dataclass(frozen=True)

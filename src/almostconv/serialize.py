@@ -47,10 +47,11 @@ from .signals import (
     Signal,
     TrigPoly,
 )
-from .cesaro import ACVerdict, CesaroSweep
+from .cesaro import CesaroSweep
 from .cyclic import CyclicFunction
 from .spectral import SpectrumEstimate
 from .tauberian import ChainReport, MeanSweep
+from .verdict import ACVerdict
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +81,8 @@ def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
 
 
 def dump_json(obj, path: str) -> None:
-    atomic_write_text(path, (json.dumps(obj, sort_keys=True, indent=2) + "\n",))
+    atomic_write_text(path, (json.dumps(obj, sort_keys=True, indent=2,
+                                        allow_nan=False) + "\n",))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,7 @@ def _read_table(path: str, what: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def signal_to_csv(signal: Signal, path: str) -> None:
-    tail = (f"bound={signal.bound!r} extension={signal.extension.value} "
+    tail = (f"bound={float(signal.bound)!r} extension={signal.extension.value} "
             f"source={signal.source or '-'}\n")
     if isinstance(signal, DiscreteSignal):
         n = len(signal.values)
@@ -273,7 +275,8 @@ def signal_to_csv(signal: Signal, path: str) -> None:
         return
     # x_at(i) = x0 + i*h: the same multiply and add, element by element
     xs = float(signal.x0) + np.arange(len(signal.samples)) * float(signal.h)
-    head = f"# signal kind=continuous x0={signal.x0!r} h={signal.h!r} {tail}x,re,im\n"
+    head = (f"# signal kind=continuous x0={float(signal.x0)!r} "
+            f"h={float(signal.h)!r} {tail}x,re,im\n")
     _write_rows(path, head, "{!r},{!r},{!r}\n".format, xs.tolist(),
                 *_parts(signal.samples))
 

@@ -1,12 +1,18 @@
 """Bounded sampled signals, closed-form generators, and window schedules.
 
-Two containers carry all data through the analysis routes:
+One type carries all data through the analysis routes: a :class:`Signal`
+holds complex samples on a uniform grid ``x_j = start + j*step`` with a
+declared sup bound, and owns the quadrature rule of its group's Haar
+measure.  Its running sum, quadrature weights and mean apply that rule,
+so every module agrees on quadrature.
 
-- :class:`DiscreteSignal` - complex values on an integer range
-  ``[n_min, n_max]`` with a declared sup bound.
-- :class:`ContinuousSignal` - complex samples on a uniform grid
-  ``x_j = x0 + j*h``; window integrals are always trapezoid-rule
-  integrals on this grid, so every module agrees on quadrature.
+- :class:`DiscreteSignal` - the integers with counting measure: step 1,
+  ``start`` is the integer ``n_min``, integrals are plain sums.
+- :class:`ContinuousSignal` - the real line with Lebesgue measure: step
+  ``h``, ``start`` is ``x0``, integrals are trapezoid sums.
+
+Everything else (shifting, scaling, subtracting, convolving) works on
+``start``, ``step`` and ``values`` alone and keeps the signal's kind.
 
 Each signal declares an extension policy. ``VALID_ONLY`` (the default)
 means analysis windows must fit inside the rendered range; operations
@@ -30,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -79,15 +85,20 @@ def _check_bound(values: np.ndarray, bound: float) -> None:
 
 
 @dataclass(frozen=True)
-class DiscreteSignal:
-    """Complex values on the integer range ``[n_min, n_min + len - 1]``.
+class Signal:
+    """Complex samples at ``x_j = start + j*step``, with a quadrature rule.
+
+    Subclasses fix the rule: :class:`DiscreteSignal` sums its values,
+    :class:`ContinuousSignal` integrates by the trapezoid rule.  Every
+    window sum, weight vector and mean comes from :meth:`running_sum`,
+    :meth:`weights` and :meth:`mean`.
 
     Parameters
     ----------
-    n_min : int
-        Index of the first stored value.
+    start, step : float
+        Position of the first sample and the positive grid step.
     values : array-like of complex
-        One value per integer index.
+        One value per grid point.
     bound : float
         Declared sup bound; every ``|value|`` must stay at or below it.
     extension : Extension
@@ -97,22 +108,108 @@ class DiscreteSignal:
         Verdicts on unsourced data are flagged grid-relative.
     """
 
-    n_min: int
+    start: float
+    step: float
     values: np.ndarray
     bound: float
     extension: Extension = Extension.VALID_ONLY
     source: Optional[str] = None
 
+    #: Integrals are trapezoid sums (Lebesgue measure), not plain sums
+    #: (counting measure).
+    trapezoid: ClassVar[bool] = False
+
     def __post_init__(self):
+        if not (self.step > 0) or not math.isfinite(self.step):
+            raise ValueError(f"grid step must be positive, got {self.step}")
+        if not self.trapezoid and self.step != 1.0:
+            raise ValueError("plain sums count samples on the integers: step must be 1")
         object.__setattr__(self, "values", _as_complex(self.values))
         _check_bound(self.values, self.bound)
 
-    @property
-    def n_max(self) -> int:
-        return self.n_min + len(self.values) - 1
-
     def __len__(self) -> int:
         return len(self.values)
+
+    def x_at(self, j):
+        """Position of grid index ``j`` (an int or an int array)."""
+        return self.start + j * self.step
+
+    @property
+    def x_end(self) -> float:
+        return self.x_at(len(self.values) - 1)
+
+    def derived(self, **fields) -> "Signal":
+        """A signal of this kind and step, with the named fields replaced."""
+        kept = {"start": self.start, "values": self.values, "bound": self.bound,
+                "extension": self.extension, "source": self.source}
+        out = object.__new__(type(self))
+        Signal.__init__(out, step=self.step, **{**kept, **fields})
+        return out
+
+    def shifted(self, s: float) -> "Signal":
+        """Translate by a multiple of the grid step: the result at x is this
+        signal at x + s."""
+        steps = s / self.step
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError(f"shift {s} is not a multiple of the grid step {self.step}")
+        return self.derived(start=self.start - round(steps) * self.step)
+
+    def running_sum(self) -> np.ndarray:
+        """Running sum from 0: a window's sum is the difference of two entries.
+
+        Plain sum: ``n + 1`` entries, entry ``j`` the sum of the first ``j``
+        values.  Trapezoid: ``n`` entries, entry ``j`` the integral from
+        ``start`` to ``x_j``.
+        """
+        v = self.values
+        if self.trapezoid:
+            v = (v[1:] + v[:-1]) * (self.step / 2.0)
+        out = np.empty(len(v) + 1, dtype=np.complex128)
+        out[0] = 0.0
+        np.cumsum(v, out=out[1:])
+        return out
+
+    def weights(self) -> np.ndarray:
+        """Quadrature weights: ``values * step`` with the two end weights
+        halved for the trapezoid rule, the values themselves otherwise."""
+        if not self.trapezoid:
+            return self.values
+        w = self.values * self.step
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+    def mean(self) -> complex:
+        if not self.trapezoid:
+            return complex(np.mean(self.values))
+        if len(self.values) == 1:
+            return complex(self.values[0])
+        span = (len(self.values) - 1) * self.step
+        return complex(np.trapezoid(self.values, dx=self.step) / span)
+
+
+class DiscreteSignal(Signal):
+    """Complex values on the integer range ``[n_min, n_min + len - 1]``."""
+
+    def __init__(self, n_min: int, values, bound: float,
+                 extension: Extension = Extension.VALID_ONLY,
+                 source: Optional[str] = None):
+        super().__init__(n_min, 1.0, values, bound, extension, source)
+
+    def __post_init__(self):
+        super().__post_init__()
+        n_min = int(self.start)
+        if n_min != self.start:
+            raise ValueError(f"discrete signals start at an integer, got {self.start}")
+        object.__setattr__(self, "start", n_min)
+
+    @property
+    def n_min(self) -> int:
+        return self.start
+
+    @property
+    def n_max(self) -> int:
+        return self.start + len(self.values) - 1
 
     def value_at(self, n: int) -> complex:
         if self.n_min <= n <= self.n_max:
@@ -121,167 +218,53 @@ class DiscreteSignal:
             return 0.0
         raise WindowOutOfRange(f"index {n} outside [{self.n_min}, {self.n_max}]")
 
-    def shifted(self, s: int) -> "DiscreteSignal":
-        """Translate: the result at n equals this signal at n + s."""
-        return DiscreteSignal(self.n_min - s, self.values, self.bound,
-                              self.extension, self.source)
 
-    def restricted(self, lo: int, hi: int) -> "DiscreteSignal":
-        if lo < self.n_min or hi > self.n_max or lo > hi:
-            raise ValueError(f"[{lo}, {hi}] not inside [{self.n_min}, {self.n_max}]")
-        vals = self.values[lo - self.n_min: hi - self.n_min + 1]
-        return DiscreteSignal(lo, vals, self.bound, self.extension, self.source)
+class ContinuousSignal(Signal):
+    """Complex samples at ``x_j = x0 + j*h``; integrals are trapezoid sums."""
 
-    def with_values(self, values, bound: Optional[float] = None,
-                    source: Optional[str] = None) -> "DiscreteSignal":
-        vals = _as_complex(values)
-        if bound is None:
-            bound = float(np.max(np.abs(vals)))
-        return DiscreteSignal(self.n_min, vals, bound, self.extension,
-                              source if source is not None else self.source)
+    trapezoid = True
 
-    def mean(self) -> complex:
-        return complex(np.mean(self.values))
+    def __init__(self, x0: float, h: float, samples, bound: float,
+                 extension: Extension = Extension.VALID_ONLY,
+                 source: Optional[str] = None):
+        super().__init__(x0, h, samples, bound, extension, source)
 
-
-@dataclass(frozen=True)
-class ContinuousSignal:
-    """Complex samples at ``x_j = x0 + j*h``; integrals are trapezoid sums.
-
-    Parameters mirror :class:`DiscreteSignal` with a positive grid step
-    ``h`` in real units.
-    """
-
-    x0: float
-    h: float
-    samples: np.ndarray
-    bound: float
-    extension: Extension = Extension.VALID_ONLY
-    source: Optional[str] = None
-
-    def __post_init__(self):
-        if not (self.h > 0) or not math.isfinite(self.h):
-            raise ValueError(f"grid step must be positive, got {self.h}")
-        object.__setattr__(self, "samples", _as_complex(self.samples))
-        _check_bound(self.samples, self.bound)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.samples
-
-    @property
-    def x_end(self) -> float:
-        return self.x0 + (len(self.samples) - 1) * self.h
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def x_at(self, j: int) -> float:
-        return self.x0 + j * self.h
-
-    def shifted(self, s: float) -> "ContinuousSignal":
-        """Translate by a multiple of the grid step."""
-        steps = s / self.h
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"shift {s} is not a multiple of the grid step {self.h}")
-        return ContinuousSignal(self.x0 - round(steps) * self.h, self.h,
-                                self.samples, self.bound, self.extension,
-                                self.source)
-
-    def restricted_idx(self, i_lo: int, i_hi: int) -> "ContinuousSignal":
-        if i_lo < 0 or i_hi >= len(self.samples) or i_lo > i_hi:
-            raise ValueError("index range outside the sample range")
-        return ContinuousSignal(self.x_at(i_lo), self.h,
-                                self.samples[i_lo:i_hi + 1], self.bound,
-                                self.extension, self.source)
-
-    def with_values(self, samples, bound: Optional[float] = None,
-                    source: Optional[str] = None) -> "ContinuousSignal":
-        vals = _as_complex(samples)
-        if bound is None:
-            bound = float(np.max(np.abs(vals)))
-        return ContinuousSignal(self.x0, self.h, vals, bound, self.extension,
-                                source if source is not None else self.source)
-
-    def mean(self) -> complex:
-        if len(self.samples) == 1:
-            return complex(self.samples[0])
-        span = (len(self.samples) - 1) * self.h
-        return complex(np.trapezoid(self.samples, dx=self.h) / span)
-
-
-Signal = Union[DiscreteSignal, ContinuousSignal]
+    x0 = property(lambda self: self.start)
+    h = property(lambda self: self.step)
+    samples = property(lambda self: self.values)
 
 
 def step_of(signal: Signal) -> float:
     """Grid step: 1 for discrete signals, h for continuous ones."""
-    return signal.h if isinstance(signal, ContinuousSignal) else 1.0
-
-
-def running_sum(signal: Signal) -> np.ndarray:
-    """Running sum from 0: a window's sum is the difference of two entries.
-
-    Discrete: ``n + 1`` entries, entry ``j`` the sum of the first ``j``
-    values.  Continuous: ``n`` entries, entry ``j`` the trapezoid integral
-    from ``x0`` to ``x_j``.
-    """
-    v = signal.values
-    if isinstance(signal, ContinuousSignal):
-        v = (v[1:] + v[:-1]) * (signal.h / 2.0)
-    out = np.empty(len(v) + 1, dtype=np.complex128)
-    out[0] = 0.0
-    np.cumsum(v, out=out[1:])
-    return out
+    return signal.step
 
 
 def subtract(a: Signal, b: Signal) -> Signal:
     """Pointwise ``a - b`` on the intersection of the two valid ranges."""
-    if isinstance(a, DiscreteSignal) and isinstance(b, DiscreteSignal):
-        lo = max(a.n_min, b.n_min)
-        hi = min(a.n_max, b.n_max)
-        if lo > hi:
-            raise ValueError("signals have no overlapping range")
-        va = a.values[lo - a.n_min: hi - a.n_min + 1]
-        vb = b.values[lo - b.n_min: hi - b.n_min + 1]
-        return DiscreteSignal(lo, va - vb, a.bound + b.bound, a.extension, None)
-    if isinstance(a, ContinuousSignal) and isinstance(b, ContinuousSignal):
-        if abs(a.h - b.h) > 1e-12 * a.h:
-            raise ValueError("grid steps differ")
-        off = (b.x0 - a.x0) / a.h
-        if abs(off - round(off)) > 1e-6:
-            raise ValueError("grids are not aligned")
-        off = round(off)
-        ia = max(0, off)
-        ib = max(0, -off)
-        n = min(len(a) - ia, len(b) - ib)
-        if n <= 0:
-            raise ValueError("signals have no overlapping range")
-        va = a.samples[ia: ia + n]
-        vb = b.samples[ib: ib + n]
-        return ContinuousSignal(a.x_at(ia), a.h, va - vb, a.bound + b.bound,
-                                a.extension, None)
-    raise TypeError("cannot mix discrete and continuous signals")
+    if a.trapezoid != b.trapezoid:
+        raise TypeError("cannot mix discrete and continuous signals")
+    if abs(a.step - b.step) > 1e-12 * a.step:
+        raise ValueError("grid steps differ")
+    off = (b.start - a.start) / a.step
+    if abs(off - round(off)) > 1e-6:
+        raise ValueError("grids are not aligned")
+    off = round(off)
+    ia = max(0, off)
+    ib = max(0, -off)
+    n = min(len(a) - ia, len(b) - ib)
+    if n <= 0:
+        raise ValueError("signals have no overlapping range")
+    return a.derived(start=a.x_at(ia), values=a.values[ia:ia + n] - b.values[ib:ib + n],
+                     bound=a.bound + b.bound, source=None)
 
 
 def scaled(signal: Signal, c: complex) -> Signal:
-    vals = signal.values * c
-    bound = signal.bound * abs(c)
-    if isinstance(signal, DiscreteSignal):
-        return DiscreteSignal(signal.n_min, vals, bound, signal.extension,
-                              signal.source)
-    return ContinuousSignal(signal.x0, signal.h, vals, bound, signal.extension,
-                            signal.source)
+    return signal.derived(values=signal.values * c, bound=signal.bound * abs(c))
 
 
 def offset(signal: Signal, c: complex) -> Signal:
     """Pointwise ``signal + c`` with the bound enlarged accordingly."""
-    vals = signal.values + c
-    bound = signal.bound + abs(c)
-    if isinstance(signal, DiscreteSignal):
-        return DiscreteSignal(signal.n_min, vals, bound, signal.extension,
-                              signal.source)
-    return ContinuousSignal(signal.x0, signal.h, vals, bound, signal.extension,
-                            signal.source)
+    return signal.derived(values=signal.values + c, bound=signal.bound + abs(c))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +295,10 @@ class WindowSchedule:
     @classmethod
     def geometric(cls, k_min, k_max, factor: float = 2.0,
                   sidedness: Sidedness = Sidedness.TWO_SIDED) -> "WindowSchedule":
-        if factor <= 1:
-            raise ValueError("growth factor must exceed 1")
-        if k_min <= 0 or k_min > k_max:
-            raise ValueError("need 0 < k_min <= k_max")
+        if not 1 < factor < math.inf:
+            raise ValueError("growth factor must be finite and exceed 1")
+        if not 0 < k_min <= k_max < math.inf:
+            raise ValueError("need 0 < k_min <= k_max < inf")
         ls = []
         k = float(k_min)
         while k <= k_max * (1 + 1e-12):
@@ -745,8 +728,6 @@ def max_frequency(spec: GeneratorSpec) -> Optional[float]:
         if spec.density is not None:
             tops += [abs(spec.density.freq_min), abs(spec.density.freq_max)]
         return max(tops) if tops else 0.0
-    if isinstance(spec, Convergent):
-        return None
     return None
 
 
@@ -787,28 +768,33 @@ def known_limit(spec: GeneratorSpec) -> Optional[complex]:
     return None
 
 
+def _grid_values(spec: GeneratorSpec, start: float, step: float,
+                 count: int) -> tuple:
+    """Values at ``start + j*step`` for ``j = 0..count-1``, and a bound."""
+    if isinstance(spec, Custom):
+        if abs(step - spec.step) > 1e-12 * spec.step:
+            raise UnsupportedPoint("requested step differs from the custom grid")
+        lo = (start - spec.start) / spec.step
+        if abs(lo - round(lo)) > 1e-6:
+            raise UnsupportedPoint("requested grid misaligned with custom samples")
+        lo = int(round(lo))
+        if lo < 0 or lo + count > len(spec.values):
+            raise UnsupportedPoint("requested range outside the custom samples")
+        vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
+    else:
+        vals = evaluate_many(spec, start + step * np.arange(count))
+    bound = declared_bound(spec)
+    if bound is None:
+        bound = float(np.max(np.abs(vals)))
+    return vals, bound
+
+
 def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int,
                     extension: Extension = Extension.VALID_ONLY) -> DiscreteSignal:
     """Sample the generator at every integer in ``[n_min, n_max]``."""
     if n_min > n_max:
         raise ValueError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
-    ns = np.arange(n_min, n_max + 1)
-    if isinstance(spec, Custom):
-        if spec.step != 1.0:
-            raise UnsupportedPoint("custom samples are not on an integer grid")
-        lo = n_min - spec.start
-        if abs(lo - round(lo)) > 1e-9:
-            raise UnsupportedPoint("requested integer range off the custom grid")
-        lo = int(round(lo))
-        hi = lo + (n_max - n_min)
-        if lo < 0 or hi >= len(spec.values):
-            raise UnsupportedPoint("requested range outside the custom samples")
-        vals = np.asarray(spec.values[lo:hi + 1], dtype=np.complex128)
-    else:
-        vals = evaluate_many(spec, ns)
-    bound = declared_bound(spec)
-    if bound is None:
-        bound = float(np.max(np.abs(vals)))
+    vals, bound = _grid_values(spec, n_min, 1.0, n_max - n_min + 1)
     return DiscreteSignal(n_min, vals, bound, extension, kind_of(spec))
 
 
@@ -828,22 +814,7 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
     if fm is not None and h * fm > MAX_CYCLES_PER_STEP + 1e-12:
         raise AliasingError(
             f"h*f_max = {h * fm:.4g} exceeds {MAX_CYCLES_PER_STEP}; refine the grid")
-    xs = x0 + h * np.arange(count)
-    if isinstance(spec, Custom):
-        if abs(h - spec.step) > 1e-12 * spec.step:
-            raise UnsupportedPoint("requested step differs from the custom grid")
-        lo = (x0 - spec.start) / spec.step
-        if abs(lo - round(lo)) > 1e-6:
-            raise UnsupportedPoint("requested grid misaligned with custom samples")
-        lo = int(round(lo))
-        if lo < 0 or lo + count > len(spec.values):
-            raise UnsupportedPoint("requested range outside the custom samples")
-        vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
-    else:
-        vals = evaluate_many(spec, xs)
-    bound = declared_bound(spec)
-    if bound is None:
-        bound = float(np.max(np.abs(vals)))
+    vals, bound = _grid_values(spec, x0, h, count)
     return ContinuousSignal(x0, h, vals, bound, extension, kind_of(spec))
 
 

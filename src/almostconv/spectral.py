@@ -34,17 +34,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GapTooWide, KernelTooWide, TooShort
-from .signals import (
-    ContinuousSignal,
-    DiscreteSignal,
-    Extension,
-    GeneratorSpec,
-    Signal,
-    declared_frequencies,
-    offset,
-    step_of,
-)
-from .cesaro import ACVerdict, VerdictStatus
+from .signals import Extension, GeneratorSpec, Signal, declared_frequencies, offset
+from .verdict import ACVerdict, VerdictStatus
 
 #: Interior margin for high-pass residuals, in units of 1/delta.
 MARGIN_FACTOR = 16.0
@@ -117,7 +108,7 @@ def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN,
         raise TooShort("spectrum estimation needs at least 2 samples")
     if mask_threshold is None:
         mask_threshold = default_mask_threshold(signal)
-    step = step_of(signal)
+    step = signal.step
     w = _taper_window(taper, n)
     tapered = w * signal.values
     spec = np.fft.fft(tapered)
@@ -140,28 +131,19 @@ def convolve(signal: Signal, kernel: Signal) -> Signal:
     positions whose full window lies in the signal's range, so its valid
     range shrinks by the kernel support.
     """
-    if isinstance(signal, DiscreteSignal) != isinstance(kernel, DiscreteSignal):
+    if signal.trapezoid != kernel.trapezoid:
         raise TypeError("signal and kernel must both be discrete or continuous")
     if len(kernel) > len(signal):
         raise KernelTooWide(
             f"kernel support {len(kernel)} exceeds signal length {len(signal)}")
-    if isinstance(signal, DiscreteSignal):
-        weights = kernel.values
-        out = np.convolve(signal.values, weights, mode="valid")
-        n_min = signal.n_min + kernel.n_max
-        bound = signal.bound * float(np.sum(np.abs(weights)))
-        return DiscreteSignal(n_min, out, bound * (1 + 1e-12) + 1e-15,
-                              Extension.VALID_ONLY, signal.source)
-    if abs(signal.h - kernel.h) > 1e-12 * signal.h:
+    if abs(signal.step - kernel.step) > 1e-12 * signal.step:
         raise ValueError("kernel grid step differs from the signal's")
-    w = kernel.values.copy() * kernel.h
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = kernel.weights()
     out = np.convolve(signal.values, w, mode="valid")
-    x0 = signal.x0 + kernel.x_end
     bound = signal.bound * float(np.sum(np.abs(w)))
-    return ContinuousSignal(x0, signal.h, out, bound * (1 + 1e-12) + 1e-15,
-                            Extension.VALID_ONLY, signal.source)
+    return signal.derived(start=signal.start + kernel.x_end, values=out,
+                          bound=bound * (1 + 1e-12) + 1e-15,
+                          extension=Extension.VALID_ONLY)
 
 
 def _lowpass_bin_mask(freqs: np.ndarray, delta: float) -> np.ndarray:
@@ -177,7 +159,7 @@ def _lowpass_bin_mask(freqs: np.ndarray, delta: float) -> np.ndarray:
 def highpass_margin(signal: Signal, delta: float) -> int:
     """Interior margin (in samples) excluded from high-pass residuals."""
     n = len(signal)
-    margin = int(math.ceil(MARGIN_FACTOR / (delta * step_of(signal))))
+    margin = int(math.ceil(MARGIN_FACTOR / (delta * signal.step)))
     return min(margin, n // 4)
 
 
@@ -196,7 +178,7 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     n = len(signal)
     if n < 2:
         raise TooShort("high-pass projection needs at least 2 samples")
-    step = step_of(signal)
+    step = signal.step
     nyquist = 0.5 / step
     if not delta > 0:
         raise ValueError("gap half-width must be positive")
@@ -208,15 +190,9 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     margin = highpass_margin(signal, delta)
     interior = low[margin: n - margin] if margin > 0 else low
     residual = float(np.max(np.abs(interior)))
-    filtered_vals = signal.values - low
-    new_bound = float(np.max(np.abs(filtered_vals)))
-    if isinstance(signal, DiscreteSignal):
-        filtered = DiscreteSignal(signal.n_min, filtered_vals, new_bound,
-                                  signal.extension, signal.source)
-    else:
-        filtered = ContinuousSignal(signal.x0, signal.h, filtered_vals,
-                                    new_bound, signal.extension, signal.source)
-    return filtered, residual
+    filtered = signal.values - low
+    return signal.derived(values=filtered,
+                          bound=float(np.max(np.abs(filtered)))), residual
 
 
 def spectral_ac_verdict(signal: Signal, delta_schedule,
@@ -238,7 +214,7 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
         raise ValueError("gap schedule must be strictly decreasing toward 0")
     if any(d <= 0 for d in deltas):
         raise ValueError("gap half-widths must be positive")
-    nyquist = 0.5 / step_of(signal)
+    nyquist = 0.5 / signal.step
     if deltas[0] >= nyquist:
         raise GapTooWide(f"delta={deltas[0]} at or beyond Nyquist {nyquist}")
     alpha = signal.mean()

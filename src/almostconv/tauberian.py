@@ -49,12 +49,11 @@ from .signals import (
     WindowSchedule,
     gaussian_kernel,
     gaussian_kernel_continuous,
-    running_sum,
-    step_of,
     subtract,
 )
-from .cesaro import ACVerdict, VerdictStatus, ac_verdict, cesaro_sweep
+from .cesaro import ac_verdict, cesaro_sweep
 from .spectral import convolve
+from .verdict import ACVerdict, VerdictStatus
 
 DEFAULT_TAIL_TOL = 1e-12
 _NEGATIVE_FACTOR = 10.0
@@ -156,7 +155,7 @@ def laplace_sweep(signal: ContinuousSignal, x_schedule,
         raise ValueError("signal must live on the nonnegative half-line")
     xs = [float(x) for x in x_schedule]
     T = signal.x_end
-    t = signal.x0 + signal.h * np.arange(len(signal))
+    t = signal.x_at(np.arange(len(signal)))
     values = []
     for x in xs:
         if x <= 0:
@@ -176,6 +175,13 @@ def bounded_below(values, C: float) -> bool:
     """Componentwise check Re >= -C and Im >= -C on the rendered stream."""
     v = np.asarray(values, dtype=np.complex128)
     return bool(np.all(v.real >= -C) and np.all(v.imag >= -C))
+
+
+def _one_sided_windows(n: int) -> WindowSchedule:
+    """Default one-sided schedule for an n-term stream: 2, 4, ... up to
+    the largest power of two at most ``max(4, n // 8)``."""
+    k_max = max(4, 1 << (max(2, n // 8).bit_length() - 1))
+    return WindowSchedule.geometric(2, k_max, 2, Sidedness.ONE_SIDED)
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,7 @@ def residue_oac_estimate(coeffs, bound: float, x_schedule,
     if sweep.extrapolated_limit is None:
         raise ValueError("need at least 3 abscissas to extrapolate")
     if window_schedule is None:
-        k_max = max(4, 1 << (max(2, len(a) // 8).bit_length() - 1))
-        window_schedule = WindowSchedule.geometric(
-            2, k_max, 2, Sidedness.ONE_SIDED)
+        window_schedule = _one_sided_windows(len(a))
     stream = DiscreteSignal(0, a, bound)
     verdict = ac_verdict(cesaro_sweep(stream, window_schedule), tol)
     agreement = None
@@ -256,8 +260,7 @@ def fatou_check(coeffs, f1: complex, tol: float,
         raise ValueError("check index outside the stream")
     s_err = abs(complex(sums[n_check]) - f1)
     if window_schedule is None:
-        k_max = max(4, 1 << (max(2, len(a) // 8).bit_length() - 1))
-        window_schedule = WindowSchedule.geometric(2, k_max, 2, Sidedness.ONE_SIDED)
+        window_schedule = _one_sided_windows(len(a))
     stream = DiscreteSignal(0, sums, float(np.max(np.abs(sums))) + abs(f1))
     verdict = ac_verdict(cesaro_sweep(stream, window_schedule),
                          tol if oac_tol is None else oac_tol)
@@ -323,14 +326,13 @@ def geometric_tail_positions(signal: Signal, count: int = 96,
     are sampled and interleaved by |x|.
     """
     n = len(signal)
-    step = step_of(signal)
-    start = signal.x0 if isinstance(signal, ContinuousSignal) else float(signal.n_min)
+    step = signal.step
     i0 = max(0, pad)
     i1 = n - 1 - pad
     if i1 <= i0:
         raise RangeTooShort("padding leaves no usable positions")
     # index of the grid point closest to x = 0, clipped into the range
-    center = int(round(-start / step))
+    center = int(round(-signal.start / step))
     center = min(max(center, i0), i1)
     offsets_right = _geometric_indices(1, i1 - center, count // 2) if i1 > center \
         else np.asarray([], dtype=int)
@@ -338,26 +340,18 @@ def geometric_tail_positions(signal: Signal, count: int = 96,
         else np.asarray([], dtype=int)
     idx = np.concatenate(([center], center + offsets_right,
                           center - offsets_left))
-    xs = start + step * idx
+    xs = signal.x_at(idx)
     order = np.argsort(np.abs(xs), kind="stable")
     return xs[order]
 
 
 def _kernel_transform_floor(kernel: Signal, band: float, floor: float) -> float:
     """Min |transform| of the kernel over [-band, band], zero-padded."""
-    vals = np.asarray(kernel.values, dtype=np.complex128)
-    if isinstance(kernel, ContinuousSignal):
-        w = vals * kernel.h
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        step = kernel.h
-    else:
-        w = vals
-        step = 1.0
+    w = kernel.weights()
     # zero-pad to at least 4x the kernel, never truncate it
     n_pad = max(4096, 1 << (4 * len(w) - 1).bit_length())
     spec = np.fft.fft(w, n_pad)
-    freqs = np.fft.fftfreq(n_pad, d=step)
+    freqs = np.fft.fftfreq(n_pad, d=kernel.step)
     sel = np.abs(freqs) <= band + 1e-15
     m = float(np.min(np.abs(spec[sel])))
     if m < floor:
@@ -378,38 +372,20 @@ def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
     The smoothed trajectory is sampled along ``shift_schedule`` and its
     last quarter must stabilize within ``tol`` for a positive verdict.
     """
-    vals = np.asarray(kernel.values)
-    if isinstance(kernel, ContinuousSignal):
-        w = vals * kernel.h
-        w = w.copy()
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        mass = w.sum()
-    else:
-        mass = vals.sum()
+    mass = kernel.weights().sum()
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"kernel mass {mass} is not 1")
     if band is None:
-        band = 0.25 / step_of(signal)  # half the Nyquist frequency
+        band = 0.25 / signal.step  # half the Nyquist frequency
     _kernel_transform_floor(kernel, band, kernel_floor)
     smoothed = convolve(signal, kernel)
-    positions = []
-    values = []
-    if isinstance(smoothed, DiscreteSignal):
-        for s in shift_schedule:
-            n = int(round(s))
-            if not smoothed.n_min <= n <= smoothed.n_max:
-                raise RangeTooShort(f"shift {s} outside the smoothed range")
-            positions.append(float(n))
-            values.append(smoothed.values[n - smoothed.n_min])
-    else:
-        for s in shift_schedule:
-            j = (float(s) - smoothed.x0) / smoothed.h
-            if abs(j - round(j)) > 1e-6 or not 0 <= round(j) < len(smoothed):
-                raise RangeTooShort(f"shift {s} outside the smoothed grid")
-            positions.append(float(s))
-            values.append(smoothed.samples[int(round(j))])
-    return _tail_verdict(np.asarray(positions), np.asarray(values), tol)
+    positions = np.asarray(shift_schedule, dtype=np.float64)
+    j = (positions - smoothed.start) / smoothed.step
+    idx = np.round(j)
+    off = (np.abs(j - idx) > 1e-6) | (idx < 0) | (idx >= len(smoothed))
+    if off.any():
+        raise RangeTooShort(f"shift {positions[off][0]} outside the smoothed grid")
+    return _tail_verdict(positions, smoothed.values[idx.astype(np.int64)], tol)
 
 
 def ordinary_verdict(signal: Signal, tol: float,
@@ -421,9 +397,7 @@ def ordinary_verdict(signal: Signal, tol: float,
     |x| no matter the rendered length.
     """
     positions = geometric_tail_positions(signal, sample_count)
-    step = step_of(signal)
-    start = signal.x0 if isinstance(signal, ContinuousSignal) else float(signal.n_min)
-    idx = np.round((positions - start) / step).astype(int)
+    idx = np.round((positions - signal.start) / signal.step).astype(int)
     return _tail_verdict(positions, signal.values[idx], tol)
 
 
@@ -435,15 +409,13 @@ def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
     points sit beyond the tail start, so for monotone decay the value is
     bounded by the decay at T itself.
     """
-    step = step_of(signal)
+    step = signal.step
     if u <= 0:
         raise ValueError("neighborhood width must be positive")
     m = int(math.floor(u / step + 1e-9))
     if m < 1:
         raise ValueError(f"width {u} below one grid step {step}")
-    n = len(signal)
-    start = signal.x0 if isinstance(signal, ContinuousSignal) else float(signal.n_min)
-    xs = start + step * np.arange(n)
+    xs = signal.x_at(np.arange(len(signal)))
     anchored = np.abs(xs) >= T - 1e-12
     if not np.any(anchored):
         raise RangeTooShort(f"no grid point with |x| >= {T}")
@@ -490,7 +462,7 @@ def primitive_oac_check(psi: ContinuousSignal, L0: complex, tol: float,
         raise HypothesisViolated(
             f"stream not bounded below by -{bounded_below_C} componentwise")
     v = psi.samples
-    prim = running_sum(psi)
+    prim = psi.running_sum()
     big = ContinuousSignal(psi.x0, psi.h, prim, float(np.max(np.abs(prim))) + 1.0,
                            psi.extension, "primitive")
     if window_schedule is None:
@@ -540,11 +512,6 @@ class DifferenceDecay:
     shift: float
     verdict: ACVerdict
 
-    @property
-    def decays(self) -> bool:
-        return self.verdict.positive and self.verdict.limit is not None \
-            and abs(self.verdict.limit) <= self.verdict.uncertainty + 10 * 1e-12 + 1e-9
-
 
 @dataclass(frozen=True)
 class ChainReport:
@@ -572,10 +539,8 @@ def _limits_match(a: ACVerdict, b: ACVerdict, tol: float) -> bool:
 
 
 def _default_chain_pieces(signal: Signal, config: ChainConfig):
-    step = step_of(signal)
-    n = len(signal)
-    start = signal.x0 if isinstance(signal, ContinuousSignal) else signal.n_min
-    span = step * (n - 1)
+    step = signal.step
+    span = step * (len(signal) - 1)
     schedule = config.window_schedule
     if schedule is None:
         top = span / 8
@@ -583,10 +548,10 @@ def _default_chain_pieces(signal: Signal, config: ChainConfig):
         schedule = WindowSchedule.geometric(bottom, top, 2, Sidedness.TWO_SIDED)
     kernel = config.kernel
     if kernel is None:
-        if isinstance(signal, DiscreteSignal):
-            kernel = gaussian_kernel(0.5, radius=2)
-        else:
+        if signal.trapezoid:
             kernel = gaussian_kernel_continuous(2 * step, step, radius=8 * step)
+        else:
+            kernel = gaussian_kernel(0.5, radius=2)
     shifts = config.shift_schedule
     if shifts is None:
         shifts = tuple(geometric_tail_positions(signal, 96, pad=len(kernel) + 2))
@@ -609,20 +574,17 @@ def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainRe
 
     decay = []
     for s in diff_shifts:
-        shifted = signal.shifted(s if isinstance(signal, ContinuousSignal)
-                                 else int(round(s)))
-        diff = subtract(signal, shifted)
+        diff = subtract(signal, signal.shifted(s))
         dshifts = tuple(geometric_tail_positions(diff, 64, pad=len(kernel) + 2))
         decay.append(DifferenceDecay(float(s),
                                      weak_star_verdict(diff, kernel, dshifts, tol)))
     decay = tuple(decay)
 
-    step = step_of(signal)
-    start = signal.x0 if isinstance(signal, ContinuousSignal) else signal.n_min
+    step = signal.step
     span = step * (len(signal) - 1)
     u = config.osc_width if config.osc_width is not None else 4 * step
     T = config.osc_tail_start if config.osc_tail_start is not None \
-        else abs(start + span / 2)
+        else abs(signal.start + span / 2)
     osc = oscillation_modulus(signal, u, T)
 
     violations = []

@@ -592,3 +592,53 @@ def test_csv_memory_stays_bounded(tmp_path):
     assert np.array_equal(back.values, vals)
     assert write_peak < 40 * 2 ** 20
     assert read_peak < 40 * 2 ** 20
+
+
+def test_numpy_scalar_metadata_round_trips(tmp_path):
+    # under NumPy 2, repr(np.float64(1.0)) is "np.float64(1.0)", which the
+    # reader rejected; the writer now stores plain floats
+    disc = ac.signals.scaled(ac.DiscreteSignal(0, [1.0, 2.0], 2.0), np.float64(0.5))
+    cont = ac.ContinuousSignal(np.float64(0.5), np.float64(0.25), [1.0, 2.0],
+                               np.float64(2.0))
+    backs = []
+    for sig in (disc, cont):
+        path = str(tmp_path / "s.csv")
+        serialize.signal_to_csv(sig, path)
+        backs.append(serialize.signal_from_csv(path))
+        assert backs[-1].bound == sig.bound
+        assert np.array_equal(backs[-1].values, sig.values)
+    assert backs[0].n_min == 0
+    assert (backs[1].x0, backs[1].h) == (0.5, 0.25)
+
+
+@pytest.mark.parametrize("option", [["--tol", "nan"], ["--growth", "inf"],
+                                    ["--deltas", "0.25,nan"]])
+def test_non_finite_options_are_config_errors(tmp_path, capsys, option):
+    # --tol nan used to exit 0 with "tol": NaN in report.json, and
+    # --growth inf ended in an uncaught OverflowError
+    spec = write_spec(tmp_path, ac.Character(0.25))
+    out_dir = tmp_path / "run"
+    rc = cli.main(["analyze", "--input", spec, "--n-max", "255",
+                   "--out-dir", str(out_dir), *option])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "finite" in err and "Traceback" not in err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_reports_are_strict_json(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        serialize.dump_json({"tol": float("nan")}, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("cases", ["-1", "0"])
+def test_cyclic_suite_needs_a_case(tmp_path, capsys, cases):
+    # zero cases used to report "passed": true without checking anything
+    out_dir = tmp_path / "run"
+    rc = cli.main(["cyclic", "--order", "8", "--cases", cases,
+                   "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert "cases" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()

@@ -366,3 +366,24 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["1", "False"]
+
+
+@pytest.mark.parametrize("args", [(4, math.inf, 2), (4, math.nan, 2),
+                                  (math.nan, 256, 2), (4, 256, math.inf),
+                                  (4, 256, math.nan)])
+def test_geometric_schedule_rejects_non_finite_arguments(args):
+    # an infinite k_max used to append inf forever until memory ran out
+    with pytest.raises(ValueError):
+        ac.WindowSchedule.geometric(*args)
+
+
+def test_plain_sum_signals_live_on_the_integers():
+    # a window mean divides by width * step, which counts samples only at
+    # step 1; a discrete start must stay an integer index
+    with pytest.raises(ValueError):
+        ac.signals.Signal(0, 0.5, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        ac.DiscreteSignal(0.5, [1.0], 1.0)
+    with pytest.raises(ValueError):
+        ac.DiscreteSignal(0, [1.0, 2.0], 2.0).shifted(0.5)
+    assert type(ac.DiscreteSignal(2.0, [1.0], 1.0).n_min) is int

@@ -1,0 +1,47 @@
+"""Source-level guards on the package layout."""
+
+import ast
+from pathlib import Path
+
+import almostconv
+
+PACKAGE = Path(almostconv.__file__).parent
+
+# (module, function) where telling the two signal kinds apart by type is
+# the point: input guards of the continuous-only routes, the CSV header,
+# and the CLI's choice between the Abel and the Laplace sweep
+ALLOWED_TYPE_CHECKS = {
+    ("tauberian", "laplace_sweep"),
+    ("tauberian", "primitive_oac_check"),
+    ("serialize", "signal_to_csv"),
+    ("cli", "run"),
+}
+SIGNAL_TYPES = {"DiscreteSignal", "ContinuousSignal"}
+
+
+def _walk(node, scope):
+    """(scope, node) for every node, scope the innermost function name."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield scope, child
+        yield from _walk(child, inner)
+
+
+def test_no_local_relative_imports_and_few_signal_type_checks():
+    local_imports, type_checks = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope, node in _walk(tree, None):
+            if isinstance(node, ast.ImportFrom) and node.level and scope:
+                local_imports.append((path.stem, scope, node.lineno))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                    == "isinstance" and len(node.args) == 2:
+                names = {n.id for n in ast.walk(node.args[1])
+                         if isinstance(n, ast.Name)}
+                if names & SIGNAL_TYPES:
+                    type_checks.append((path.stem, scope))
+    # a relative import inside a function hides an import cycle
+    assert local_imports == []
+    assert set(type_checks) <= ALLOWED_TYPE_CHECKS
+    assert len(type_checks) <= len(ALLOWED_TYPE_CHECKS)
