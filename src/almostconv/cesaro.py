@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import EmptyGrid, WindowOutOfRange
 from .signals import Extension, Sidedness, Signal, WindowSchedule, subtract
-from .spectral import convolve
+from .spectral import convolve, require_unit_mass
 from .verdict import ACVerdict, VerdictStatus
 
 _MONOTONE_SLACK = 1e-12
@@ -362,9 +362,7 @@ def convolution_invariance_residual(signal: Signal, kernel: Signal,
     vals = np.asarray(kernel.values)
     if np.any(vals.real < -1e-12) or np.any(np.abs(vals.imag) > 1e-12):
         raise ValueError("kernel must be nonnegative")
-    mass = kernel.weights().sum()
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"kernel mass {mass} is not 1")
+    require_unit_mass(kernel)
     smoothed = convolve(signal, kernel)
     diff = subtract(signal, smoothed)
     sweep = cesaro_sweep(diff, schedule, shift_stride)

@@ -200,8 +200,12 @@ def run(config: AnalysisConfig) -> int:
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "cyclic-suite":
-        suite = cyclic.random_suite(config.order, config.cases, config.seed,
-                                    min(config.tol, 1e-9))
+        tol = min(config.tol, 1e-9)
+        floor = cyclic.tolerance_floor(config.order)
+        if tol < floor:
+            raise ConfigError(f"cyclic tol {tol:.3g} is below the float64 "
+                              f"floor {floor:.3g} for N={config.order}")
+        suite = cyclic.random_suite(config.order, config.cases, config.seed, tol)
         dump_json({"schema": SCHEMA_VERSION, "analysis": "cyclic-suite",
                    **suite}, _report_path(config, "report.json"))
         return 0

@@ -344,6 +344,17 @@ def double_annihilator_certificate(basis: Sequence[CyclicFunction], N: int,
     }
 
 
+def tolerance_floor(N: int) -> float:
+    """Smallest tolerance the random suite's own float64 data can meet on Z_N.
+
+    Rounding in the suite's transforms and factorizations grows like
+    ``N * eps``; over seeds and group orders 2..1024 the suite first
+    fails at tolerances up to about ``2 * N * eps``.  The floor keeps an
+    eightfold margin above that.
+    """
+    return 16 * N * float(np.finfo(np.float64).eps)
+
+
 def random_suite(N: int, cases: int, seed: int, tol: float = DEFAULT_TOL,
                  full_double_duality: Optional[bool] = None) -> dict:
     """Seed-fixed random verification of the Z_N dualities.

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     AliasingError,
+    ConfigError,
     DivergentSeries,
     UnsupportedPoint,
     WindowOutOfRange,
@@ -146,13 +147,17 @@ class Signal:
         Signal.__init__(out, step=self.step, **{**kept, **fields})
         return out
 
-    def shifted(self, s: float) -> "Signal":
-        """Translate by a multiple of the grid step: the result at x is this
-        signal at x + s."""
+    def lag(self, s: float) -> int:
+        """The shift ``s`` in grid steps; it must be a whole multiple."""
         steps = s / self.step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"shift {s} is not a multiple of the grid step {self.step}")
-        return self.derived(start=self.start - round(steps) * self.step)
+        return round(steps)
+
+    def shifted(self, s: float) -> "Signal":
+        """Translate by a multiple of the grid step: the result at x is this
+        signal at x + s."""
+        return self.derived(start=self.start - self.lag(s) * self.step)
 
     def running_sum(self) -> np.ndarray:
         """Running sum from 0: a window's sum is the difference of two entries.
@@ -806,6 +811,8 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
     generators with declared frequencies, keeping the trapezoid window
     quadrature error at O((h*f)^2) per window.
     """
+    if not (math.isfinite(x0) and math.isfinite(h)):
+        raise ConfigError(f"grid x0={x0}, h={h} must be finite")
     if h <= 0:
         raise ValueError("grid step must be positive")
     if count < 1:

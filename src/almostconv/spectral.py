@@ -123,6 +123,25 @@ def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN,
                             window_length=n, step=step)
 
 
+def require_unit_mass(kernel: Signal) -> None:
+    """Raise ``ValueError`` unless the kernel's quadrature mass is 1."""
+    mass = kernel.weights().sum()
+    if abs(mass - 1.0) > 1e-9:
+        raise ValueError(f"kernel mass {mass} is not 1")
+
+
+def require_kernel_fits(signal: Signal, kernel: Signal, length: int) -> None:
+    """The checks :func:`convolve` makes, for a signal of ``length`` samples
+    on the grid of ``signal``."""
+    if signal.trapezoid != kernel.trapezoid:
+        raise TypeError("signal and kernel must both be discrete or continuous")
+    if len(kernel) > length:
+        raise KernelTooWide(
+            f"kernel support {len(kernel)} exceeds signal length {length}")
+    if abs(signal.step - kernel.step) > 1e-12 * signal.step:
+        raise ValueError("kernel grid step differs from the signal's")
+
+
 def convolve(signal: Signal, kernel: Signal) -> Signal:
     """Convolution ``(kernel * signal)(x) = sum_t kernel(t) signal(x - t)``.
 
@@ -131,13 +150,7 @@ def convolve(signal: Signal, kernel: Signal) -> Signal:
     positions whose full window lies in the signal's range, so its valid
     range shrinks by the kernel support.
     """
-    if signal.trapezoid != kernel.trapezoid:
-        raise TypeError("signal and kernel must both be discrete or continuous")
-    if len(kernel) > len(signal):
-        raise KernelTooWide(
-            f"kernel support {len(kernel)} exceeds signal length {len(signal)}")
-    if abs(signal.step - kernel.step) > 1e-12 * signal.step:
-        raise ValueError("kernel grid step differs from the signal's")
+    require_kernel_fits(signal, kernel, len(signal))
     w = kernel.weights()
     out = np.convolve(signal.values, w, mode="valid")
     bound = signal.bound * float(np.sum(np.abs(w)))
@@ -154,6 +167,12 @@ def _lowpass_bin_mask(freqs: np.ndarray, delta: float) -> np.ndarray:
     band = (a > delta / 2) & (a < delta)
     mask[band] = np.cos(np.pi * (a[band] - delta / 2) / delta) ** 2
     return mask
+
+
+def _require_below_nyquist(delta: float, step: float) -> None:
+    nyquist = 0.5 / step
+    if delta >= nyquist:
+        raise GapTooWide(f"delta={delta} at or beyond the Nyquist frequency {nyquist}")
 
 
 def highpass_margin(signal: Signal, delta: float) -> int:
@@ -179,11 +198,9 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     if n < 2:
         raise TooShort("high-pass projection needs at least 2 samples")
     step = signal.step
-    nyquist = 0.5 / step
     if not delta > 0:
         raise ValueError("gap half-width must be positive")
-    if delta >= nyquist:
-        raise GapTooWide(f"delta={delta} at or beyond the Nyquist frequency {nyquist}")
+    _require_below_nyquist(delta, step)
     freqs = np.fft.fftfreq(n, d=step)
     spec = np.fft.fft(signal.values)
     low = np.fft.ifft(spec * _lowpass_bin_mask(freqs, delta))
@@ -214,9 +231,7 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
         raise ValueError("gap schedule must be strictly decreasing toward 0")
     if any(d <= 0 for d in deltas):
         raise ValueError("gap half-widths must be positive")
-    nyquist = 0.5 / signal.step
-    if deltas[0] >= nyquist:
-        raise GapTooWide(f"delta={deltas[0]} at or beyond Nyquist {nyquist}")
+    _require_below_nyquist(deltas[0], signal.step)
     alpha = signal.mean()
     centered = offset(signal, -alpha)
     best = math.inf

@@ -27,6 +27,7 @@ matching the O(distance) error of simple-pole models.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,10 +50,9 @@ from .signals import (
     WindowSchedule,
     gaussian_kernel,
     gaussian_kernel_continuous,
-    subtract,
 )
 from .cesaro import ac_verdict, cesaro_sweep
-from .spectral import convolve
+from .spectral import convolve, require_kernel_fits, require_unit_mass
 from .verdict import ACVerdict, VerdictStatus
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -316,6 +316,72 @@ def _geometric_indices(lo: int, hi: int, count: int) -> np.ndarray:
     return raw[(raw >= lo) & (raw <= hi)]
 
 
+@dataclass(frozen=True)
+class _View:
+    """A signal, or its translation difference ``psi(x) - psi(x + lag*step)``.
+
+    Only the grid (start, step, length) is known up front; samples are
+    formed on request, one index slice at a time, so a route that reads
+    a few windows never builds the whole difference.  The difference
+    lives where both terms are sampled, as :func:`subtract` gives it.
+    """
+
+    signal: Signal
+    lag: Optional[int] = None
+
+    @classmethod
+    def difference(cls, signal: Signal, s: float) -> "_View":
+        d = signal.lag(s)
+        if len(signal) - abs(d) <= 0:
+            raise ValueError("signals have no overlapping range")
+        return cls(signal, d)
+
+    @property
+    def first(self) -> int:
+        """Signal index of the view's first sample."""
+        return 0 if self.lag is None else max(0, -self.lag)
+
+    def __len__(self) -> int:
+        return len(self.signal) - (0 if self.lag is None else abs(self.lag))
+
+    @property
+    def start(self) -> float:
+        return self.signal.x_at(self.first)
+
+    def piece(self, a: int, e: int) -> Signal:
+        """Samples ``a .. e-1`` of the view, as a signal on its grid."""
+        sig = self.signal
+        p, q = self.first + a, self.first + e
+        if self.lag is None:
+            return sig.derived(start=sig.x_at(p), values=sig.values[p:q])
+        d = self.lag
+        return sig.derived(start=sig.x_at(p),
+                           values=sig.values[p:q] - sig.values[p + d:q + d],
+                           bound=2 * sig.bound, source=None)
+
+    def tail_positions(self, count: int, pad: int) -> np.ndarray:
+        """See :func:`geometric_tail_positions`."""
+        n = len(self)
+        step = self.signal.step
+        start = self.start
+        i0 = max(0, pad)
+        i1 = n - 1 - pad
+        if i1 <= i0:
+            raise RangeTooShort("padding leaves no usable positions")
+        # index of the grid point closest to x = 0, clipped into the range
+        center = int(round(-start / step))
+        center = min(max(center, i0), i1)
+        offsets_right = _geometric_indices(1, i1 - center, count // 2) \
+            if i1 > center else np.asarray([], dtype=int)
+        offsets_left = _geometric_indices(1, center - i0, count // 2) \
+            if center > i0 else np.asarray([], dtype=int)
+        idx = np.concatenate(([center], center + offsets_right,
+                              center - offsets_left))
+        xs = start + idx * step
+        order = np.argsort(np.abs(xs), kind="stable")
+        return xs[order]
+
+
 def geometric_tail_positions(signal: Signal, count: int = 96,
                              pad: int = 0) -> np.ndarray:
     """Grid positions at geometrically growing |x|, ordered by |x|.
@@ -325,24 +391,7 @@ def geometric_tail_positions(signal: Signal, count: int = 96,
     oscillation at every scale.  For ranges straddling 0 both directions
     are sampled and interleaved by |x|.
     """
-    n = len(signal)
-    step = signal.step
-    i0 = max(0, pad)
-    i1 = n - 1 - pad
-    if i1 <= i0:
-        raise RangeTooShort("padding leaves no usable positions")
-    # index of the grid point closest to x = 0, clipped into the range
-    center = int(round(-signal.start / step))
-    center = min(max(center, i0), i1)
-    offsets_right = _geometric_indices(1, i1 - center, count // 2) if i1 > center \
-        else np.asarray([], dtype=int)
-    offsets_left = _geometric_indices(1, center - i0, count // 2) if center > i0 \
-        else np.asarray([], dtype=int)
-    idx = np.concatenate(([center], center + offsets_right,
-                          center - offsets_left))
-    xs = signal.x_at(idx)
-    order = np.argsort(np.abs(xs), kind="stable")
-    return xs[order]
+    return _View(signal).tail_positions(count, pad)
 
 
 def _kernel_transform_floor(kernel: Signal, band: float, floor: float) -> float:
@@ -360,6 +409,49 @@ def _kernel_transform_floor(kernel: Signal, band: float, floor: float) -> float:
     return m
 
 
+def _smoothed_at(view: _View, kernel: Signal, idx: np.ndarray) -> np.ndarray:
+    """The kernel-smoothed view at smoothed-grid indices ``idx``.
+
+    Smoothed index k reads view samples ``k .. k + len(kernel) - 1``.
+    Indices whose windows overlap are merged into runs, and each run is
+    convolved on just the samples it reads.
+    """
+    width = len(kernel)
+    u, inverse = np.unique(idx, return_inverse=True)
+    out = np.empty(len(u), dtype=np.complex128)
+    if not len(u):
+        return out
+    cuts = (np.flatnonzero(np.diff(u) >= width) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(u)]):
+        first, last = int(u[lo]), int(u[hi - 1])
+        smoothed = convolve(view.piece(first, last + width), kernel)
+        out[lo:hi] = smoothed.values[u[lo:hi] - first]
+    return out[inverse]
+
+
+def _weak_star(view: _View, kernel: Signal, shift_schedule, tol: float,
+               kernel_floor: float = 1e-3,
+               band: Optional[float] = None) -> ACVerdict:
+    """:func:`weak_star_verdict` on a view of the signal."""
+    signal = view.signal
+    require_unit_mass(kernel)
+    if band is None:
+        band = 0.25 / signal.step  # half the Nyquist frequency
+    _kernel_transform_floor(kernel, band, kernel_floor)
+    n = len(view)
+    require_kernel_fits(signal, kernel, n)
+    positions = np.asarray(shift_schedule, dtype=np.float64)
+    # the smoothed grid: the view's grid less the kernel support
+    j = (positions - (view.start + kernel.x_end)) / signal.step
+    idx = np.round(j)
+    # written so that a NaN shift is off the grid too
+    off = ~(np.abs(j - idx) <= 1e-6) | (idx < 0) | (idx >= n - len(kernel) + 1)
+    if off.any():
+        raise RangeTooShort(f"shift {positions[off][0]} outside the smoothed grid")
+    return _tail_verdict(positions,
+                         _smoothed_at(view, kernel, idx.astype(np.int64)), tol)
+
+
 def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
                       tol: float, kernel_floor: float = 1e-3,
                       band: Optional[float] = None) -> ACVerdict:
@@ -371,21 +463,15 @@ def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
     the analysis band (checked; :class:`KernelVanishes` otherwise).
     The smoothed trajectory is sampled along ``shift_schedule`` and its
     last quarter must stabilize within ``tol`` for a positive verdict.
+
+    The smoothed signal is computed only on the kernel windows that the
+    schedule reads: each shift is placed on the smoothed grid (within
+    1e-6 of a grid point, else :class:`RangeTooShort`), and each run of
+    overlapping windows is convolved on its own slice of the signal.
+    The values read are those of the whole-signal convolution.
     """
-    mass = kernel.weights().sum()
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"kernel mass {mass} is not 1")
-    if band is None:
-        band = 0.25 / signal.step  # half the Nyquist frequency
-    _kernel_transform_floor(kernel, band, kernel_floor)
-    smoothed = convolve(signal, kernel)
-    positions = np.asarray(shift_schedule, dtype=np.float64)
-    j = (positions - smoothed.start) / smoothed.step
-    idx = np.round(j)
-    off = (np.abs(j - idx) > 1e-6) | (idx < 0) | (idx >= len(smoothed))
-    if off.any():
-        raise RangeTooShort(f"shift {positions[off][0]} outside the smoothed grid")
-    return _tail_verdict(positions, smoothed.values[idx.astype(np.int64)], tol)
+    return _weak_star(_View(signal), kernel, shift_schedule, tol,
+                      kernel_floor, band)
 
 
 def ordinary_verdict(signal: Signal, tol: float,
@@ -401,6 +487,18 @@ def ordinary_verdict(signal: Signal, tol: float,
     return _tail_verdict(positions, signal.values[idx], tol)
 
 
+def _anchored_ends(signal: Signal, t: float) -> tuple:
+    """``(lo, hi)`` with ``{j : |x_j| >= t}`` equal to ``[0, lo)`` and
+    ``[hi, n)``: on an increasing grid the set ``|x| >= t`` is at most a
+    prefix and a suffix.  ``(0, 0)`` when the two cover the grid."""
+    n = len(signal)
+    # x_at gives each index the same float as over an index array; a NaN
+    # t anchors nothing, as it does elementwise
+    lo = bisect.bisect_left(range(n), True, key=lambda j: not signal.x_at(j) <= -t)
+    hi = bisect.bisect_left(range(n), True, key=lambda j: signal.x_at(j) >= t)
+    return (0, 0) if hi <= lo else (lo, hi)
+
+
 def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
     """sup{ |psi(x) - psi(y)| : |x - y| <= u, |x|, |y| >= T } over the grid.
 
@@ -408,6 +506,10 @@ def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
     condition upgrading weak* convergence to ordinary convergence.  Both
     points sit beyond the tail start, so for monotone decay the value is
     bounded by the decay at T itself.
+
+    The anchored points ``|x| >= T`` form at most two index ranges, one
+    below and one above 0, and each lag is differenced on those ranges
+    only, plus the pairs that reach across the gap between them.
     """
     step = signal.step
     if u <= 0:
@@ -415,17 +517,17 @@ def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
     m = int(math.floor(u / step + 1e-9))
     if m < 1:
         raise ValueError(f"width {u} below one grid step {step}")
-    xs = signal.x_at(np.arange(len(signal)))
-    anchored = np.abs(xs) >= T - 1e-12
-    if not np.any(anchored):
+    n = len(signal)
+    lo, hi = _anchored_ends(signal, T - 1e-12)
+    if lo == 0 and hi == n:
         raise RangeTooShort(f"no grid point with |x| >= {T}")
     vals = signal.values
     worst = 0.0
     for d in range(1, m + 1):
-        diff = np.abs(vals[d:] - vals[:-d])
-        keep = anchored[d:] & anchored[:-d]
-        if np.any(keep):
-            worst = max(worst, float(diff[keep].max()))
+        # p and p + d both anchored: both below lo, both from hi, or across
+        for p0, p1 in ((0, lo - d), (hi, n - d), (max(0, hi - d), min(lo, n - d))):
+            if p1 > p0:
+                worst = max(worst, float(np.abs(vals[p0 + d:p1 + d] - vals[p0:p1]).max()))
     return worst
 
 
@@ -562,7 +664,13 @@ def _default_chain_pieces(signal: Signal, config: ChainConfig):
 
 
 def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainReport:
-    """Run ordinary, weak*, and window-mean verdicts and check the chain."""
+    """Run ordinary, weak*, and window-mean verdicts and check the chain.
+
+    Each translation difference ``psi(x) - psi(x + s)`` is read where its
+    weak* verdict reads it and nowhere else: its tail positions come
+    from its grid alone, and its samples are formed only on the kernel
+    windows of those positions.
+    """
     schedule, kernel, shifts, diff_shifts = _default_chain_pieces(signal, config)
     tol = config.tol
     ctol = config.resolved_consistency_tol()
@@ -574,10 +682,9 @@ def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainRe
 
     decay = []
     for s in diff_shifts:
-        diff = subtract(signal, signal.shifted(s))
-        dshifts = tuple(geometric_tail_positions(diff, 64, pad=len(kernel) + 2))
-        decay.append(DifferenceDecay(float(s),
-                                     weak_star_verdict(diff, kernel, dshifts, tol)))
+        diff = _View.difference(signal, s)
+        dshifts = diff.tail_positions(64, pad=len(kernel) + 2)
+        decay.append(DifferenceDecay(float(s), _weak_star(diff, kernel, dshifts, tol)))
     decay = tuple(decay)
 
     step = signal.step

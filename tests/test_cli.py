@@ -1,12 +1,14 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
-from almostconv import cesaro, cli, serialize
+from almostconv import cesaro, cli, cyclic, serialize
+from almostconv.errors import ConfigError
 from almostconv.signals import Sidedness, WindowSchedule
 
 
@@ -641,4 +643,43 @@ def test_cyclic_suite_needs_a_case(tmp_path, capsys, cases):
                    "--out-dir", str(out_dir)])
     assert rc == 1
     assert "cases" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_cyclic_tolerance_below_float_resolution_is_a_config_error(tmp_path, capsys):
+    # the suite's own float64 data used to fail such a tolerance, and the
+    # run ended as a violated hypothesis (exit 2)
+    out_dir = tmp_path / "run"
+    rc = cli.main(["cyclic", "--order", "8", "--cases", "1", "--tol", "1e-300",
+                   "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "floor" in err and "N=8" in err
+    assert not (out_dir / "report.json").exists()
+
+
+def test_cyclic_tolerance_floor_leaves_room_for_the_suite():
+    # seeded runs first fail at about 1e-15 (N = 8, 64) to 1e-13 (N = 1024)
+    for n, failing in ((8, 1e-15), (64, 1e-15), (256, 1e-14), (1024, 1e-13)):
+        assert failing < cyclic.tolerance_floor(n) < 1e-9
+    assert cyclic.random_suite(8, 1, 5, cyclic.tolerance_floor(8))["passed"]
+
+
+@pytest.mark.parametrize("x0, h", [(np.inf, 0.05), (np.nan, 0.05), (-np.inf, 0.05),
+                                   (0.0, np.nan), (0.0, np.inf)])
+def test_non_finite_grid_is_a_config_error_before_rendering(tmp_path, capsys, x0, h):
+    # --x0 inf used to render with two RuntimeWarnings and then fail on
+    # "signal values must be finite"
+    line = ac.DirichletLine((1, 1), 2.0)
+    spec = write_spec(tmp_path, line)
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="grid"):
+            ac.render_continuous(line, x0, h, 16)
+        rc = cli.main(["chain", "--input", spec, "--count", "4096", f"--x0={x0}",
+                       f"--h={h}", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "grid" in err and "values must be finite" not in err
     assert not (out_dir / "report.json").exists()

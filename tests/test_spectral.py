@@ -256,3 +256,35 @@ def test_cross_route_agreement(generator_corpus):
         assert v_s.positive, name
         assert abs(v_c.limit - v_s.limit) <= 2 * tol, name
         assert abs(v_c.limit - limit) <= 2 * tol, name
+
+
+def test_nyquist_check_is_shared_and_keeps_its_place():
+    # the verdict checks its widest gap before anything else, so a signal
+    # too short for a projection still reports the gap
+    sig = ac.render_discrete(ac.Character(1 / 8), 0, 63)
+    cont = ac.render_continuous(ac.Character(0.5), 0.0, 0.1, 64)
+    one = DiscreteSignal(0, [1.0], 1.0)
+    for fn, args in ((spectral.highpass_project, (sig, 0.5)),
+                     (spectral.highpass_project, (cont, 5.0)),
+                     (spectral.spectral_ac_verdict, (sig, (0.5,), 1e-3)),
+                     (spectral.spectral_ac_verdict, (cont, (6.0, 1.0), 1e-3)),
+                     (spectral.spectral_ac_verdict, (one, (0.5,), 1e-3))):
+        with pytest.raises(GapTooWide, match="at or beyond the Nyquist frequency"):
+            fn(*args)
+    with pytest.raises(TooShort):
+        spectral.highpass_project(one, 0.5)
+    _, residual = spectral.highpass_project(cont, 4.99)
+    assert np.isfinite(residual)
+
+
+def test_unit_mass_check_is_shared():
+    sig = ac.render_discrete(ac.Character(1 / 8), 0, 255)
+    heavy = DiscreteSignal(-1, [0.5, 0.5, 0.5], 0.5)
+    with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
+        spectral.require_unit_mass(heavy)
+    with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
+        cesaro.convolution_invariance_residual(
+            sig, heavy, WindowSchedule.geometric(2, 8, 2, Sidedness.TWO_SIDED))
+    with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
+        ac.weak_star_verdict(sig, heavy, [10.0] * 8, 1e-2)
+    spectral.require_unit_mass(DiscreteSignal(-1, [0.25, 0.5, 0.25], 0.5))
