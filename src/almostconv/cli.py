@@ -100,6 +100,8 @@ class AnalysisConfig:
             raise ConfigError("sidedness must be 'one' or 'two'")
         if self.cases < 1:
             raise ConfigError("cases must be at least 1")
+        if self.order < 1:
+            raise ConfigError("order must be at least 1")
 
     def schedule(self) -> WindowSchedule:
         side = Sidedness.ONE_SIDED if self.sidedness == "one" else Sidedness.TWO_SIDED

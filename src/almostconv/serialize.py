@@ -384,4 +384,6 @@ def cyclic_from_csv(path: str) -> CyclicFunction:
     n = int(meta.get("N", len(vals)))
     if n != len(vals):
         raise ConfigError(f"declared N={n} but {len(vals)} rows present")
+    if not np.isfinite(vals).all():
+        raise ConfigError("cyclic values must be finite")
     return CyclicFunction(n, vals)

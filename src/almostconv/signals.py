@@ -239,11 +239,6 @@ class ContinuousSignal(Signal):
     samples = property(lambda self: self.values)
 
 
-def step_of(signal: Signal) -> float:
-    """Grid step: 1 for discrete signals, h for continuous ones."""
-    return signal.step
-
-
 def subtract(a: Signal, b: Signal) -> Signal:
     """Pointwise ``a - b`` on the intersection of the two valid ranges."""
     if a.trapezoid != b.trapezoid:

@@ -58,6 +58,8 @@ from .verdict import ACVerdict, VerdictStatus
 DEFAULT_TAIL_TOL = 1e-12
 _NEGATIVE_FACTOR = 10.0
 _PERSISTENCE = 0.9
+# weak*: least |kernel transform| accepted on the band below half Nyquist
+_KERNEL_FLOOR = 1e-3
 
 
 class MeanMethod(str, Enum):
@@ -429,23 +431,23 @@ def _smoothed_at(view: _View, kernel: Signal, idx: np.ndarray) -> np.ndarray:
     return out[inverse]
 
 
-def _weak_star(view: _View, kernel: Signal, shift_schedule, tol: float,
-               kernel_floor: float = 1e-3,
-               band: Optional[float] = None) -> ACVerdict:
+def _weak_star(view: _View, kernel: Signal, shift_schedule,
+               tol: float) -> ACVerdict:
     """:func:`weak_star_verdict` on a view of the signal."""
     signal = view.signal
     require_unit_mass(kernel)
-    if band is None:
-        band = 0.25 / signal.step  # half the Nyquist frequency
-    _kernel_transform_floor(kernel, band, kernel_floor)
+    # the analysis band ends at half the Nyquist frequency
+    _kernel_transform_floor(kernel, 0.25 / signal.step, _KERNEL_FLOOR)
     n = len(view)
     require_kernel_fits(signal, kernel, n)
     positions = np.asarray(shift_schedule, dtype=np.float64)
     # the smoothed grid: the view's grid less the kernel support
     j = (positions - (view.start + kernel.x_end)) / signal.step
     idx = np.round(j)
-    # written so that a NaN shift is off the grid too
-    off = ~(np.abs(j - idx) <= 1e-6) | (idx < 0) | (idx >= n - len(kernel) + 1)
+    # distance to the grid, infinite for a NaN or infinite shift (and
+    # never formed there, since inf - inf warns)
+    dist = np.subtract(j, idx, out=np.full_like(j, np.inf), where=np.isfinite(j))
+    off = (np.abs(dist) > 1e-6) | (idx < 0) | (idx >= n - len(kernel) + 1)
     if off.any():
         raise RangeTooShort(f"shift {positions[off][0]} outside the smoothed grid")
     return _tail_verdict(positions,
@@ -453,14 +455,14 @@ def _weak_star(view: _View, kernel: Signal, shift_schedule, tol: float,
 
 
 def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
-                      tol: float, kernel_floor: float = 1e-3,
-                      band: Optional[float] = None) -> ACVerdict:
+                      tol: float) -> ACVerdict:
     """Weak* convergence test: stabilization of the smoothed signal.
 
     Convergence of the signal against every integrable test function
     reduces, by Wiener's theorem, to convergence of its convolution with
     a single unit-mass kernel whose transform stays away from zero on
-    the analysis band (checked; :class:`KernelVanishes` otherwise).
+    the analysis band, up to half the Nyquist frequency (at least 1e-3
+    there, else :class:`KernelVanishes`).
     The smoothed trajectory is sampled along ``shift_schedule`` and its
     last quarter must stabilize within ``tol`` for a positive verdict.
 
@@ -470,19 +472,17 @@ def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
     overlapping windows is convolved on its own slice of the signal.
     The values read are those of the whole-signal convolution.
     """
-    return _weak_star(_View(signal), kernel, shift_schedule, tol,
-                      kernel_floor, band)
+    return _weak_star(_View(signal), kernel, shift_schedule, tol)
 
 
-def ordinary_verdict(signal: Signal, tol: float,
-                     sample_count: int = 96) -> ACVerdict:
+def ordinary_verdict(signal: Signal, tol: float) -> ACVerdict:
     """Ordinary convergence as stabilization at geometrically growing |x|.
 
-    Values are read at positions whose distance from 0 doubles on
+    Values are read at 96 positions whose distance from 0 doubles on
     average, so each quarter of the sample list spans fixed octaves of
     |x| no matter the rendered length.
     """
-    positions = geometric_tail_positions(signal, sample_count)
+    positions = geometric_tail_positions(signal, 96)
     idx = np.round((positions - signal.start) / signal.step).astype(int)
     return _tail_verdict(positions, signal.values[idx], tol)
 
@@ -592,21 +592,12 @@ def primitive_oac_check(psi: ContinuousSignal, L0: complex, tol: float,
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Knobs for :func:`chain_report`; unset pieces get derived defaults."""
+    """Knobs for :func:`chain_report`; an unset kernel or difference
+    shift list gets a default derived from the signal's grid."""
 
     tol: float = 1e-2
-    window_schedule: Optional[WindowSchedule] = None
     kernel: Optional[Signal] = None
-    shift_schedule: Optional[tuple] = None
     difference_shifts: Optional[tuple] = None
-    tail_fraction: float = 0.25
-    consistency_tol: Optional[float] = None
-    osc_width: Optional[float] = None
-    osc_tail_start: Optional[float] = None
-    shift_stride: int = 1
-
-    def resolved_consistency_tol(self) -> float:
-        return self.consistency_tol if self.consistency_tol is not None else 10 * self.tol
 
 
 @dataclass(frozen=True)
@@ -640,45 +631,39 @@ def _limits_match(a: ACVerdict, b: ACVerdict, tol: float) -> bool:
     return abs(a.limit - b.limit) <= tol
 
 
-def _default_chain_pieces(signal: Signal, config: ChainConfig):
+def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainReport:
+    """Run ordinary, weak*, and window-mean verdicts and check the chain.
+
+    The pieces come from the signal's grid: two-sided windows doubling
+    from ``max(4 * step, span / 512)`` to ``span / 8``; weak* read at 96
+    tail positions; limits compared within ``10 * tol``; the oscillation
+    modulus over 4 steps beyond ``|x| >= |midpoint|``.  Each translation
+    difference ``psi(x) - psi(x + s)`` is read where its weak* verdict
+    reads it and nowhere else: its tail positions come from its grid
+    alone, and its samples are formed only on the kernel windows of
+    those positions.
+    """
     step = signal.step
     span = step * (len(signal) - 1)
-    schedule = config.window_schedule
-    if schedule is None:
-        top = span / 8
-        bottom = max(4 * step, top / 64)
-        schedule = WindowSchedule.geometric(bottom, top, 2, Sidedness.TWO_SIDED)
+    top = span / 8
+    schedule = WindowSchedule.geometric(max(4 * step, top / 64), top, 2,
+                                        Sidedness.TWO_SIDED)
     kernel = config.kernel
     if kernel is None:
         if signal.trapezoid:
             kernel = gaussian_kernel_continuous(2 * step, step, radius=8 * step)
         else:
             kernel = gaussian_kernel(0.5, radius=2)
-    shifts = config.shift_schedule
-    if shifts is None:
-        shifts = tuple(geometric_tail_positions(signal, 96, pad=len(kernel) + 2))
-    diffs = config.difference_shifts
-    if diffs is None:
-        diffs = tuple(step * d for d in (1, 4, 16))
-    return schedule, kernel, shifts, diffs
-
-
-def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainReport:
-    """Run ordinary, weak*, and window-mean verdicts and check the chain.
-
-    Each translation difference ``psi(x) - psi(x + s)`` is read where its
-    weak* verdict reads it and nowhere else: its tail positions come
-    from its grid alone, and its samples are formed only on the kernel
-    windows of those positions.
-    """
-    schedule, kernel, shifts, diff_shifts = _default_chain_pieces(signal, config)
+    shifts = tuple(geometric_tail_positions(signal, 96, pad=len(kernel) + 2))
+    diff_shifts = config.difference_shifts
+    if diff_shifts is None:
+        diff_shifts = tuple(step * d for d in (1, 4, 16))
     tol = config.tol
-    ctol = config.resolved_consistency_tol()
+    ctol = 10 * tol
 
     c_v = ordinary_verdict(signal, tol)
     w_v = weak_star_verdict(signal, kernel, shifts, tol)
-    sweep = cesaro_sweep(signal, schedule, config.shift_stride)
-    ac_v = ac_verdict(sweep, tol)
+    ac_v = ac_verdict(cesaro_sweep(signal, schedule), tol)
 
     decay = []
     for s in diff_shifts:
@@ -686,13 +671,7 @@ def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainRe
         dshifts = diff.tail_positions(64, pad=len(kernel) + 2)
         decay.append(DifferenceDecay(float(s), _weak_star(diff, kernel, dshifts, tol)))
     decay = tuple(decay)
-
-    step = signal.step
-    span = step * (len(signal) - 1)
-    u = config.osc_width if config.osc_width is not None else 4 * step
-    T = config.osc_tail_start if config.osc_tail_start is not None \
-        else abs(signal.start + span / 2)
-    osc = oscillation_modulus(signal, u, T)
+    osc = oscillation_modulus(signal, 4 * step, abs(signal.start + span / 2))
 
     violations = []
     if c_v.positive:

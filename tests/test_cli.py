@@ -534,9 +534,12 @@ def test_infinite_first_index_without_n_min_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("rows", ["0,1\n1,2,0\n", "0,1\n1,2\n", "0,abc,0\n1,2,0\n",
-                                  "0,1,0,5\n1,2,0,5\n"],
-                         ids=["short_row", "short_rows", "bad_number", "long_row"])
+                                  "0,1,0,5\n1,2,0,5\n", "0,nan,0\n1,2,0\n",
+                                  "0,1,0\n1,2,inf\n", "0,-inf,0\n1,2,0\n"],
+                         ids=["short_row", "short_rows", "bad_number", "long_row",
+                              "nan_value", "inf_value", "minus_inf_value"])
 def test_cyclic_from_csv_rejects_bad_rows(tmp_path, rows):
+    # a non-finite value left both the zero set and the spectrum empty
     path = tmp_path / "f.csv"
     path.write_text("# cyclic N=2\nindex,re,im\n" + rows)
     with pytest.raises(ac.errors.ConfigError):
@@ -643,6 +646,18 @@ def test_cyclic_suite_needs_a_case(tmp_path, capsys, cases):
                    "--out-dir", str(out_dir)])
     assert rc == 1
     assert "cases" in capsys.readouterr().err
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_cyclic_order_below_one_is_a_config_error(tmp_path, capsys, order):
+    # --order -3 used to end in NumPy's "negative dimensions are not allowed"
+    out_dir = tmp_path / "run"
+    rc = cli.main(["cyclic", "--order", order, "--cases", "1",
+                   "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "order must be at least 1" in err and "dimensions" not in err
     assert not (out_dir / "report.json").exists()
 
 

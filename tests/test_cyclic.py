@@ -146,13 +146,64 @@ def test_annihilator_dimension_identity():
 
 
 def test_double_annihilator_recovers_span():
+    # the full recomputation the suite certifies instead, up to the
+    # largest order at which the suite used to run it
     rng = np.random.default_rng(21)
-    for n in (8, 16, 64):
+    for n in (8, 16, 64, 256):
         dim = int(rng.integers(1, 6))
         basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
                  for _ in range(dim)]
         double = annihilator(annihilator(basis, n), n)
         assert spans_agree(basis, double, n)
+        assert cyclic.double_annihilator_certificate(basis, n)["ok"]
+
+
+def test_double_annihilator_recovers_rank_deficient_span():
+    rng = np.random.default_rng(22)
+    for n in (16, 256):
+        vecs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        rows = np.vstack([vecs, 2.0 * vecs[0] - 1j * vecs[2]])
+        basis = [CyclicFunction(n, row) for row in rows]
+        with pytest.warns(RankDeficientInput):
+            ann = annihilator(basis, n)
+        assert len(ann) == n - 3
+        assert spans_agree(basis, annihilator(ann, n), n)
+        with pytest.warns(RankDeficientInput):
+            cert = cyclic.double_annihilator_certificate(basis, n)
+        assert cert["ok"] and cert["rank"] == 3
+
+
+def _unpaired_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
+    """The right number of vectors, but they do not pair to zero with E."""
+    rng = np.random.default_rng(5)
+    count = N - cyclic.span_rank(basis, N, tol)
+    return [CyclicFunction(N, rng.standard_normal(N)) for _ in range(count)]
+
+
+def _short_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
+    """Vectors that pair to zero with E, one too few of them."""
+    return annihilator(basis, N, tol)[1:]
+
+
+@pytest.mark.parametrize("fake, failed_part", [
+    (_unpaired_annihilator, "pairing_residual"),
+    (_short_annihilator, "dimension_identity"),
+])
+def test_double_annihilator_certificate_can_fail(monkeypatch, fake, failed_part):
+    n = 16
+    rng = np.random.default_rng(23)
+    basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+             for _ in range(3)]
+    monkeypatch.setattr(cyclic, "annihilator", fake)
+    cert = cyclic.double_annihilator_certificate(basis, n)
+    assert not cert["ok"]
+    assert cert["dimension_identity"] is (failed_part != "dimension_identity")
+    assert (cert["pairing_residual"] > cyclic.DEFAULT_TOL) is \
+        (failed_part == "pairing_residual")
+    out = cyclic.random_suite(n, 3, seed=4)
+    assert not out["passed"]
+    assert out["failures"] == [f"case {c}: double-duality certificate failed"
+                               for c in range(3)]
 
 
 def test_ideal_annihilator_is_character_span():
@@ -263,3 +314,5 @@ def test_random_suite_small():
     out = cyclic.random_suite(16, 10, seed=123)
     assert out["passed"], out["failures"]
     assert out["round_trip_max"] <= 1e-12
+    assert sorted(out) == ["N", "cases", "failures", "passed", "round_trip_max",
+                           "seed", "tol"]

@@ -45,3 +45,47 @@ def test_no_local_relative_imports_and_few_signal_type_checks():
     assert local_imports == []
     assert set(type_checks) <= ALLOWED_TYPE_CHECKS
     assert len(type_checks) <= len(ALLOWED_TYPE_CHECKS)
+
+
+def _names_read(tree):
+    """Names a tree reads, including those inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for sub in ast.walk(ann) if ann is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= _names_read(ast.parse(sub.value, mode="eval"))
+    return used
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _names_read(tree)
+    return sorted((name, line) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_guard_sees_string_annotations():
+    tree = ast.parse("from typing import Dict, List, Optional\nimport os.path\n"
+                     "def f(x: 'Optional[int]') -> List['Dict']: pass\n")
+    assert _unused_imports(tree) == [("os", 2)]
+    tree = ast.parse("from typing import List, Optional\ndef f(x: 'int'): pass\n")
+    assert _unused_imports(tree) == [("List", 1), ("Optional", 1)]
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's public names
+        tree = ast.parse(path.read_text())
+        unused += [(path.stem, *item) for item in _unused_imports(tree)]
+    assert unused == []

@@ -248,8 +248,8 @@ def test_cross_route_agreement(generator_corpus):
         if limit is None:
             continue
         sched = WindowSchedule.geometric(
-            max(4 * ac.signals.step_of(signal), len(signal) * ac.signals.step_of(signal) / 512),
-            len(signal) * ac.signals.step_of(signal) / 8, 2, Sidedness.TWO_SIDED)
+            max(4 * signal.step, len(signal) * signal.step / 512),
+            len(signal) * signal.step / 8, 2, Sidedness.TWO_SIDED)
         v_c = cesaro.ac_verdict(cesaro.cesaro_sweep(signal, sched), tol)
         v_s = spectral.spectral_ac_verdict(signal, deltas, tol)
         assert v_c.positive, name

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -555,6 +557,17 @@ def test_off_grid_shift_raises_as_before():
         schedule = np.append(good, bad)
         _parity((tb.weak_star_verdict, sig, kern, schedule, 1e-2),
                 (_whole_weak_star, sig, kern, schedule, 1e-2), RangeTooShort)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_shift_is_off_the_grid_without_a_warning(bad):
+    # the grid distance of an infinite shift used to be formed as inf - inf
+    sig, kern = _random_signal(True, 200, "straddle", 7)
+    good = tb.geometric_tail_positions(sig, 64, pad=len(kern) + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeTooShort, match="outside the smoothed grid"):
+            tb.weak_star_verdict(sig, kern, np.append(good, bad), 1e-2)
 
 
 def test_nan_shift_is_off_the_grid():
