@@ -88,8 +88,9 @@ class AnalysisConfig:
         for name in ("tol", "growth", "k_min", "k_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if not all(math.isfinite(d) for d in self.deltas):
-            raise ConfigError("deltas must be finite")
+        for name in ("deltas", "xs"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.k_min >= self.k_max:
@@ -269,8 +270,8 @@ def _merge_config(args: argparse.Namespace,
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = load_generator(args.spec)
     if args.h is not None:
-        signal = render_continuous(spec, args.x0 or 0.0, args.h,
-                                   args.count or 4096)
+        count = args.count if args.count is not None else 4096
+        signal = render_continuous(spec, args.x0 or 0.0, args.h, count)
     else:
         n_min = args.n_min if args.n_min is not None else 0
         n_max = args.n_max if args.n_max is not None else 4095

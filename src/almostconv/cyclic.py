@@ -162,26 +162,42 @@ def _reversal_matrix(rows: Sequence[CyclicFunction], N: int) -> np.ndarray:
 
 
 def annihilator(basis: Sequence[CyclicFunction], N: int,
-                tol: float = DEFAULT_TOL) -> List[CyclicFunction]:
+                tol: float = DEFAULT_TOL) -> np.ndarray:
     """Basis of ``{psi : sum_t f(-t) psi(t) = 0 for all f in span(basis)}``.
 
-    The pairing is bilinear (no conjugation).  Dependent input is
-    accepted, deduplicated via the singular values, and flagged with a
-    :class:`RankDeficientInput` warning.  The returned basis is
-    orthonormal and satisfies ``dim + dim_perp = N``.
+    Returns one complex array of shape ``(N - rank, N)`` whose rows are
+    orthonormal and span the annihilator, so ``rank + rows = N``; an
+    empty basis gives ``np.eye(N)``.  The pairing is bilinear (no
+    conjugation).  Dependent input is accepted, deduplicated via the
+    singular values, and flagged with a :class:`RankDeficientInput`
+    warning.
     """
     basis = list(basis)
     if not basis:
-        return [delta(N, x) for x in range(N)]
+        return np.eye(N, dtype=np.complex128)
     A = _reversal_matrix(basis, N)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
     rank = _numerical_rank(s, A.shape, tol)
     if rank < len(basis):
         warnings.warn(f"input spans only {rank} of {len(basis)} directions",
                       RankDeficientInput)
-    # A v = 0 iff v is unitary-orthogonal to the leading right singular
-    # vectors, so the conjugated trailing rows of vh span the null space
-    return [CyclicFunction(N, row) for row in vh[rank:].conj()]
+    # A v = 0 iff v is orthogonal to the columns of V = vh[:rank]^H.  The
+    # QR factorization of V is a product of rank Householder reflectors
+    # I - tau_i y_i y_i^H, in compact WY form Q = I - Y T Y^H, and the
+    # trailing N - rank columns of Q are an orthonormal basis of the null
+    # space.  Only those columns are formed, as the rows
+    # I[rank:] - conj(Y[rank:]) (Y T)^T, without the N x N factor.
+    h, tau = np.linalg.qr(vh[:rank].conj().T, mode="raw")
+    y = np.triu(h, 1)  # row i: reflector i, zero before its unit entry i
+    np.fill_diagonal(y, 1.0)
+    gram = y.conj() @ y.T
+    t = np.zeros((rank, rank), dtype=np.complex128)
+    for i in range(rank):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    null = y[:, rank:].T.conj() @ -(t.T @ y)
+    null[np.arange(N - rank), np.arange(rank, N)] += 1.0
+    return null
 
 
 def span_rank(vectors: Sequence[CyclicFunction], N: int,
@@ -319,23 +335,21 @@ def double_annihilator_certificate(basis: Sequence[CyclicFunction], N: int,
     E against ann(E) vanishes, and the dimensions force equality:
     dim ann(ann(E)) = N - dim ann(E) = rank(E).  Returns the max pairing
     residual and the dimension identity; ``ok`` needs both.  The count
-    ``dim ann(E)`` is the length of the orthonormal basis
+    ``dim ann(E)`` is the number of orthonormal rows
     :func:`annihilator` returns, and ``rank(E)`` comes from a separate
     decomposition of E itself.
     """
     ann = annihilator(basis, N, tol)
     rank = span_rank(basis, N, tol)
-    if ann:
-        A = _reversal_matrix(list(basis), N)
-        resid = float(np.max(np.abs(A @ np.vstack([g.values for g in ann]).T)))
-    else:
-        resid = 0.0
+    A = _reversal_matrix(list(basis), N)
+    resid = float(np.max(np.abs(A @ ann.T), initial=0.0))
+    dim = ann.shape[0]
     return {
         "pairing_residual": resid,
         "rank": rank,
-        "ann_dimension": len(ann),
-        "dimension_identity": len(ann) == N - rank,
-        "ok": resid <= tol and len(ann) == N - rank,
+        "ann_dimension": dim,
+        "dimension_identity": dim == N - rank,
+        "ok": resid <= tol and dim == N - rank,
     }
 
 

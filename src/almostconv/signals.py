@@ -811,7 +811,7 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
     if h <= 0:
         raise ValueError("grid step must be positive")
     if count < 1:
-        raise ValueError("need at least one sample")
+        raise ConfigError(f"need at least one sample, got count={count}")
     fm = max_frequency(spec)
     if fm is not None and h * fm > MAX_CYCLES_PER_STEP + 1e-12:
         raise AliasingError(

@@ -631,6 +631,36 @@ def test_non_finite_options_are_config_errors(tmp_path, capsys, option):
     assert not (out_dir / "report.json").exists()
 
 
+@pytest.mark.parametrize("xs", ["inf", "nan", "0.5,-inf"])
+def test_non_finite_xs_is_a_config_error_before_the_sweep(tmp_path, capsys, xs):
+    # --xs inf on a continuous input used to print NumPy's RuntimeWarning
+    # from the Laplace sweep before failing on its non-finite values
+    spec = write_spec(tmp_path, ac.Convergent(2.0))
+    out_dir = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["tauber", "--input", spec, "--h", "0.25", "--count", "2049",
+                       f"--xs={xs}", "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "xs must be finite" in err
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_needs_a_sample(tmp_path, capsys, count):
+    # --count 0 used to fall back to the default and write 4096 rows
+    spec = write_spec(tmp_path, ac.Character(0.25))
+    out = tmp_path / "never.csv"
+    rc = cli.main(["generate", "--spec", spec, "--out", str(out), "--h", "0.1",
+                   "--count", count])
+    assert rc == 1
+    assert "at least one sample" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="at least one sample"):
+        ac.render_continuous(ac.Character(0.25), 0.0, 0.1, int(count))
+
+
 def test_reports_are_strict_json(tmp_path):
     path = tmp_path / "r.json"
     with pytest.raises(ValueError):

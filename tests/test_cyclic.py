@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from almostconv import cyclic
 from almostconv.cyclic import (
@@ -108,23 +110,28 @@ def test_ideal_basis_invariant_validation():
         CyclicIdealBasis(4, tuple(bad), frozenset({0, 1, 2}))
 
 
+def _functions(rows, N):
+    """The rows of an annihilator array as ``CyclicFunction`` objects."""
+    return [CyclicFunction(N, row) for row in rows]
+
+
 def test_annihilator_of_full_space_is_trivial():
     basis = [delta(4, x) for x in range(4)]
-    assert annihilator(basis, 4) == []
+    assert annihilator(basis, 4).shape == (0, 4)
 
 
 def test_annihilator_of_constant_is_zero_sum_space():
     ann = annihilator([CyclicFunction(4, np.ones(4))], 4)
-    assert len(ann) == 3
+    assert ann.shape[0] == 3
     for g in ann:
-        assert abs(np.sum(g.values)) <= 1e-12
+        assert abs(np.sum(g)) <= 1e-12
 
 
 def test_annihilator_of_point_ideal_is_constants():
     ideal = ideal_for([0], 4)
     ann = annihilator(list(ideal.basis), 4)
-    assert len(ann) == 1
-    g = ann[0].values
+    assert ann.shape[0] == 1
+    g = ann[0]
     assert np.max(np.abs(g - g.mean())) <= 1e-12
 
 
@@ -133,7 +140,7 @@ def test_annihilator_flags_dependent_input():
     w = CyclicFunction(4, 2.0 * v.values)
     with pytest.warns(RankDeficientInput):
         ann = annihilator([v, w], 4)
-    assert len(ann) == 3  # deduplicated to one direction
+    assert ann.shape[0] == 3  # deduplicated to one direction
 
 
 def test_annihilator_dimension_identity():
@@ -142,7 +149,71 @@ def test_annihilator_dimension_identity():
         basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
                  for _ in range(dim)]
         ann = annihilator(basis, n)
-        assert len(ann) == n - dim
+        assert ann.shape[0] == n - dim
+
+
+def _full_svd_null_space(basis, N, tol=cyclic.DEFAULT_TOL):
+    """Reference null space: the trailing conjugated rows of one full
+    N x N SVD factor of the reversal matrix."""
+    A = cyclic._reversal_matrix(basis, N)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh[cyclic._numerical_rank(s, A.shape, tol):].conj()
+
+
+def _annihilator_input(kind, N, k, rng):
+    """k unit basis vectors of Z_N of the given kind, and their rank."""
+    def unit_rows(count):
+        rows = rng.standard_normal((count, N)) + 1j * rng.standard_normal((count, N))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    if kind == "deltas":
+        # standard basis vectors: every reflector starts on a zero entry
+        # unless the delta sits at 0
+        at = rng.choice(N, size=min(k, N), replace=False)
+        return [delta(N, int(x)) for x in at], len(at)
+    if kind == "rank_deficient" and k > 1:
+        free = int(rng.integers(1, k))
+        indep = unit_rows(free)
+        mix = rng.standard_normal((k - free, free)) + 1j * rng.standard_normal((k - free, free))
+        dep = mix @ indep
+        rows = np.vstack([indep, dep / np.linalg.norm(dep, axis=1, keepdims=True)])
+        rank = min(free, N)
+    elif kind == "zero_row":
+        rows = unit_rows(k)
+        rows[int(rng.integers(k))] = 0.0
+        rank = min(k - 1, N)
+    else:
+        rows = unit_rows(k)
+        rank = min(k, N)
+    return [CyclicFunction(N, row) for row in rng.permutation(rows)], rank
+
+
+@given(kind=st.sampled_from(["generic", "rank_deficient", "zero_row", "deltas"]),
+       N=st.integers(1, 1024), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+@example(kind="generic", N=1024, k=8, seed=0)
+@example(kind="rank_deficient", N=1024, k=8, seed=1)
+@example(kind="generic", N=3, k=8, seed=2)
+@example(kind="deltas", N=5, k=8, seed=3)
+@example(kind="deltas", N=64, k=3, seed=4)
+@example(kind="zero_row", N=1, k=1, seed=5)
+@settings(max_examples=40, deadline=None)
+def test_annihilator_matches_full_svd_null_space(kind, N, k, seed):
+    basis, rank = _annihilator_input(kind, N, k, np.random.default_rng(seed))
+    floor = cyclic.tolerance_floor(N)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficientInput)
+        rows = annihilator(basis, N)
+    assert any(w.category is RankDeficientInput for w in caught) is (rank < len(basis))
+    assert rows.shape == (N - rank, N)
+    gram = rows @ rows.conj().T
+    assert np.max(np.abs(gram - np.eye(N - rank)), initial=0.0) <= floor
+    A = cyclic._reversal_matrix(basis, N)
+    assert np.max(np.abs(A @ rows.T), initial=0.0) <= floor
+    # same span: the reference rows lose nothing on projection onto ours
+    ref = _full_svd_null_space(basis, N)
+    assert ref.shape == rows.shape
+    resid = ref - (ref @ rows.conj().T) @ rows
+    assert np.max(np.abs(resid), initial=0.0) <= floor
 
 
 def test_double_annihilator_recovers_span():
@@ -153,8 +224,8 @@ def test_double_annihilator_recovers_span():
         dim = int(rng.integers(1, 6))
         basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
                  for _ in range(dim)]
-        double = annihilator(annihilator(basis, n), n)
-        assert spans_agree(basis, double, n)
+        double = annihilator(_functions(annihilator(basis, n), n), n)
+        assert spans_agree(basis, _functions(double, n), n)
         assert cyclic.double_annihilator_certificate(basis, n)["ok"]
 
 
@@ -166,8 +237,9 @@ def test_double_annihilator_recovers_rank_deficient_span():
         basis = [CyclicFunction(n, row) for row in rows]
         with pytest.warns(RankDeficientInput):
             ann = annihilator(basis, n)
-        assert len(ann) == n - 3
-        assert spans_agree(basis, annihilator(ann, n), n)
+        assert ann.shape[0] == n - 3
+        double = annihilator(_functions(ann, n), n)
+        assert spans_agree(basis, _functions(double, n), n)
         with pytest.warns(RankDeficientInput):
             cert = cyclic.double_annihilator_certificate(basis, n)
         assert cert["ok"] and cert["rank"] == 3
@@ -177,7 +249,7 @@ def _unpaired_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
     """The right number of vectors, but they do not pair to zero with E."""
     rng = np.random.default_rng(5)
     count = N - cyclic.span_rank(basis, N, tol)
-    return [CyclicFunction(N, rng.standard_normal(N)) for _ in range(count)]
+    return rng.standard_normal((count, N)).astype(np.complex128)
 
 
 def _short_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
@@ -213,7 +285,7 @@ def test_ideal_annihilator_is_character_span():
         C = sorted(rng.choice(n, size=size, replace=False).tolist())
         ann = annihilator(list(ideal_for(C, n).basis), n)
         chars = [character(n, lam) for lam in C]
-        assert spans_agree(ann, chars, n)
+        assert spans_agree(_functions(ann, n), chars, n)
 
 
 def test_spectrum_of_examples():

@@ -89,3 +89,12 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text())
         unused += [(path.stem, *item) for item in _unused_imports(tree)]
     assert unused == []
+
+
+def test_no_full_matrices_factorization():
+    # the annihilator needs only the r leading right singular vectors; an
+    # N x N unitary factor costs O(N^2) memory per call at no gain
+    hits = [(path.stem, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line, text in enumerate(path.read_text().splitlines(), 1)
+            if "full_matrices=True" in text]
+    assert hits == []
