@@ -13,6 +13,7 @@ Exit codes: 0 - analysis completed (whatever the verdict);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -335,10 +336,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit code (see the module doc).
+
+    The parser is built on the first call and reused by every later one
+    in the process; parsing keeps no state between calls, so each call
+    behaves as on a fresh :func:`build_parser`.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

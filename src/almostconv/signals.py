@@ -793,7 +793,7 @@ def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int,
                     extension: Extension = Extension.VALID_ONLY) -> DiscreteSignal:
     """Sample the generator at every integer in ``[n_min, n_max]``."""
     if n_min > n_max:
-        raise ValueError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
+        raise ConfigError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
     vals, bound = _grid_values(spec, n_min, 1.0, n_max - n_min + 1)
     return DiscreteSignal(n_min, vals, bound, extension, kind_of(spec))
 
@@ -809,7 +809,7 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
     if not (math.isfinite(x0) and math.isfinite(h)):
         raise ConfigError(f"grid x0={x0}, h={h} must be finite")
     if h <= 0:
-        raise ValueError("grid step must be positive")
+        raise ConfigError("grid step must be positive")
     if count < 1:
         raise ConfigError(f"need at least one sample, got count={count}")
     fm = max_frequency(spec)

@@ -728,3 +728,185 @@ def test_non_finite_grid_is_a_config_error_before_rendering(tmp_path, capsys, x0
     assert rc == 1
     assert "grid" in err and "values must be finite" not in err
     assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("render", [
+    lambda: ac.render_continuous(ac.Convergent(2.0), 0.0, 0.0, 4),
+    lambda: ac.render_continuous(ac.Convergent(2.0), 0.0, -0.5, 4),
+    lambda: ac.render_discrete(ac.Character(0.25), 5, 2),
+])
+def test_bad_sampling_grid_is_a_config_error(render):
+    # a non-positive step and an empty index range used to raise a plain
+    # ValueError, unlike a non-finite grid or count < 1
+    with pytest.raises(ConfigError):
+        render()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--h", "0"],
+    ["generate", "--n-min", "5", "--n-max", "2"],
+    ["analyze", "--n-min", "5", "--n-max", "2"],
+])
+def test_bad_sampling_grid_exits_one(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, ac.Character(0.25))
+    out = tmp_path / "out"
+    where = ["--spec", spec, "--out", str(out / "s.csv")] if argv[0] == "generate" \
+        else ["--input", spec, "--out-dir", str(out)]
+    assert cli.main(argv + where) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
+def _files(root):
+    """{relative path: bytes} of every file under root."""
+    found = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+def _run_on_fresh_parser(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.main(["cyclic", "--order"]) == 1
+    assert cli.main(["--help"]) == 0
+    assert "usage: almostconv" in capsys.readouterr().out
+    spec = write_spec(tmp_path, ac.Character(0.25))
+    line = write_spec(tmp_path, ac.Convergent(2.0), "line.json")
+    samples = tmp_path / "samples.csv"
+    serialize.signal_to_csv(ac.DiscreteSignal(0, np.tile([1.0, 0.0], 256), 1.0),
+                            str(samples))
+    jobs = [
+        ["generate", "--spec", spec, "--n-min", "0", "--n-max", "63",
+         "--out", "{out}/s.csv"],
+        ["analyze", "--analysis", "cesaro", "--input", spec, "--n-max", "511",
+         "--k-max", "64", "--out-dir", "{out}"],
+        ["spectrum", "--input", spec, "--n-max", "1023", "--deltas", "0.125",
+         "--out-dir", "{out}"],
+        ["tauber", "--input", str(samples), "--xs", "0.5,0.75",
+         "--out-dir", "{out}"],
+        ["chain", "--input", line, "--h", "0.25", "--count", "1025",
+         "--out-dir", "{out}"],
+        ["cyclic", "--order", "8", "--cases", "2", "--out-dir", "{out}"],
+    ]
+    for i, job in enumerate(jobs):
+        outs = []
+        for side, run in (("shared", cli.main), ("fresh", _run_on_fresh_parser)):
+            out = tmp_path / f"{side}{i}"
+            out.mkdir()
+            rc = run([a.replace("{out}", str(out)) for a in job])
+            outs.append((rc, _files(out)))
+        assert outs[0] == outs[1], job[0]
+        assert outs[0][0] == 0 and outs[0][1], job[0]
+
+
+_HOSTILE = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "", "x", "1e400", "-0.5"])
+_VALID = {
+    "--n-min": st.integers(-64, 64).map(str),
+    "--n-max": st.integers(-8, 512).map(str),
+    "--x0": st.sampled_from(["0", "-4.5", "8"]),
+    "--h": st.sampled_from(["0.05", "0.25", "0.5"]),
+    "--count": st.integers(1, 1024).map(str),
+    "--k-min": st.sampled_from(["2", "4", "8"]),
+    "--k-max": st.sampled_from(["16", "64", "256"]),
+    "--growth": st.sampled_from(["2", "1.5", "3"]),
+    "--tol": st.sampled_from(["1e-2", "1e-9", "0.5"]),
+    "--seed": st.integers(0, 9).map(str),
+    "--sidedness": st.sampled_from(["one", "two"]),
+    "--deltas": st.sampled_from(["0.25", "0.25,0.125", "0.1,0.05"]),
+    "--xs": st.sampled_from(["0.5,0.75", "0.03125"]),
+    "--order": st.integers(1, 16).map(str),
+    "--cases": st.integers(1, 3).map(str),
+    "--analysis": st.sampled_from(["cesaro", "spectral", "tauber", "chain",
+                                   "cyclic-suite"]),
+}
+_COMMON = ["--input", "--config", "--tol", "--seed", "--k-min", "--k-max",
+           "--growth", "--sidedness", "--deltas", "--xs", "--n-min", "--n-max",
+           "--x0", "--h", "--count", "--order", "--cases"]
+_COMMAND_OPTIONS = {
+    "generate": ["--spec", "--n-min", "--n-max", "--x0", "--h", "--count"],
+    "analyze": ["--input", "--analysis"] + _COMMON[1:],
+    "spectrum": _COMMON, "tauber": _COMMON, "chain": _COMMON, "cyclic": _COMMON,
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Input files an argv may name, valid and hostile, and the bytes of a
+    reference job run on a fresh parser."""
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    paths = {
+        "spec": write_spec(root, ac.Character(0.25)),
+        "line": write_spec(root, ac.Convergent(2.0), "line.json"),
+        "samples": str(root / "samples.csv"),
+        "missing": str(root / "missing.json"),
+        "broken": str(root / "broken.json"),
+    }
+    serialize.signal_to_csv(ac.DiscreteSignal(0, np.tile([1.0, 0.0], 128), 1.0),
+                            paths["samples"])
+    (root / "broken.json").write_text("{")
+    configs = []
+    for i, text in enumerate(['{"cases": 2, "order": 8}', '{"tol": NaN}', "[1]",
+                              '{"bogus": 1}', '{"n_max": 255, "k_max": 32}']):
+        configs.append(str(root / f"config{i}.json"))
+        (root / f"config{i}.json").write_text(text)
+    reference = ["analyze", "--input", paths["spec"], "--n-max", "255",
+                 "--k-max", "32", "--out-dir", "{out}"]
+    out = root / "reference"
+    assert _run_on_fresh_parser([a.replace("{out}", str(out)) for a in reference]) == 0
+    return paths, configs, reference, _files(out)
+
+
+def _check_strict(name, blob):
+    text = blob.decode("utf-8")
+    if name.endswith(".json"):
+        def reject(token):
+            raise AssertionError(f"{name} holds {token}")
+        json.loads(text, parse_constant=reject)
+        return
+    assert name.endswith(".csv"), name
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    assert rows and all(len(row) == len(rows[0]) for row in rows), name
+    for row in rows[1:]:
+        assert all(np.isfinite(float(cell)) for cell in row), (name, row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_argv_ends_in_an_exit_code(fuzz_inputs, tmp_path_factory, data):
+    paths, configs, reference, expected = fuzz_inputs
+    root = tmp_path_factory.mktemp("fuzz")
+    command = data.draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    source = "--spec" if command == "generate" else "--input"
+    flags = [source] + data.draw(st.lists(
+        st.sampled_from(_COMMAND_OPTIONS[command][1:]), unique=True, max_size=4))
+    argv = [command]
+    for flag in flags:
+        if flag == source:
+            valid = st.sampled_from([paths["spec"], paths["line"], paths["samples"],
+                                     paths["missing"], paths["broken"]])
+        elif flag == "--config":
+            valid = st.sampled_from(configs)
+        else:
+            valid = _VALID[flag]
+        how = data.draw(st.sampled_from(["valid", "valid", "valid", "hostile", "bare"]))
+        if how == "bare":
+            argv.append(flag)
+        else:
+            argv += [flag, data.draw(valid if how == "valid" else _HOSTILE)]
+    argv += ["--out", str(root / "out.csv")] if command == "generate" \
+        else ["--out-dir", str(root / "out")]
+    rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    for name, blob in _files(root).items():
+        _check_strict(name, blob)
+    out = root / "reference"
+    assert cli.main([a.replace("{out}", str(out)) for a in reference]) == 0
+    assert _files(out) == expected

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -242,19 +243,26 @@ def test_double_annihilator_recovers_rank_deficient_span():
         assert spans_agree(basis, _functions(double, n), n)
         with pytest.warns(RankDeficientInput):
             cert = cyclic.double_annihilator_certificate(basis, n)
-        assert cert["ok"] and cert["rank"] == 3
+        assert cert["ok"] and cert["rank"] == 3 and cert["ann_dimension"] == n - 3
 
 
-def _unpaired_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
-    """The right number of vectors, but they do not pair to zero with E."""
+# the fakes below wrap the real helper, which the test then replaces
+_true_reflectors = cyclic._null_space_reflectors
+
+
+def _unpaired_annihilator(A, tol):
+    """Reflectors of the right rank whose null space does not pair to zero
+    with E: they are those of an unrelated matrix of the same shape."""
     rng = np.random.default_rng(5)
-    count = N - cyclic.span_rank(basis, N, tol)
-    return rng.standard_normal((count, N)).astype(np.complex128)
+    other = rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape)
+    return _true_reflectors(other, tol)
 
 
-def _short_annihilator(basis, N, tol=cyclic.DEFAULT_TOL):
-    """Vectors that pair to zero with E, one too few of them."""
-    return annihilator(basis, N, tol)[1:]
+def _short_annihilator(A, tol):
+    """The true reflectors with a rank one too high: every remaining
+    column still pairs to zero with E, but one too few of them."""
+    rank, y, t = _true_reflectors(A, tol)
+    return rank + 1, y, t
 
 
 @pytest.mark.parametrize("fake, failed_part", [
@@ -266,7 +274,7 @@ def test_double_annihilator_certificate_can_fail(monkeypatch, fake, failed_part)
     rng = np.random.default_rng(23)
     basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
              for _ in range(3)]
-    monkeypatch.setattr(cyclic, "annihilator", fake)
+    monkeypatch.setattr(cyclic, "_null_space_reflectors", fake)
     cert = cyclic.double_annihilator_certificate(basis, n)
     assert not cert["ok"]
     assert cert["dimension_identity"] is (failed_part != "dimension_identity")
@@ -276,6 +284,41 @@ def test_double_annihilator_certificate_can_fail(monkeypatch, fake, failed_part)
     assert not out["passed"]
     assert out["failures"] == [f"case {c}: double-duality certificate failed"
                                for c in range(3)]
+
+
+@pytest.mark.parametrize("N", [1, 8, 64, 256, 1024])
+def test_certificate_pairing_matches_explicit_annihilator(N):
+    rng = np.random.default_rng(N)
+    k = min(8, N)
+    basis = [CyclicFunction(N, rng.standard_normal(N) + 1j * rng.standard_normal(N))
+             for _ in range(k)]
+    cert = cyclic.double_annihilator_certificate(basis, N)
+    explicit = np.max(np.abs(cyclic._reversal_matrix(basis, N) @ annihilator(basis, N).T),
+                      initial=0.0)
+    assert abs(cert["pairing_residual"] - explicit) <= cyclic.tolerance_floor(N)
+    assert cert["ok"] and cert["rank"] == k and cert["ann_dimension"] == N - k
+
+
+def test_certificate_of_empty_basis():
+    cert = cyclic.double_annihilator_certificate([], 12)
+    assert cert == {"pairing_residual": 0.0, "rank": 0, "ann_dimension": 12,
+                    "dimension_identity": True, "ok": True}
+
+
+def test_certificate_forms_no_annihilator_sized_array():
+    # the explicit (N - 8) x N complex annihilator alone is ~16 MB at N = 1024
+    n = 1024
+    rng = np.random.default_rng(25)
+    basis = [CyclicFunction(n, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+             for _ in range(8)]
+    tracemalloc.start()
+    try:
+        cert = cyclic.double_annihilator_certificate(basis, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert["ok"]
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 
 def test_ideal_annihilator_is_character_span():
