@@ -49,11 +49,9 @@ import numpy as np
 from .errors import EmptyGrid, WindowOutOfRange
 from .signals import Extension, Sidedness, Signal, WindowSchedule, subtract
 from .spectral import convolve, require_unit_mass
-from .verdict import ACVerdict, VerdictStatus
+from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
 
 _MONOTONE_SLACK = 1e-12
-_NEGATIVE_FACTOR = 10.0
-_PERSISTENCE = 0.9
 
 
 @dataclass(frozen=True)
@@ -85,11 +83,6 @@ class CesaroSweep:
     p_bar_est: complex
     p_lower_est: complex
     source: Optional[str] = None
-
-    def __post_init__(self):
-        for s, i in zip(self.sup, self.inf):
-            if s.real < i.real - 1e-12 or s.imag < i.imag - 1e-12:
-                raise ValueError("window sup fell below window inf")
 
     def gaps(self) -> np.ndarray:
         """|sup - inf| per window length (complex modulus of the gap)."""
@@ -342,7 +335,7 @@ def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
         mid = (sweep.p_bar_est + sweep.p_lower_est) / 2.0
         return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, mid, float(g3),
                          None, notes)
-    if min(g1, g2, g3) >= _NEGATIVE_FACTOR * tol and g3 >= _PERSISTENCE * g1:
+    if min(g1, g2, g3) >= NEGATIVE_FACTOR * tol and g3 >= PERSISTENCE * g1:
         witness = (sweep.lengths[-1], sweep.argmax[-1], sweep.argmin[-1], float(g3))
         return ACVerdict(VerdictStatus.NOT_ALMOST_CONVERGENT, None, float(g3),
                          witness, notes)

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import cesaro, cyclic, spectral, tauberian
 from .errors import (
@@ -114,6 +113,12 @@ class AnalysisConfig:
         return WindowSchedule.geometric(k_min, k_max, self.growth, side)
 
 
+# JSON types each kind of AnalysisConfig field accepts, and their names
+_CONFIG_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                 "float": ((int, float), "a number"),
+                 "tuple": ((int, float), "a list of numbers")}
+
+
 def config_from_file(path: str) -> AnalysisConfig:
     try:
         with open(path) as fh:
@@ -122,16 +127,21 @@ def config_from_file(path: str) -> AnalysisConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    known = {f for f in AnalysisConfig.__dataclass_fields__}
-    unknown = set(obj) - known
+    fields = AnalysisConfig.__dataclass_fields__
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    for key in ("deltas", "xs"):
-        if key in obj:
-            obj[key] = tuple(obj[key])
+    for key, value in obj.items():
+        kind = fields[key].type
+        want, what = _CONFIG_TYPES[kind]
+        items = value if kind == "tuple" else [value]
+        if not isinstance(items, list) or not all(isinstance(v, want) for v in items):
+            raise ConfigError(f"bad config: {key} must be {what}")
+        if kind == "tuple":
+            obj[key] = tuple(value)
     try:
         return AnalysisConfig(**obj)
-    except TypeError as exc:
+    except OverflowError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -142,14 +152,10 @@ def load_input_signal(config: AnalysisConfig):
         raise ConfigError("no input given")
     if path.endswith(".json"):
         spec = load_generator(path)
-        try:
-            if _prefers_continuous(spec):
-                return spec, render_continuous(spec, config.x0, config.h,
-                                               config.count)
-            return spec, render_discrete(spec, config.n_min, config.n_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return None, signal_from_csv(path)
+        if _prefers_continuous(spec):
+            return render_continuous(spec, config.x0, config.h, config.count)
+        return render_discrete(spec, config.n_min, config.n_max)
+    return signal_from_csv(path)
 
 
 def _prefers_continuous(spec) -> bool:
@@ -164,7 +170,7 @@ def _report_path(config: AnalysisConfig, name: str) -> str:
 def run(config: AnalysisConfig) -> int:
     """Dispatch one analysis and write its report files."""
     if config.analysis == "cesaro":
-        _, signal = load_input_signal(config)
+        signal = load_input_signal(config)
         sweep = cesaro.cesaro_sweep(signal, config.schedule())
         verdict = cesaro.ac_verdict(sweep, config.tol)
         sweep_to_csv(sweep, _report_path(config, "sweep.csv"))
@@ -173,7 +179,7 @@ def run(config: AnalysisConfig) -> int:
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "spectral":
-        _, signal = load_input_signal(config)
+        signal = load_input_signal(config)
         est = spectral.dft_spectrum(signal)
         verdict = spectral.spectral_ac_verdict(signal, config.deltas, config.tol)
         spectrum_to_csv(est, _report_path(config, "spectrum.csv"))
@@ -183,7 +189,7 @@ def run(config: AnalysisConfig) -> int:
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "tauber":
-        _, signal = load_input_signal(config)
+        signal = load_input_signal(config)
         if isinstance(signal, DiscreteSignal):
             xs = config.xs or (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
             sweep = tauberian.abel_sweep(signal.values, signal.bound, xs)
@@ -196,7 +202,7 @@ def run(config: AnalysisConfig) -> int:
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "chain":
-        _, signal = load_input_signal(config)
+        signal = load_input_signal(config)
         report = tauberian.chain_report(
             signal, tauberian.ChainConfig(tol=config.tol))
         dump_json({"schema": SCHEMA_VERSION, "analysis": "chain",
@@ -241,8 +247,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cases", type=int)
 
 
-def _merge_config(args: argparse.Namespace,
-                  analysis: Optional[str] = None) -> AnalysisConfig:
+def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
     config = config_from_file(args.config) if args.config else AnalysisConfig()
     updates = {}
     for key in ("input", "out_dir", "tol", "seed", "k_min", "k_max", "growth",
@@ -258,9 +263,7 @@ def _merge_config(args: argparse.Namespace,
                 updates[key] = tuple(float(tok) for tok in raw.split(",") if tok)
             except ValueError as exc:
                 raise ConfigError(f"bad --{key}: {exc}") from exc
-    if analysis is not None:
-        updates["analysis"] = analysis
-    elif getattr(args, "analysis", None):
+    if args.analysis:
         updates["analysis"] = args.analysis
     try:
         return replace(config, **updates)
@@ -281,24 +284,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     return run(_merge_config(args))
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    return run(_merge_config(args, "spectral"))
-
-
-def _cmd_tauber(args: argparse.Namespace) -> int:
-    return run(_merge_config(args, "tauber"))
-
-
-def _cmd_chain(args: argparse.Namespace) -> int:
-    return run(_merge_config(args, "chain"))
-
-
-def _cmd_cyclic(args: argparse.Namespace) -> int:
-    return run(_merge_config(args, "cyclic-suite"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,16 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["cesaro", "spectral", "tauber", "chain",
                             "cyclic-suite"])
     _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_run)
 
-    for name, func, hlp in (
-            ("spectrum", _cmd_spectrum, "spectrum estimate + spectral verdict"),
-            ("tauber", _cmd_tauber, "boundary mean sweep"),
-            ("chain", _cmd_chain, "convergence-chain report"),
-            ("cyclic", _cmd_cyclic, "random duality suite on Z_N")):
+    for name, analysis, hlp in (
+            ("spectrum", "spectral", "spectrum estimate + spectral verdict"),
+            ("tauber", "tauber", "boundary mean sweep"),
+            ("chain", "chain", "convergence-chain report"),
+            ("cyclic", "cyclic-suite", "random duality suite on Z_N")):
         p = sub.add_parser(name, help=hlp)
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_run, analysis=analysis)
     return parser
 
 
@@ -357,7 +344,7 @@ def main(argv=None) -> int:
     except _HYPOTHESIS_ERRORS as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, AlmostconvError, OSError) as exc:
+    except (ConfigError, ValueError, OverflowError, AlmostconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

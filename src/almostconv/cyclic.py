@@ -11,6 +11,12 @@ Conventions: the transform is f_hat(lam) = sum_x f(x) exp(-2*pi*i*lam*x/N)
 (counting measure); annihilators use the bilinear pairing
 ``<f, psi> = sum_t f(-t) psi(t)`` - NOT the Hermitian inner product,
 which would silently conjugate spectra.
+
+:func:`annihilator` and :func:`ideal_for` build ann(E) and the ideal
+I(C) explicitly.  :func:`random_suite` never forms ann(E): it checks
+double duality with :func:`double_annihilator_certificate`, which takes
+one SVD of E's reversal matrix, reads rank(E) from it, and pairs E
+against ann(E) kept as Householder reflectors.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ from typing import FrozenSet, List, Sequence
 
 import numpy as np
 
-from .errors import NotAMean, NotInvariant
-from .errors import RankDeficientInput
+from .errors import NotAMean, NotInvariant, RankDeficientInput
 
 DEFAULT_TOL = 1e-9
 
@@ -67,19 +72,6 @@ def zn_fourier(f: CyclicFunction) -> CyclicFunction:
 
 def zn_inverse(fh: CyclicFunction) -> CyclicFunction:
     return CyclicFunction(fh.N, np.fft.ifft(fh.values))
-
-
-def convolve_cyclic(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
-    """Circular convolution (f*g)(x) = sum_t f(t) g(x - t), computed directly.
-
-    O(N^2) on purpose: keeps the convolution theorem an actual test
-    rather than an identity of the implementation.
-    """
-    if f.N != g.N:
-        raise ValueError("group orders differ")
-    n = f.N
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return CyclicFunction(n, g.values[idx] @ f.values)
 
 
 def _support(values: np.ndarray, tol: float) -> FrozenSet[int]:
@@ -211,25 +203,6 @@ def annihilator(basis: Sequence[CyclicFunction], N: int,
     return null
 
 
-def span_rank(vectors: Sequence[CyclicFunction], N: int,
-              tol: float = DEFAULT_TOL) -> int:
-    if not vectors:
-        return 0
-    M = np.vstack([v.values for v in vectors])
-    return _numerical_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
-
-
-def spans_agree(a: Sequence[CyclicFunction], b: Sequence[CyclicFunction],
-                N: int, tol: float = DEFAULT_TOL) -> bool:
-    """True when the two collections span the same subspace of C^N."""
-    ra = span_rank(a, N, tol)
-    rb = span_rank(b, N, tol)
-    if ra != rb:
-        return False
-    both = list(a) + list(b)
-    return span_rank(both, N, tol) == ra
-
-
 def _orthonormal_rows(mat: np.ndarray, tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     return vh[:_numerical_rank(s, mat.shape, tol)]
@@ -344,31 +317,23 @@ def double_annihilator_certificate(basis: Sequence[CyclicFunction], N: int,
     The pairing sum_t f(-t) psi(t) is symmetric and non-degenerate, so
     E is contained in its double annihilator as soon as every pairing of
     E against ann(E) vanishes, and the dimensions force equality:
-    dim ann(ann(E)) = N - dim ann(E) = rank(E).  Returns the max pairing
-    residual and the dimension identity; ``ok`` needs both.
+    dim ann(ann(E)) = N - dim ann(E) = rank(E).  That dimension holds by
+    construction, since ann(E) is the N - r trailing columns of a unitary
+    Q, where r = rank(E) is read from the one SVD of
+    :func:`_null_space_reflectors`.  So ``ok`` is the pairing residual
+    within ``tol``; ``rank`` is r.
 
-    ann(E) is kept as the reflectors of :func:`_null_space_reflectors`,
-    whose trailing N - r columns of Q = I - Y^T T conj(Y) are the rows
-    :func:`annihilator` would return.  The pairings of E (reversal matrix
-    A) against them are A[:, r:] - ((A Y^T) T) conj(Y[:, r:]), a
-    len(E) x (N - r) array, so no (N - r) x N array is formed;
-    ``dim ann(E)`` is N - r, and ``rank(E)`` comes from a separate
-    decomposition of E itself.
+    ann(E) is kept as the helper's reflectors, Q = I - Y^T T conj(Y),
+    whose trailing columns are the rows :func:`annihilator` would return.
+    The pairings of E (reversal matrix A) against them are
+    A[:, r:] - ((A Y^T) T) conj(Y[:, r:]), a len(E) x (N - r) array, so
+    no (N - r) x N array is formed.
     """
-    basis = list(basis)
-    A = _reversal_matrix(basis, N)
+    A = _reversal_matrix(list(basis), N)
     r, y, t = _null_space_reflectors(A, tol)
-    rank = span_rank(basis, N, tol)
     pairing = A[:, r:] - ((A @ y.T) @ t) @ y[:, r:].conj()
     resid = float(np.max(np.abs(pairing), initial=0.0))
-    dim = N - r
-    return {
-        "pairing_residual": resid,
-        "rank": rank,
-        "ann_dimension": dim,
-        "dimension_identity": dim == N - rank,
-        "ok": resid <= tol and dim == N - rank,
-    }
+    return {"pairing_residual": resid, "rank": r, "ok": resid <= tol}
 
 
 def tolerance_floor(N: int) -> float:

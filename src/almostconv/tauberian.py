@@ -53,11 +53,9 @@ from .signals import (
 )
 from .cesaro import ac_verdict, cesaro_sweep
 from .spectral import convolve, require_kernel_fits, require_unit_mass
-from .verdict import ACVerdict, VerdictStatus
+from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
 
 DEFAULT_TAIL_TOL = 1e-12
-_NEGATIVE_FACTOR = 10.0
-_PERSISTENCE = 0.9
 # weak*: least |kernel transform| accepted on the band below half Nyquist
 _KERNEL_FLOOR = 1e-3
 
@@ -299,8 +297,8 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
     if osc <= tol:
         return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, center, osc)
-    if osc >= _NEGATIVE_FACTOR * tol and osc_prev >= _NEGATIVE_FACTOR * tol \
-            and osc >= _PERSISTENCE * osc_prev:
+    if osc >= NEGATIVE_FACTOR * tol and osc_prev >= NEGATIVE_FACTOR * tol \
+            and osc >= PERSISTENCE * osc_prev:
         i_hi = int(np.argmax(values[-q:].real))
         i_lo = int(np.argmin(values[-q:].real))
         witness = (float(positions[-q:][i_hi]) - float(positions[-q:][i_lo]),

@@ -6,6 +6,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
+# a negative verdict needs a gap of at least NEGATIVE_FACTOR * tol that
+# keeps at least PERSISTENCE of its earlier size
+NEGATIVE_FACTOR = 10.0
+PERSISTENCE = 0.9
+
 
 class VerdictStatus(str, Enum):
     ALMOST_CONVERGENT = "almost_convergent"

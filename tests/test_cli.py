@@ -181,6 +181,30 @@ def test_unknown_config_field_rejected(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("fields", [
+    {"deltas": 5}, {"xs": ["a"]}, {"input": 5}, {"n_min": "0"}, {"x0": "a"},
+    {"tol": 10 ** 400}, {"analysis": "cyclic-suite", "seed": "x"},
+    {"analysis": "cyclic-suite", "order": 1.5},
+    {"analysis": "cyclic-suite", "cases": 1.5},
+], ids=["deltas", "xs", "input", "n_min", "x0", "tol", "seed", "order", "cases"])
+def test_config_field_of_wrong_type_is_a_config_error(tmp_path, capsys, fields):
+    spec = write_spec(tmp_path, ac.Character(0.25))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": spec, "n_max": 255, **fields}))
+    with pytest.raises(ConfigError):
+        cli.config_from_file(str(cfg))
+    assert cli.main(["analyze", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: bad config: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_cyclic_order_exits_one(tmp_path, capsys):
+    assert cli.main(["cyclic", "--order", "1" + "0" * 400, "--cases", "1",
+                     "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_generator_json_round_trip(tmp_path):
     specs = [
         ac.Character(0.3),
@@ -837,31 +861,102 @@ _COMMAND_OPTIONS = {
 }
 
 
+# JSON values of the wrong type, sign or size for any config field or spec key
+_JSON_HOSTILE = st.sampled_from([None, "", "x", [], {}, [1, "x"], True, -1, 0, -0.5,
+                                 1.5, 10 ** 400, float("nan"), float("inf")])
+_CONFIG_VALID = {
+    "analysis": st.sampled_from(["cesaro", "spectral", "tauber", "chain",
+                                 "cyclic-suite", "bogus"]),
+    "k_min": st.sampled_from([2, 4, 8.0]),
+    "k_max": st.sampled_from([16, 64, 256.0]),
+    "growth": st.sampled_from([2, 1.5, 3]),
+    "sidedness": st.sampled_from(["one", "two"]),
+    "deltas": st.lists(st.sampled_from([0.25, 0.125, 0.05]), max_size=3),
+    "xs": st.lists(st.sampled_from([0.5, 0.75, 0.03125]), max_size=3),
+    "tol": st.sampled_from([1e-2, 1e-9, 0.5]),
+    "seed": st.integers(0, 9),
+    "cases": st.integers(1, 3),
+    "order": st.integers(1, 16),
+    "n_min": st.integers(-64, 64),
+    "n_max": st.integers(-8, 512),
+    "x0": st.sampled_from([0, -4.5, 8.0]),
+    "h": st.sampled_from([0.05, 0.25, 0.5]),
+    "count": st.integers(1, 1024),
+}
+_SMALL = st.floats(-4.0, 4.0)
+_SMALL_SPECS = st.one_of(
+    st.builds(ac.Character, _SMALL),
+    st.builds(ac.TrigPoly, _tuples(st.tuples(st.builds(complex, _SMALL, _SMALL), _SMALL))),
+    st.builds(ac.DirichletLine, _tuples(st.builds(complex, _SMALL, _SMALL)),
+              st.floats(-1.0, 3.0), _SMALL),
+    st.builds(ac.MeasureTransform, _tuples(st.tuples(_SMALL, st.builds(complex, _SMALL)), 0)),
+    st.builds(ac.BlockSequence, _tuples(st.builds(complex, _SMALL)), st.floats(1.1, 4.0)),
+    st.builds(ac.Convergent, st.builds(complex, _SMALL), st.sampled_from(["exp", "power"]),
+              st.floats(0.1, 4.0)),
+    st.builds(ac.Custom, _tuples(st.builds(complex, _SMALL)), _SMALL,
+              st.floats(0.05, 2.0)),
+)
+_CSV_CELLS = st.sampled_from(["0", "1", "-2.5", "0.25", "1e-300", "nan", "inf", "-inf",
+                              "1e400", "x", "", "1,2"])
+_META = st.sampled_from(["kind=discrete", "kind=continuous", "kind=bogus", "n_min=0",
+                         "n_min=x", "n_min=1e400", "x0=0", "x0=nan", "h=0.5", "h=0",
+                         "h=-1", "h=inf", "bound=1", "bound=nan", "bound=-1",
+                         "extension=valid_only", "extension=bogus", "source=custom"])
+
+
+@st.composite
+def _config_text(draw):
+    """Config file text: mostly an object of known fields with valid or
+    hostile values, sometimes another JSON value or broken text."""
+    kind = draw(st.sampled_from(["object", "object", "object", "other", "broken"]))
+    if kind == "broken":
+        return "{"
+    if kind == "other":
+        return json.dumps(draw(_JSON_HOSTILE))
+    obj = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALID) + ["bogus"]),
+                             unique=True, max_size=4)):
+        valid = _CONFIG_VALID.get(key, _JSON_HOSTILE)
+        obj[key] = draw(valid if draw(st.integers(0, 3)) else _JSON_HOSTILE)
+    return json.dumps(obj)
+
+
+@st.composite
+def _spec_text(draw):
+    """Generator spec text: a small valid spec, possibly with one key given
+    a hostile value or dropped."""
+    obj = serialize.generator_to_dict(draw(_SMALL_SPECS))
+    how = draw(st.sampled_from(["valid", "valid", "hostile", "drop"]))
+    key = draw(st.sampled_from(sorted(obj)))
+    if how == "hostile":
+        obj[key] = draw(_JSON_HOSTILE)
+    elif how == "drop":
+        del obj[key]
+    return json.dumps(obj)
+
+
+@st.composite
+def _samples_text(draw):
+    """Sample file text: metadata, a header and rows of valid or hostile cells."""
+    meta = draw(st.lists(_META, max_size=4))
+    lines = ["# signal " + " ".join(meta)] if meta else []
+    lines.append("index,re,im")
+    rows = [[str(i), str(i % 3), "0"] for i in range(draw(st.integers(0, 300)))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = \
+            draw(_CSV_CELLS)
+    return "\n".join(lines + [",".join(row) for row in rows]) + "\n"
+
+
 @pytest.fixture(scope="module")
-def fuzz_inputs(tmp_path_factory):
-    """Input files an argv may name, valid and hostile, and the bytes of a
-    reference job run on a fresh parser."""
-    root = tmp_path_factory.mktemp("fuzz_inputs")
-    paths = {
-        "spec": write_spec(root, ac.Character(0.25)),
-        "line": write_spec(root, ac.Convergent(2.0), "line.json"),
-        "samples": str(root / "samples.csv"),
-        "missing": str(root / "missing.json"),
-        "broken": str(root / "broken.json"),
-    }
-    serialize.signal_to_csv(ac.DiscreteSignal(0, np.tile([1.0, 0.0], 128), 1.0),
-                            paths["samples"])
-    (root / "broken.json").write_text("{")
-    configs = []
-    for i, text in enumerate(['{"cases": 2, "order": 8}', '{"tol": NaN}', "[1]",
-                              '{"bogus": 1}', '{"n_max": 255, "k_max": 32}']):
-        configs.append(str(root / f"config{i}.json"))
-        (root / f"config{i}.json").write_text(text)
-    reference = ["analyze", "--input", paths["spec"], "--n-max", "255",
-                 "--k-max", "32", "--out-dir", "{out}"]
+def reference_job(tmp_path_factory):
+    """A fixed job and the bytes it writes on a fresh parser."""
+    root = tmp_path_factory.mktemp("reference")
+    reference = ["analyze", "--input", write_spec(root, ac.Character(0.25)),
+                 "--n-max", "255", "--k-max", "32", "--out-dir", "{out}"]
     out = root / "reference"
     assert _run_on_fresh_parser([a.replace("{out}", str(out)) for a in reference]) == 0
-    return paths, configs, reference, _files(out)
+    return reference, _files(out)
 
 
 def _check_strict(name, blob):
@@ -880,9 +975,10 @@ def _check_strict(name, blob):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_hostile_argv_ends_in_an_exit_code(fuzz_inputs, tmp_path_factory, data):
-    paths, configs, reference, expected = fuzz_inputs
+def test_hostile_argv_ends_in_an_exit_code(reference_job, tmp_path_factory, data):
+    reference, expected = reference_job
     root = tmp_path_factory.mktemp("fuzz")
+    inputs = tmp_path_factory.mktemp("fuzz_inputs")
     command = data.draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
     source = "--spec" if command == "generate" else "--input"
     flags = [source] + data.draw(st.lists(
@@ -890,10 +986,14 @@ def test_hostile_argv_ends_in_an_exit_code(fuzz_inputs, tmp_path_factory, data):
     argv = [command]
     for flag in flags:
         if flag == source:
-            valid = st.sampled_from([paths["spec"], paths["line"], paths["samples"],
-                                     paths["missing"], paths["broken"]])
+            name = data.draw(st.sampled_from(["spec.json", "samples.csv", "missing.json"]))
+            text = {"spec.json": _spec_text(), "samples.csv": _samples_text()}.get(name)
+            if text is not None:
+                (inputs / name).write_text(data.draw(text))
+            valid = st.just(str(inputs / name))
         elif flag == "--config":
-            valid = st.sampled_from(configs)
+            (inputs / "config.json").write_text(data.draw(_config_text()))
+            valid = st.just(str(inputs / "config.json"))
         else:
             valid = _VALID[flag]
         how = data.draw(st.sampled_from(["valid", "valid", "valid", "hostile", "bare"]))
