@@ -27,15 +27,20 @@ where theory pins it down, a known almost-convergence limit
 Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
 thread pool, one thread per CPU.  Each sample has the same bits as the
 whole-array formula gives it, whatever the number of points rendered.
+A sum of characters whose samples provably repeat every :data:`BLOCK`
+grid points (dyadic frequencies on an exact dyadic grid, as on Z ->
+Z_{2^k}) is rendered over one block and tiled, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import ClassVar, Optional, Union
 
 import numpy as np
@@ -313,11 +318,20 @@ class WindowSchedule:
 # Generator recipes
 # ---------------------------------------------------------------------------
 
+def _check_frequencies(freqs) -> None:
+    for f in freqs:
+        if not math.isfinite(f):
+            raise ValueError(f"frequency must be finite, got {f}")
+
+
 @dataclass(frozen=True)
 class Character:
     """Pure frequency: x -> exp(2*pi*i*frequency*x)."""
 
     frequency: float
+
+    def __post_init__(self):
+        _check_frequencies([self.frequency])
 
 
 @dataclass(frozen=True)
@@ -332,6 +346,7 @@ class TrigPoly:
             tuple((complex(c), float(f)) for c, f in self.terms))
         if not self.terms:
             raise ValueError("TrigPoly requires at least one term")
+        _check_frequencies(f for _, f in self.terms)
 
 
 @dataclass(frozen=True)
@@ -365,6 +380,7 @@ class Density:
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if len(self.values) < 2:
             raise ValueError("density needs at least two samples")
+        _check_frequencies([self.freq_min, self.freq_max])
         if not self.freq_max > self.freq_min:
             raise ValueError("density interval must have positive length")
 
@@ -386,6 +402,7 @@ class MeasureTransform:
         object.__setattr__(
             self, "atoms",
             tuple((float(f), complex(w)) for f, w in self.atoms))
+        _check_frequencies(f for f, _ in self.atoms)
 
 
 @dataclass(frozen=True)
@@ -485,7 +502,9 @@ def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: Points per block of :func:`evaluate_many`.  A block's buffers, about
-#: 1 MB, stay in a 2 MiB L2 cache.
+#: 1 MB, stay in a 2 MiB L2 cache.  It is also the period that
+#: :func:`_grid_values` tiles: every dyadic denominator up to 2^14
+#: divides it.
 BLOCK = 16384
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -530,9 +549,12 @@ def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
     def work(first: int) -> None:
         zbuf = np.empty(min(BLOCK, n), dtype=np.complex128)
         wbuf = np.empty_like(zbuf)
-        for lo in range(first * BLOCK, n, workers * BLOCK):
-            hi = min(lo + BLOCK, n)
-            fill(xs[lo:hi], out[lo:hi], zbuf[:hi - lo], wbuf[:hi - lo])
+        # Overflow and NaN are left to the Signal's finite check.  NumPy's
+        # error state is per context: a pool thread does not inherit it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(first * BLOCK, n, workers * BLOCK):
+                hi = min(lo + BLOCK, n)
+                fill(xs[lo:hi], out[lo:hi], zbuf[:hi - lo], wbuf[:hi - lo])
 
     if workers == 1:
         work(0)
@@ -668,7 +690,8 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
 
     Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
     small thread pool.  A sample's bits do not depend on the number of
-    points or on where the blocks fall.
+    points or on where the blocks fall, so :func:`_grid_values` may
+    evaluate one block of a periodic grid and copy it.
     """
     xs = np.asarray(points, dtype=np.float64)
     out = np.zeros(xs.shape, dtype=np.complex128)
@@ -768,9 +791,51 @@ def known_limit(spec: GeneratorSpec) -> Optional[complex]:
     return None
 
 
+def _exact_line(a: Fraction, b: Fraction, last: int) -> bool:
+    """Whether ``a + b*j`` is a float for every integer ``0 <= j <= last``.
+
+    Over one power-of-two denominator the numerators are linear in ``j``,
+    so the two ends bound them all.  (Reduced numerators do not: an
+    interior ``j`` can need one more bit.)  An integer of at most 2^53
+    over at most 2^1074 is a float.
+    """
+    d = max(a.denominator, b.denominator)
+    return d <= 2 ** 1074 and max(abs(a * d), abs((a + b * last) * d)) <= 2 ** 53
+
+
+def _repeats_every_block(spec: GeneratorSpec, start, step, count) -> bool:
+    """Whether the samples at ``start + j*step`` repeat every BLOCK points.
+
+    Holds, bit for bit, for a sum of characters (a spec with declared
+    frequencies and no density) when every grid point ``x_j`` and every
+    product ``f*x_j`` is computed exactly and ``f*step*BLOCK`` is an
+    integer.  Then ``f*x_{j+BLOCK}`` is ``f*x_j`` plus a whole number,
+    :func:`_reduce_phase` gives both the same bits, and every later
+    operation is elementwise.  Checked in exact rational arithmetic;
+    every finite float is a dyadic rational.  A Dirichlet line's
+    frequencies ``-log(n)/(2*pi)`` fail the last condition.
+    """
+    if not isinstance(count, numbers.Integral) or count <= BLOCK:
+        return False
+    freqs = declared_frequencies(spec)
+    if freqs is None or isinstance(spec, MeasureTransform) and spec.density is not None:
+        return False
+    a, b, last = Fraction(start), Fraction(step), int(count) - 1
+    if not (_exact_line(Fraction(0), b, last) and _exact_line(a, b, last)):
+        return False
+    return all((f * b * BLOCK).denominator == 1
+               and _exact_line(f * a, f * b, last)
+               for f in map(Fraction, freqs))
+
+
 def _grid_values(spec: GeneratorSpec, start: float, step: float,
                  count: int) -> tuple:
-    """Values at ``start + j*step`` for ``j = 0..count-1``, and a bound."""
+    """Values at ``start + j*step`` for ``j = 0..count-1``, and a bound.
+
+    A sum of characters that :func:`_repeats_every_block` proves periodic
+    is evaluated on the first BLOCK points, as the first block of the
+    whole grid would be, and that block is tiled over the rest.
+    """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:
             raise UnsupportedPoint("requested step differs from the custom grid")
@@ -781,6 +846,9 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
         if lo < 0 or lo + count > len(spec.values):
             raise UnsupportedPoint("requested range outside the custom samples")
         vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
+    elif _repeats_every_block(spec, start, step, count):
+        head = evaluate_many(spec, start + step * np.arange(BLOCK))
+        vals = np.resize(head, count)
     else:
         vals = evaluate_many(spec, start + step * np.arange(count))
     bound = declared_bound(spec)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -653,6 +654,40 @@ def test_non_finite_options_are_config_errors(tmp_path, capsys, option):
     assert rc == 1
     assert "finite" in err and "Traceback" not in err
     assert not (out_dir / "report.json").exists()
+
+
+_HUGE_TERMS = [{"coefficient": 1e308, "frequency": 0.25},
+               {"coefficient": 1e308, "frequency": 0.25}]
+
+
+@pytest.mark.parametrize("spec, grid, message", [
+    # 2^17 samples: tiled, and (at 0.1) rendered block by block on the pool
+    ({"kind": "trig_poly", "terms": _HUGE_TERMS}, ["--n-max", "131071"],
+     "signal values must be finite"),
+    ({"kind": "trig_poly", "terms": [{**t, "frequency": 0.1} for t in _HUGE_TERMS]},
+     ["--n-max", "131071"], "signal values must be finite"),
+    ({"kind": "convergent", "limit": 1e308, "amplitude": 1e308}, [],
+     "signal values must be finite"),
+    ({"kind": "character", "frequency": math.inf}, [], "frequency must be finite"),
+    ({"kind": "character", "frequency": math.nan}, [], "frequency must be finite"),
+    ({"kind": "trig_poly", "terms": [{"coefficient": 1.0, "frequency": math.inf}]},
+     [], "frequency must be finite"),
+    ({"kind": "trig_poly", "terms": [{"coefficient": 1.0, "frequency": math.nan}]},
+     [], "frequency must be finite"),
+], ids=["trig_poly_tiled", "trig_poly_pool", "convergent", "character_inf",
+        "character_nan", "trig_poly_inf", "trig_poly_nan"])
+def test_hostile_specs_leave_one_error_line(tmp_path, capsys, spec, grid, message):
+    # NumPy's RuntimeWarnings used to come first, with a source path and line
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["chain", "--input", str(path), *grid,
+                       "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("xs", ["inf", "nan", "0.5,-inf"])

@@ -5,17 +5,20 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
+from almostconv import signals
 from almostconv.errors import AliasingError, DivergentSeries, UnsupportedPoint
 from almostconv.signals import (
     BLOCK,
     _block_boundaries,
     _reduce_phase,
+    _repeats_every_block,
     evaluate,
     evaluate_many,
     kind_of,
@@ -387,3 +390,145 @@ def test_plain_sum_signals_live_on_the_integers():
     with pytest.raises(ValueError):
         ac.DiscreteSignal(0, [1.0, 2.0], 2.0).shifted(0.5)
     assert type(ac.DiscreteSignal(2.0, [1.0], 1.0).n_min) is int
+
+
+# ---------------------------------------------------------------------------
+# Periodic character sums are rendered over one block and tiled
+# ---------------------------------------------------------------------------
+
+def _grid_bits(spec, start, step, count):
+    """Bits of the untiled render: every grid point through evaluate_many."""
+    return evaluate_many(spec, start + step * np.arange(count)).view(np.uint64)
+
+
+def _render_bits(spec, start, step, count):
+    if step == 1.0:
+        signal = ac.render_discrete(spec, start, start + count - 1)
+    else:
+        signal = ac.render_continuous(spec, start, step, count)
+    return signal.values.view(np.uint64)
+
+
+_DYADIC_FREQS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+    st.integers(0, 14).flatmap(
+        lambda k: st.integers(-2 ** k, 2 ** k).map(lambda j: j / 2 ** k)))
+_COEFFS = st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                             allow_infinity=False)
+
+
+@st.composite
+def _character_sums(draw):
+    terms = draw(st.lists(st.tuples(_COEFFS, _DYADIC_FREQS), min_size=1,
+                          max_size=4))
+    kind = draw(st.sampled_from(["character", "trig_poly", "measure"]))
+    if kind == "character":
+        return ac.Character(terms[0][1])
+    if kind == "trig_poly":
+        return ac.TrigPoly(terms)
+    return ac.MeasureTransform(tuple((f, c) for c, f in terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_character_sums(), discrete=st.booleans(),
+       start=st.integers(-100_000, 100_000), shift=st.integers(0, 10),
+       count=st.sampled_from([BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1,
+                              3 * BLOCK + 7, 20_000, 70_001]))
+def test_tiled_renders_keep_every_bit(spec, discrete, start, shift, count):
+    if discrete:
+        step = 1.0
+    else:
+        # dyadic steps under the aliasing guard for |f| <= 1
+        step = 2.0 ** -(4 + shift % 5)
+        start = start * 2.0 ** -shift
+    assert np.array_equal(_render_bits(spec, start, step, count),
+                          _grid_bits(spec, start, step, count))
+
+
+_SCAN_POLY = ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 5 / 64), (0.2j, -1 / 2)))
+
+
+@pytest.mark.parametrize("spec, start, step, count", [
+    (_SCAN_POLY, 0, 1.0, 2 ** 18),
+    (_SCAN_POLY, -70_001, 1.0, 3 * BLOCK + 7),
+    (ac.Character(-0.5), 5, 1.0, BLOCK + 1),
+    (ac.MeasureTransform(((0.0, 0.3), (1 / 16, 0.35))), -2048.0, 1 / 16, 70_001),
+    (ac.MeasureTransform(()), 0, 1.0, BLOCK + 1),
+    # one coefficient: the frequency -log(1)/(2*pi) is -0.0
+    (ac.DirichletLine((0.5 - 0.25j,), 2.0), -3, 1.0, 70_001),
+])
+def test_periodic_character_sums_tile(spec, start, step, count):
+    assert _repeats_every_block(spec, start, step, count)
+    assert np.array_equal(_render_bits(spec, start, step, count),
+                          _grid_bits(spec, start, step, count))
+
+
+@pytest.mark.parametrize("spec, start, step, count", [
+    # the grid points are not dyadic
+    (ac.Character(1 / 64), 0.0, 0.1, 20_000),
+    # f*x needs more than 53 bits near the end of the grid
+    (ac.Character(3 / 64), 2 ** 53 - 20_000, 1.0, 20_000),
+    # f*step*BLOCK is not an integer
+    (ac.Character(1 / 2 ** 15), 0, 1.0, 20_000),
+    (ac.TrigPoly(((1.0, 0.25), (0.5, 3 / 2 ** 20))), -7, 1.0, 20_000),
+    (ac.TrigPoly(((1.0, 1 / 64),)), 0.0, 1 / 2 ** 10, 20_000),
+    # not a sum of characters with dyadic frequencies
+    (ac.DirichletLine((1.0, 0.5), 2.0), 0, 1.0, 20_000),
+    (ac.MeasureTransform(((0.0, 0.3),), ac.Density(-0.01, 0.01, (1.0, 0.5))),
+     0, 1.0, 20_000),
+    # one block or less
+    (ac.Character(0.5), 0, 1.0, BLOCK),
+])
+def test_renders_that_cannot_tile_keep_every_bit(spec, start, step, count):
+    assert not _repeats_every_block(spec, start, step, count)
+    assert np.array_equal(_render_bits(spec, start, step, count),
+                          _grid_bits(spec, start, step, count))
+
+
+@pytest.mark.parametrize("freq, start", [
+    (0.5, 2 ** 53),         # x = 2^53 + 1 is not a float
+    (3 / 64, 2 ** 52),      # f*x = 3*(2^52 + 1)/64 is not a float
+])
+def test_exactness_is_checked_between_the_ends(freq, start):
+    # both ends of the grid and their products with f are floats; an odd
+    # x in between needs one more bit
+    count = 20_001
+    for x in (start, start + count - 1):
+        assert float(x) == x and Fraction(freq * x) == Fraction(freq) * x
+    assert not _repeats_every_block(ac.Character(freq), start, 1.0, count)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_grid_that_overflows_is_not_tiled():
+    # with f = 0 only the grid points themselves can fail: past 1.8e308
+    # they are inf, and 0*inf is NaN
+    spec = ac.Character(0.0)
+    assert not _repeats_every_block(spec, 1e308, 1e306, BLOCK + 1)
+    with pytest.raises(ValueError, match="finite"):
+        ac.render_continuous(spec, 1e308, 1e306, BLOCK + 1)
+
+
+def test_tiled_render_evaluates_one_block_per_term(monkeypatch):
+    seen = []
+    unit_phases = signals._unit_phases
+
+    def spy(freq, x, z, t):
+        seen.append(len(x))
+        unit_phases(freq, x, z, t)
+
+    monkeypatch.setattr(signals, "_unit_phases", spy)
+    ac.render_discrete(_SCAN_POLY, -1000, 2 ** 18 - 1001)
+    assert seen == [BLOCK] * len(_SCAN_POLY.terms)
+
+
+@pytest.mark.parametrize("build", [
+    lambda bad: ac.Character(bad),
+    lambda bad: ac.TrigPoly(((1.0, 0.25), (1.0, bad))),
+    lambda bad: ac.MeasureTransform(((0.0, 1.0), (bad, 0.5))),
+    lambda bad: ac.Density(bad, 0.5, (1.0, 1.0)),
+    lambda bad: ac.Density(-0.5, bad, (1.0, 1.0)),
+])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_specs_reject_non_finite_frequencies(build, bad):
+    with pytest.raises(ValueError, match="frequency must be finite"):
+        build(bad)
