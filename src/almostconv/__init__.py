@@ -67,11 +67,11 @@ from .tauberian import (
     ChainReport,
     MeanSweep,
     abel_sweep,
+    boundary_sweep,
     chain_report,
-    fatou_check,
     laplace_sweep,
     oscillation_modulus,
-    primitive_oac_check,
+    primitive_check,
     residue_oac_estimate,
     weak_star_verdict,
 )

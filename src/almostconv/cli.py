@@ -48,7 +48,6 @@ from .serialize import (
 from .signals import (
     Convergent,
     DirichletLine,
-    DiscreteSignal,
     MeasureTransform,
     Sidedness,
     WindowSchedule,
@@ -189,13 +188,7 @@ def run(config: AnalysisConfig) -> int:
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "tauber":
-        signal = load_input_signal(config)
-        if isinstance(signal, DiscreteSignal):
-            xs = config.xs or (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
-            sweep = tauberian.abel_sweep(signal.values, signal.bound, xs)
-        else:
-            xs = config.xs or (2.0 ** (-5), 2.0 ** (-6), 2.0 ** (-7))
-            sweep = tauberian.laplace_sweep(signal, xs)
+        sweep = tauberian.boundary_sweep(load_input_signal(config), config.xs)
         mean_sweep_to_csv(sweep, _report_path(config, "mean_sweep.csv"))
         dump_json({"schema": SCHEMA_VERSION, "analysis": "tauber",
                    "sweep": mean_sweep_to_dict(sweep)},

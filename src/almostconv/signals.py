@@ -637,28 +637,37 @@ def _add_density(density: Density, x: np.ndarray, out: np.ndarray,
     out += total
 
 
+def _character_terms(spec: GeneratorSpec) -> Optional[list]:
+    """``(coefficient, frequency)`` of each character of a sum-of-characters
+    spec (a measure transform's atoms, not its density), else None."""
+    if isinstance(spec, Character):
+        return [(1.0, spec.frequency)]
+    if isinstance(spec, TrigPoly):
+        return list(spec.terms)
+    if isinstance(spec, DirichletLine):
+        # a divergent line is never rendered (DivergentSeries), and its
+        # n**-sigma may overflow first: it keeps its bare coefficients
+        sigma = spec.sigma if spec.sigma > spec.abscissa else 0.0
+        return [(a * n ** (-sigma), -math.log(n) / (2 * math.pi))
+                for n, a in enumerate(spec.coeffs, start=1)]
+    if isinstance(spec, MeasureTransform):
+        return [(weight, f) for f, weight in spec.atoms]
+    return None
+
+
 def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
     """The ``fill(x, o, z, w)`` that writes one block of ``spec``'s values."""
-    if isinstance(spec, Character):
-        freq = spec.frequency
-        return lambda x, o, z, w: _unit_phases(
-            freq, x, o, z.view(np.float64)[:len(x)])
-    if isinstance(spec, TrigPoly):
-        return lambda x, o, z, w: _add_characters(spec.terms, x, o, z, w)
-    if isinstance(spec, DirichletLine):
-        if not spec.sigma > spec.abscissa:
-            raise DivergentSeries(
-                f"sigma={spec.sigma} not above declared abscissa {spec.abscissa}")
-        terms = [(a * n ** (-spec.sigma), -math.log(n) / (2 * math.pi))
-                 for n, a in enumerate(spec.coeffs, start=1)]
-        return lambda x, o, z, w: _add_characters(terms, x, o, z, w)
-    if isinstance(spec, MeasureTransform):
-        terms = [(weight, f) for f, weight in spec.atoms]
+    if isinstance(spec, DirichletLine) and not spec.sigma > spec.abscissa:
+        raise DivergentSeries(
+            f"sigma={spec.sigma} not above declared abscissa {spec.abscissa}")
+    terms = _character_terms(spec)
+    if terms is not None:
+        density = getattr(spec, "density", None)
 
         def fill(x, o, z, w):
             _add_characters(terms, x, o, z, w)
-            if spec.density is not None:
-                _add_density(spec.density, x, o, z, w)
+            if density is not None:
+                _add_density(density, x, o, z, w)
         return fill
     if isinstance(spec, BlockSequence):
         ends = _block_boundaries(spec, int(np.floor(xs.max(initial=-1.0))))
@@ -716,18 +725,15 @@ def evaluate(spec: GeneratorSpec, point: float) -> complex:
 
 def declared_bound(spec: GeneratorSpec) -> Optional[float]:
     """Closed-form sup bound, or None when only the rendering knows it."""
-    if isinstance(spec, Character):
-        return 1.0
-    if isinstance(spec, TrigPoly):
-        return float(sum(abs(c) for c, _ in spec.terms))
     if isinstance(spec, DirichletLine):
         return float(sum(abs(a) * n ** (-spec.sigma)
                          for n, a in enumerate(spec.coeffs, start=1)))
-    if isinstance(spec, MeasureTransform):
-        total = sum(abs(w) for _, w in spec.atoms)
-        if spec.density is not None:
-            grid = spec.density.grid()
-            total += float(np.trapezoid(np.abs(spec.density.values), grid))
+    terms = _character_terms(spec)
+    if terms is not None:
+        total = sum(abs(c) for c, _ in terms)
+        density = getattr(spec, "density", None)
+        if density is not None:
+            total += float(np.trapezoid(np.abs(density.values), density.grid()))
         return float(total)
     if isinstance(spec, BlockSequence):
         return float(max(abs(s) for s in spec.symbols))
@@ -740,50 +746,33 @@ def declared_bound(spec: GeneratorSpec) -> Optional[float]:
 
 def max_frequency(spec: GeneratorSpec) -> Optional[float]:
     """Largest |frequency| present, used by the continuous aliasing guard."""
-    if isinstance(spec, Character):
-        return abs(spec.frequency)
-    if isinstance(spec, TrigPoly):
-        return max(abs(f) for _, f in spec.terms)
-    if isinstance(spec, DirichletLine):
-        return math.log(len(spec.coeffs)) / (2 * math.pi) if len(spec.coeffs) > 1 else 0.0
-    if isinstance(spec, MeasureTransform):
-        tops = [abs(f) for f, _ in spec.atoms]
-        if spec.density is not None:
-            tops += [abs(spec.density.freq_min), abs(spec.density.freq_max)]
-        return max(tops) if tops else 0.0
-    return None
+    terms = _character_terms(spec)
+    if terms is None:
+        return None
+    tops = [abs(f) for _, f in terms]
+    if getattr(spec, "density", None) is not None:
+        tops += [abs(spec.density.freq_min), abs(spec.density.freq_max)]
+    return max(tops) if tops else 0.0
 
 
 def declared_frequencies(spec: GeneratorSpec) -> Optional[np.ndarray]:
     """Frequency set a spectrum estimate should concentrate on, if declared."""
-    if isinstance(spec, Character):
-        return np.asarray([spec.frequency])
-    if isinstance(spec, TrigPoly):
-        return np.asarray(sorted({f for _, f in spec.terms}))
-    if isinstance(spec, DirichletLine):
-        return np.asarray([-math.log(n) / (2 * math.pi)
-                           for n in range(1, len(spec.coeffs) + 1)])
-    if isinstance(spec, MeasureTransform):
-        return np.asarray(sorted({f for f, _ in spec.atoms}))
-    return None
+    terms = _character_terms(spec)
+    return None if terms is None else np.asarray(sorted({f for _, f in terms}))
 
 
 def known_limit(spec: GeneratorSpec) -> Optional[complex]:
     """Exact almost-convergence limit when theory provides one.
 
-    Characters and trig polynomials almost converge to their zero-frequency
-    coefficient; measure transforms to the weight of the atom at 0;
-    Dirichlet lines to their leading coefficient; convergent profiles to
-    their limit.  Returns None when no closed-form limit is known.
+    Sums of characters (characters, trig polynomials, Dirichlet lines,
+    measure transforms) almost converge to their zero-frequency
+    coefficient: a Dirichlet line's leading one, a measure transform's
+    atom at 0.  Convergent profiles go to their limit.  Returns None
+    when no closed-form limit is known.
     """
-    if isinstance(spec, Character):
-        return 1.0 if spec.frequency == 0 else 0.0
-    if isinstance(spec, TrigPoly):
-        return complex(sum(c for c, f in spec.terms if f == 0.0))
-    if isinstance(spec, DirichletLine):
-        return spec.coeffs[0]
-    if isinstance(spec, MeasureTransform):
-        return complex(sum(w for f, w in spec.atoms if f == 0.0))
+    terms = _character_terms(spec)
+    if terms is not None:
+        return complex(sum(c for c, f in terms if f == 0.0))
     if isinstance(spec, Convergent):
         return complex(spec.limit)
     if isinstance(spec, BlockSequence) and len(set(spec.symbols)) == 1:
@@ -880,6 +869,9 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
         raise ConfigError("grid step must be positive")
     if count < 1:
         raise ConfigError(f"need at least one sample, got count={count}")
+    end = x0 + h * (count - 1)
+    if not math.isfinite(end):
+        raise ConfigError(f"grid end x0 + h*(count-1) = {end} must be finite")
     fm = max_frequency(spec)
     if fm is not None and h * fm > MAX_CYCLES_PER_STEP + 1e-12:
         raise AliasingError(

@@ -6,17 +6,21 @@ smoothed signal against a kernel with non-vanishing transform), and
 almost convergence (uniform window means from :mod:`almostconv.cesaro`).
 Ordinary implies weak*, which implies almost convergence, always; the
 converses hold under Tauberian side conditions which this module tests
-numerically:
+numerically.  Every check takes a :class:`Signal` on either group; its
+quadrature rule picks the route:
 
-- :func:`abel_sweep` / :func:`laplace_sweep` evaluate the boundary means
-  ``(1-x) * sum a_n x^n`` and ``x * integral psi(t) exp(-x t) dt`` along a
-  schedule approaching the boundary, with certified truncation bounds
+- :func:`boundary_sweep` evaluates the boundary means of the signal's
+  group along a schedule approaching the boundary: Abel means
+  ``(1-x) * sum a_n x^n`` of a plain-sum signal (:func:`abel_sweep`, Z)
+  or Laplace means ``x * integral psi(t) exp(-x t) dt`` of a trapezoid
+  signal (:func:`laplace_sweep`, R), with certified truncation bounds
   from the declared sup bound, never from the data.
-- :func:`residue_oac_estimate` cross-checks the extrapolated Abel limit
-  against the one-sided window-mean limit (they agree for bounded data).
-- :func:`fatou_check` verifies the convergent-series decomposition:
-  partial sums stabilize at the declared boundary value, their one-sided
-  window means agree, and increments vanish.
+- :func:`residue_oac_estimate` cross-checks the extrapolated boundary
+  limit against the one-sided window-mean limit (they agree for bounded
+  data).
+- :func:`primitive_check` verifies that the primitive (partial sums on
+  Z, running integral on R) window-means to the transform's declared
+  boundary value, and converges to it when the signal's tail vanishes.
 - :func:`chain_report` runs all three verdicts plus translation-difference
   decay and enforces chain monotonicity.
 
@@ -43,8 +47,6 @@ from .errors import (
     TailNotControlled,
 )
 from .signals import (
-    ContinuousSignal,
-    DiscreteSignal,
     Sidedness,
     Signal,
     WindowSchedule,
@@ -55,7 +57,6 @@ from .cesaro import ac_verdict, cesaro_sweep
 from .spectral import convolve, require_kernel_fits, require_unit_mass
 from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
 
-DEFAULT_TAIL_TOL = 1e-12
 # weak*: least |kernel transform| accepted on the band below half Nyquist
 _KERNEL_FLOOR = 1e-3
 
@@ -110,7 +111,7 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[complex]) -> complex:
 
 
 def abel_sweep(coeffs, bound: float, x_schedule,
-               tail_tol: float = DEFAULT_TAIL_TOL) -> MeanSweep:
+               tail_tol: float = 1e-12) -> MeanSweep:
     """Values of ``(1-x) * sum_{n<=M(x)} a_n x^n`` along the schedule.
 
     ``M(x) = ceil(log(tail_tol/bound) / log(x))`` certifies the dropped
@@ -140,7 +141,7 @@ def abel_sweep(coeffs, bound: float, x_schedule,
                      tail_bound=tail_tol)
 
 
-def laplace_sweep(signal: ContinuousSignal, x_schedule,
+def laplace_sweep(signal: Signal, x_schedule,
                   tail_tol: float = 1e-9) -> MeanSweep:
     """Values of ``x * integral_0^T psi(t) exp(-x t) dt`` along the schedule.
 
@@ -149,9 +150,9 @@ def laplace_sweep(signal: ContinuousSignal, x_schedule,
     (:class:`TailNotControlled` otherwise), so the dropped tail of the
     transform is certified from the declared bound.
     """
-    if not isinstance(signal, ContinuousSignal):
+    if not signal.trapezoid:
         raise TypeError("Laplace sweep needs a continuous signal")
-    if signal.x0 < -1e-12:
+    if signal.start < -1e-12:
         raise ValueError("signal must live on the nonnegative half-line")
     xs = [float(x) for x in x_schedule]
     T = signal.x_end
@@ -164,11 +165,26 @@ def laplace_sweep(signal: ContinuousSignal, x_schedule,
             raise TailNotControlled(
                 f"range [0, {T}] too short for abscissa {x}: "
                 f"tail {signal.bound * math.exp(-x * T):.3g} > {tail_tol * x:.3g}")
-        integrand = signal.samples * np.exp(-x * t)
-        values.append(complex(x * np.trapezoid(integrand, dx=signal.h)))
+        integrand = signal.values * np.exp(-x * t)
+        values.append(complex(x * np.trapezoid(integrand, dx=signal.step)))
     extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.LAPLACE, tuple(xs), tuple(values), extrap,
                      tail_bound=tail_tol)
+
+
+def boundary_sweep(signal: Signal, x_schedule=()) -> MeanSweep:
+    """Boundary means of the signal's group along ``x_schedule``.
+
+    A plain-sum signal (Z) gets :func:`abel_sweep` of its values read as
+    the coefficients ``a_0, a_1, ...``; a trapezoid signal (R) gets
+    :func:`laplace_sweep`.  An empty schedule means ``1 - 2^-j`` (Abel)
+    or ``2^-(j+2)`` (Laplace) for j = 3, 4, 5.
+    """
+    xs = tuple(x_schedule)
+    if signal.trapezoid:
+        return laplace_sweep(signal, xs or (2.0 ** -5, 2.0 ** -6, 2.0 ** -7))
+    return abel_sweep(signal.values, signal.bound,
+                      xs or (1 - 2.0 ** -3, 1 - 2.0 ** -4, 1 - 2.0 ** -5))
 
 
 def bounded_below(values, C: float) -> bool:
@@ -177,43 +193,40 @@ def bounded_below(values, C: float) -> bool:
     return bool(np.all(v.real >= -C) and np.all(v.imag >= -C))
 
 
-def _one_sided_windows(n: int) -> WindowSchedule:
-    """Default one-sided schedule for an n-term stream: 2, 4, ... up to
-    the largest power of two at most ``max(4, n // 8)``."""
-    k_max = max(4, 1 << (max(2, n // 8).bit_length() - 1))
-    return WindowSchedule.geometric(2, k_max, 2, Sidedness.ONE_SIDED)
+def _one_sided_windows(signal: Signal) -> WindowSchedule:
+    """Default one-sided schedule: doubling from ``max(step, top / 16)``
+    up to ``top``, a quarter of the signal's span."""
+    top = (signal.x_end - signal.start) / 4
+    return WindowSchedule.geometric(max(signal.step, top / 16), top, 2,
+                                    Sidedness.ONE_SIDED)
 
 
 @dataclass(frozen=True)
 class ResidueReport:
-    """Abel limit versus one-sided window-mean limit."""
+    """Boundary limit versus one-sided window-mean limit."""
 
     alpha_est: complex
     cesaro_verdict: ACVerdict
     agreement: Optional[float]
 
 
-def residue_oac_estimate(coeffs, bound: float, x_schedule,
+def residue_oac_estimate(signal: Signal, x_schedule=(),
                          window_schedule: Optional[WindowSchedule] = None,
-                         tol: float = 1e-6,
-                         tail_tol: float = DEFAULT_TAIL_TOL) -> ResidueReport:
-    """Extrapolated Abel limit with a one-sided Cesaro cross-check.
+                         tol: float = 1e-6) -> ResidueReport:
+    """Extrapolated boundary limit with a one-sided Cesaro cross-check.
 
-    For a coefficient stream whose generating function has a simple pole
-    at the boundary, the Abel mean limit equals the one-sided
-    almost-convergence limit of the stream (sign convention under
-    regression guard: the all-ones stream gives +1).  ``agreement`` is
-    the distance between the two limits when the window verdict is
-    positive, else None.
+    When the signal's transform (power series on Z, Laplace transform on
+    R) has a simple pole at the boundary, the limit of
+    :func:`boundary_sweep` equals the one-sided almost-convergence limit
+    of the signal (sign convention under regression guard: the all-ones
+    stream gives +1).  ``agreement`` is the distance between the two
+    limits when the window verdict is positive, else None.
     """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    sweep = abel_sweep(a, bound, x_schedule, tail_tol)
+    sweep = boundary_sweep(signal, x_schedule)
     if sweep.extrapolated_limit is None:
         raise ValueError("need at least 3 abscissas to extrapolate")
-    if window_schedule is None:
-        window_schedule = _one_sided_windows(len(a))
-    stream = DiscreteSignal(0, a, bound)
-    verdict = ac_verdict(cesaro_sweep(stream, window_schedule), tol)
+    schedule = window_schedule or _one_sided_windows(signal)
+    verdict = ac_verdict(cesaro_sweep(signal, schedule), tol)
     agreement = None
     if verdict.positive:
         agreement = abs(sweep.extrapolated_limit - verdict.limit)
@@ -222,56 +235,61 @@ def residue_oac_estimate(coeffs, bound: float, x_schedule,
 
 
 @dataclass(frozen=True)
-class FatouReport:
-    """Decomposition check for a convergent power series at the boundary."""
+class PrimitiveReport:
+    """One-sided window-mean limit of a signal's primitive.
 
-    partial_sum_error: float
-    oac_verdict: ACVerdict
-    oac_limit_error: Optional[float]
-    increment_tail: float
-    passed: bool
-    check_index: int
-
-
-def fatou_check(coeffs, f1: complex, tol: float,
-                window_schedule: Optional[WindowSchedule] = None,
-                check_index: Optional[int] = None,
-                decay_tol: float = 1e-8,
-                oac_tol: Optional[float] = None) -> FatouReport:
-    """Verify the convergent-series route to a declared boundary value.
-
-    The caller asserts the series is analytic at the boundary and supplies
-    its value ``f1``; coefficient decay is verified on the tail of the
-    stream (:class:`HypothesisViolated` otherwise).  Checks, at
-    ``check_index`` (default: end of stream): |s_N - f1| <= tol; the
-    one-sided window-mean verdict of the partial sums equals f1; and the
-    increments s_{n+1} - s_n vanish on the tail.
+    ``tail`` is the largest ``|value|`` over the signal's last quarter;
+    ``tail_converges`` is None unless that is at most 1e-8.
     """
-    a = np.asarray(coeffs, dtype=np.complex128)
-    if len(a) < 8:
-        raise ValueError("coefficient stream too short")
-    tail = np.abs(a[-max(2, len(a) // 4):])
-    if tail.max() > decay_tol:
+
+    oac_verdict: ACVerdict
+    limit_error: Optional[float]
+    tail: float
+    tail_converges: Optional[bool]
+    final_value_error: float
+    passed: bool
+
+
+def primitive_check(signal: Signal, value: complex, tol: float,
+                    window_schedule: Optional[WindowSchedule] = None,
+                    check_index: Optional[int] = None,
+                    bounded_below_C: Optional[float] = None) -> PrimitiveReport:
+    """Check that the signal's primitive window-means to ``value``.
+
+    The caller asserts that the signal's transform (power series on Z,
+    Laplace transform on R) is analytic at the boundary with value
+    ``value`` there.  The primitive, from the first sample on, is the
+    partial sums on Z and the running trapezoid integral on R.  Its
+    one-sided window-mean limit must match ``value`` within ``tol``:
+    that is the almost-convergence conclusion, and it needs no decay.
+    When the signal's last quarter stays within 1e-8 of 0, the primitive
+    must also converge: its value at ``check_index`` (default: the last
+    sample) must be within ``tol`` of ``value``.  An optional
+    componentwise lower bound on the signal is verified when supplied
+    (:class:`HypothesisViolated` otherwise).
+    """
+    if signal.start < -1e-12:
+        raise ValueError("signal must start at x >= 0")
+    if bounded_below_C is not None and not bounded_below(signal.values, bounded_below_C):
         raise HypothesisViolated(
-            f"coefficients do not decay: tail max {tail.max():.3g} > {decay_tol}")
-    sums = np.cumsum(a)
-    n_check = len(a) - 1 if check_index is None else int(check_index)
-    if not 0 <= n_check < len(a):
-        raise ValueError("check index outside the stream")
-    s_err = abs(complex(sums[n_check]) - f1)
-    if window_schedule is None:
-        window_schedule = _one_sided_windows(len(a))
-    stream = DiscreteSignal(0, sums, float(np.max(np.abs(sums))) + abs(f1))
-    verdict = ac_verdict(cesaro_sweep(stream, window_schedule),
-                         tol if oac_tol is None else oac_tol)
-    limit_err = abs(verdict.limit - f1) if verdict.positive else None
-    inc_tail = float(tail.max())
-    passed = (s_err <= tol and verdict.positive and limit_err is not None
-              and limit_err <= (tol if oac_tol is None else oac_tol)
-              and inc_tail <= decay_tol)
-    return FatouReport(partial_sum_error=s_err, oac_verdict=verdict,
-                       oac_limit_error=limit_err, increment_tail=inc_tail,
-                       passed=passed, check_index=n_check)
+            f"signal not bounded below by -{bounded_below_C} componentwise")
+    n = len(signal)
+    i = n - 1 if check_index is None else int(check_index)
+    if not 0 <= i < n:
+        raise ValueError("check index outside the signal")
+    prim = signal.running_sum()[-n:]
+    primitive = signal.derived(values=prim, bound=float(np.max(np.abs(prim))),
+                               source="primitive")
+    schedule = window_schedule or _one_sided_windows(signal)
+    verdict = ac_verdict(cesaro_sweep(primitive, schedule), tol)
+    limit_err = abs(verdict.limit - value) if verdict.positive else None
+    tail = float(np.max(np.abs(signal.values[-max(2, n // 4):])))
+    final_err = abs(complex(prim[i]) - value)
+    tail_conv = final_err <= tol if tail <= 1e-8 else None
+    passed = limit_err is not None and limit_err <= tol and tail_conv is not False
+    return PrimitiveReport(oac_verdict=verdict, limit_error=limit_err, tail=tail,
+                           tail_converges=tail_conv, final_value_error=final_err,
+                           passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -527,61 +545,6 @@ def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
             if p1 > p0:
                 worst = max(worst, float(np.abs(vals[p0 + d:p1 + d] - vals[p0:p1]).max()))
     return worst
-
-
-@dataclass(frozen=True)
-class PrimitiveReport:
-    """One-sided window-mean limit of a running integral."""
-
-    oac_verdict: ACVerdict
-    limit_error: Optional[float]
-    tail_converges: Optional[bool]
-    final_value_error: float
-    passed: bool
-
-
-def primitive_oac_check(psi: ContinuousSignal, L0: complex, tol: float,
-                        window_schedule: Optional[WindowSchedule] = None,
-                        bounded_below_C: Optional[float] = None,
-                        decay_tol: float = 1e-6) -> PrimitiveReport:
-    """Check that the running integral of psi window-means to ``L0``.
-
-    The caller asserts the transform of psi is analytic at 0 with value
-    ``L0``.  The running integral (cumulative trapezoid) gets a one-sided
-    window-mean verdict whose limit must match ``L0`` within ``tol``;
-    when the tail of psi itself vanishes, plain convergence of the
-    running integral is asserted as well.  An optional componentwise
-    lower bound on psi is verified when supplied
-    (:class:`HypothesisViolated` otherwise).
-    """
-    if not isinstance(psi, ContinuousSignal):
-        raise TypeError("need a continuous stream on the half-line")
-    if psi.x0 < -1e-12:
-        raise ValueError("stream must start at x >= 0")
-    if bounded_below_C is not None and not bounded_below(psi.samples, bounded_below_C):
-        raise HypothesisViolated(
-            f"stream not bounded below by -{bounded_below_C} componentwise")
-    v = psi.samples
-    prim = psi.running_sum()
-    big = ContinuousSignal(psi.x0, psi.h, prim, float(np.max(np.abs(prim))) + 1.0,
-                           psi.extension, "primitive")
-    if window_schedule is None:
-        span = psi.x_end - psi.x0
-        top = span / 4
-        window_schedule = WindowSchedule.geometric(
-            max(psi.h * 4, top / 16), top, 2, Sidedness.ONE_SIDED)
-    verdict = ac_verdict(cesaro_sweep(big, window_schedule), tol)
-    limit_err = abs(verdict.limit - L0) if verdict.positive else None
-    tail = np.abs(v[-max(2, len(v) // 10):])
-    tail_conv = None
-    final_err = abs(complex(prim[-1]) - L0)
-    if tail.max() <= decay_tol:
-        tail_conv = final_err <= tol
-    passed = (verdict.positive and limit_err is not None and limit_err <= tol
-              and (tail_conv is None or tail_conv))
-    return PrimitiveReport(oac_verdict=verdict, limit_error=limit_err,
-                           tail_converges=tail_conv,
-                           final_value_error=final_err, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,8 @@ def test_criterion_07_residue_cross_check():
     coeffs = np.tile([1.0, 0.0], 2048)
     xs = (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
     rep = tb.residue_oac_estimate(
-        coeffs, 1.0, xs, WindowSchedule.geometric(2, 1024, 2, ONE), tol=1e-6)
+        DiscreteSignal(0, coeffs, 1.0), xs, WindowSchedule.geometric(2, 1024, 2, ONE),
+        tol=1e-6)
     ok = (abs(rep.alpha_est - 0.5) <= 1e-3
           and rep.cesaro_verdict.positive
           and abs(rep.cesaro_verdict.limit - 0.5) <= 1e-3)
@@ -118,16 +119,15 @@ def test_criterion_07_residue_cross_check():
 def test_criterion_08_fatou_route():
     n = np.arange(2 ** 15)
     coeffs = (n + 1) * 0.5 ** n
-    rep = tb.fatou_check(
-        coeffs, 4.0, tol=1e-6, check_index=64,
-        window_schedule=WindowSchedule.geometric(1024, 8192, 2, ONE),
-        oac_tol=2e-3)
-    ok = (rep.partial_sum_error <= 1e-6
-          and rep.oac_verdict.positive and rep.oac_limit_error <= 1e-3
-          and rep.increment_tail <= 1e-8)
-    report(8, ok, f"fatou: |s_64 - 4|={rep.partial_sum_error:.1e} "
-                  f"oac_err={rep.oac_limit_error:.1e} "
-                  f"increments={rep.increment_tail:.1e}")
+    rep = tb.primitive_check(
+        DiscreteSignal(0, coeffs, 1.0), 4.0, tol=2e-3, check_index=64,
+        window_schedule=WindowSchedule.geometric(1024, 8192, 2, ONE))
+    ok = (rep.final_value_error <= 1e-6
+          and rep.oac_verdict.positive and rep.limit_error <= 1e-3
+          and rep.tail <= 1e-8)
+    report(8, ok, f"fatou: |s_64 - 4|={rep.final_value_error:.1e} "
+                  f"oac_err={rep.limit_error:.1e} "
+                  f"increments={rep.tail:.1e}")
 
 
 def test_criterion_09_convolution_invariance_residual():

@@ -674,8 +674,11 @@ _HUGE_TERMS = [{"coefficient": 1e308, "frequency": 0.25},
      [], "frequency must be finite"),
     ({"kind": "trig_poly", "terms": [{"coefficient": 1.0, "frequency": math.nan}]},
      [], "frequency must be finite"),
+    # a finite x0 and h whose grid end x0 + h*(count-1) passes the float range
+    ({"kind": "convergent", "limit": 1.0},
+     ["--x0", "1e308", "--h", "1e306", "--count", "20000"], "grid end"),
 ], ids=["trig_poly_tiled", "trig_poly_pool", "convergent", "character_inf",
-        "character_nan", "trig_poly_inf", "trig_poly_nan"])
+        "character_nan", "trig_poly_inf", "trig_poly_nan", "grid_end_overflow"])
 def test_hostile_specs_leave_one_error_line(tmp_path, capsys, spec, grid, message):
     # NumPy's RuntimeWarnings used to come first, with a source path and line
     path = tmp_path / "spec.json"
@@ -787,6 +790,16 @@ def test_non_finite_grid_is_a_config_error_before_rendering(tmp_path, capsys, x0
     assert rc == 1
     assert "grid" in err and "values must be finite" not in err
     assert not (out_dir / "report.json").exists()
+
+
+def test_grid_end_past_the_float_range_is_a_config_error():
+    # used to print two RuntimeWarnings and return a signal with x_end = inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="grid end"):
+            ac.render_continuous(ac.Convergent(1.0), 1e308, 1e306, 20000)
+        sig = ac.render_continuous(ac.Convergent(1.0), 1e308, 1e306, 50)
+    assert math.isfinite(sig.x_end)
 
 
 @pytest.mark.parametrize("render", [

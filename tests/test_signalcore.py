@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import signals
-from almostconv.errors import AliasingError, DivergentSeries, UnsupportedPoint
+from almostconv.errors import AliasingError, ConfigError, DivergentSeries, UnsupportedPoint
 from almostconv.signals import (
     BLOCK,
     _block_boundaries,
@@ -45,6 +45,19 @@ def test_dirichlet_below_abscissa_raises():
         evaluate(ac.DirichletLine((1, 1), 0.5), 0.0)
     with pytest.raises(DivergentSeries):
         ac.render_discrete(ac.DirichletLine((1, 1), 1.0), 0, 8)
+    # 2**2000 leaves the float range; the divergence is still what is reported
+    far = ac.DirichletLine((1, 1), -2000.0)
+    with pytest.raises(DivergentSeries):
+        ac.render_continuous(far, 0.0, 0.05, 2 * BLOCK)
+    assert signals.max_frequency(far) == math.log(2) / (2 * math.pi)
+    assert ac.known_limit(far) == 1.0
+
+
+def test_dirichlet_bound_sums_abs_coefficient_times_weight():
+    # |a| * n**-sigma, not |a * n**-sigma|: the two differ in the last bit
+    # here, and the bound is written to every rendered file's metadata
+    line = ac.DirichletLine((1.0, 0.3 + 0.1j, 0.3 + 3j), 1.3)
+    assert signals.declared_bound(line) == 1.8512386435460488
 
 
 def test_custom_has_no_closed_form():
@@ -504,7 +517,8 @@ def test_grid_that_overflows_is_not_tiled():
     # they are inf, and 0*inf is NaN
     spec = ac.Character(0.0)
     assert not _repeats_every_block(spec, 1e308, 1e306, BLOCK + 1)
-    with pytest.raises(ValueError, match="finite"):
+    # the grid end is checked before rendering
+    with pytest.raises(ConfigError, match="grid end .* must be finite"):
         ac.render_continuous(spec, 1e308, 1e306, BLOCK + 1)
 
 

@@ -8,14 +8,9 @@ import almostconv
 PACKAGE = Path(almostconv.__file__).parent
 
 # (module, function) where telling the two signal kinds apart by type is
-# the point: input guards of the continuous-only routes, the CSV header,
-# and the CLI's choice between the Abel and the Laplace sweep
-ALLOWED_TYPE_CHECKS = {
-    ("tauberian", "laplace_sweep"),
-    ("tauberian", "primitive_oac_check"),
-    ("serialize", "signal_to_csv"),
-    ("cli", "run"),
-}
+# the point: the CSV header.  Routes that differ by group ask the signal's
+# quadrature rule (``Signal.trapezoid``) instead.
+ALLOWED_TYPE_CHECKS = {("serialize", "signal_to_csv")}
 SIGNAL_TYPES = {"DiscreteSignal", "ContinuousSignal"}
 
 

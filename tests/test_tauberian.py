@@ -104,7 +104,7 @@ def test_laplace_tail_not_controlled():
 
 def test_residue_all_ones_sign_lock():
     xs = (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
-    rep = tb.residue_oac_estimate(np.ones(2048), 1.0, xs)
+    rep = tb.residue_oac_estimate(DiscreteSignal(0, np.ones(2048), 1.0), xs)
     assert rep.alpha_est == pytest.approx(1.0, abs=1e-9)  # +1, not -1
     assert rep.cesaro_verdict.positive
     assert rep.agreement <= 1e-9
@@ -113,7 +113,7 @@ def test_residue_all_ones_sign_lock():
 def test_residue_alternating_partial_sums():
     coeffs = np.tile([1.0, 0.0], 1024)
     xs = (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
-    rep = tb.residue_oac_estimate(coeffs, 1.0, xs)
+    rep = tb.residue_oac_estimate(DiscreteSignal(0, coeffs, 1.0), xs)
     assert rep.alpha_est == pytest.approx(0.5, abs=1e-3)
     assert rep.cesaro_verdict.limit == pytest.approx(0.5, abs=1e-12)
     assert rep.agreement <= 1e-3
@@ -122,7 +122,7 @@ def test_residue_alternating_partial_sums():
 def test_residue_shifted_alternating():
     coeffs = np.array([1 + (-1.0) ** n for n in range(2048)])
     xs = (1 - 2.0 ** (-3), 1 - 2.0 ** (-4), 1 - 2.0 ** (-5))
-    rep = tb.residue_oac_estimate(coeffs, 2.0, xs)
+    rep = tb.residue_oac_estimate(DiscreteSignal(0, coeffs, 2.0), xs)
     assert rep.alpha_est == pytest.approx(1.0, abs=1e-3)
     assert rep.agreement <= 1e-3
 
@@ -136,42 +136,117 @@ def test_residue_agreement_on_rational_streams():
         np.tile([2.0, 1.0], 1024),
     ]
     for coeffs in streams:
-        rep = tb.residue_oac_estimate(coeffs, float(np.max(np.abs(coeffs))), xs)
+        signal = DiscreteSignal(0, coeffs, float(np.max(np.abs(coeffs))))
+        rep = tb.residue_oac_estimate(signal, xs)
         assert rep.agreement is not None and rep.agreement <= 1e-3
+
+
+def test_residue_continuous_trig_poly():
+    # the R case of the cross-check: Laplace limit against window means
+    spec = ac.TrigPoly(((0.7, 0.0), (0.25 + 0.1j, 1 / 16), (0.2 - 0.05j, 1 / 8)))
+    sig = ac.render_continuous(spec, 0.0, 0.4, 10241)
+    rep = tb.residue_oac_estimate(
+        sig, window_schedule=WindowSchedule.geometric(128.0, 1024.0, 2, ONE))
+    assert rep.cesaro_verdict.positive
+    assert rep.alpha_est == pytest.approx(0.7, abs=1e-2)
+    assert rep.agreement <= 1e-2
+    # the default one-sided schedule reaches the same verdict
+    assert tb.residue_oac_estimate(sig).agreement <= 1e-2
+
+
+def test_boundary_sweep_is_the_group_sweep():
+    n = np.arange(4096)
+    disc = DiscreteSignal(0, 0.6 + 0.4 * np.cos(np.pi * n / 4), 1.0)
+    cont = ac.render_continuous(ac.Convergent(2.0), 0.0, 0.25, 16385)
+    abel_xs = (1 - 2.0 ** -3, 1 - 2.0 ** -4, 1 - 2.0 ** -5)
+    laplace_xs = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+    pairs = [
+        (tb.boundary_sweep(disc), tb.abel_sweep(disc.values, 1.0, abel_xs)),
+        (tb.boundary_sweep(disc, (0.5, 0.75, 0.9)),
+         tb.abel_sweep(disc.values, 1.0, (0.5, 0.75, 0.9))),
+        (tb.boundary_sweep(cont), tb.laplace_sweep(cont, laplace_xs)),
+        (tb.boundary_sweep(cont, (0.25, 0.125, 0.0625)),
+         tb.laplace_sweep(cont, (0.25, 0.125, 0.0625))),
+    ]
+
+    def bits(sweep):
+        return np.asarray(sweep.values + (sweep.extrapolated_limit,)).view(np.uint64)
+
+    for got, want in pairs:
+        assert got.method is want.method and got.abscissas == want.abscissas
+        assert np.array_equal(bits(got), bits(want))
+    with pytest.raises(TypeError):
+        tb.laplace_sweep(disc, laplace_xs)
+
+
+def test_default_one_sided_schedule_comes_from_the_grid():
+    # doubling from max(step, top / 16) up to top, a quarter of the span
+    disc = DiscreteSignal(0, np.zeros(2049), 0.0)
+    assert tb._one_sided_windows(disc).lengths == (32.0, 64.0, 128.0, 256.0, 512.0)
+    assert tb._one_sided_windows(disc.derived(values=np.zeros(65))).lengths \
+        == (1.0, 2.0, 4.0, 8.0, 16.0)
+    cont = ContinuousSignal(0.0, 0.05, np.zeros(10241), 0.0)
+    assert tb._one_sided_windows(cont).lengths == (8.0, 16.0, 32.0, 64.0, 128.0)
+    assert tb._one_sided_windows(cont).sidedness is ONE
 
 
 def test_fatou_geometric():
     n = np.arange(2 ** 14)
-    rep = tb.fatou_check(0.5 ** n, 2.0, tol=1e-6,
-                         window_schedule=WindowSchedule.geometric(512, 4096, 2, ONE),
-                         oac_tol=2e-3)
+    rep = tb.primitive_check(DiscreteSignal(0, 0.5 ** n, 1.0), 2.0, tol=2e-3,
+                             window_schedule=WindowSchedule.geometric(512, 4096, 2, ONE))
     assert rep.passed
-    assert rep.partial_sum_error <= 1e-6
+    assert rep.final_value_error <= 1e-6
 
 
 def test_fatou_derivative_series():
     n = np.arange(2 ** 15)
     a = (n + 1) * 0.5 ** n
-    rep = tb.fatou_check(a, 4.0, tol=1e-6, check_index=64,
-                         window_schedule=WindowSchedule.geometric(1024, 8192, 2, ONE),
-                         oac_tol=2e-3)
+    rep = tb.primitive_check(DiscreteSignal(0, a, 1.0), 4.0, tol=2e-3, check_index=64,
+                             window_schedule=WindowSchedule.geometric(1024, 8192, 2, ONE))
     assert rep.passed
-    assert rep.partial_sum_error <= 1e-6
-    assert rep.oac_limit_error <= 1e-3
-    assert rep.increment_tail <= 1e-8
+    assert rep.final_value_error <= 1e-6
+    assert rep.limit_error <= 1e-3
+    assert rep.tail <= 1e-8
 
 
 def test_fatou_single_term_exact():
     coeffs = np.zeros(64)
     coeffs[0] = 3.5
-    rep = tb.fatou_check(coeffs, 3.5, tol=1e-12)
+    rep = tb.primitive_check(DiscreteSignal(0, coeffs, 3.5), 3.5, tol=1e-12)
     assert rep.passed
-    assert rep.partial_sum_error == 0.0
+    assert rep.final_value_error == 0.0
 
 
 def test_fatou_rejects_nondecaying():
-    with pytest.raises(HypothesisViolated):
-        tb.fatou_check(np.array([(-1.0) ** n for n in range(64)]), 0.5, tol=1e-3)
+    # the partial sums 1, 0, 1, 0, ... of (-1)^n almost converge to
+    # F(1) = 1/(1 + 1) = 1/2, which needs no decay; they do not converge,
+    # so no plain-convergence claim is made
+    sig = DiscreteSignal(0, [(-1.0) ** n for n in range(64)], 1.0)
+    rep = tb.primitive_check(sig, 0.5, tol=1e-3)
+    assert rep.passed
+    assert rep.tail_converges is None
+    assert rep.limit_error == 0.0
+    assert not tb.primitive_check(sig, 0.7, tol=1e-3).passed
+
+
+def test_primitive_check_on_both_groups():
+    # sum_n 2^-n = 2 on Z; integral_0^inf e^{-t} dt = 1 on R
+    n = np.arange(2048)
+    disc = DiscreteSignal(0, 0.5 ** n, 1.0)
+    cont = ac.render_continuous(ac.Convergent(0.0, "exp", 1.0, 1.0), 0.0, 0.05, 10241)
+    for sig, value in ((disc, 2.0), (cont, 1.0)):
+        rep = tb.primitive_check(sig, value, 1e-2)
+        assert rep.passed and rep.tail_converges
+        assert rep.oac_verdict.limit == pytest.approx(value, abs=1e-2)
+        assert not tb.primitive_check(sig, value + 0.1, 1e-2).passed
+    # on Z the primitive is the partial sums, bit for bit
+    sums = disc.running_sum()[-len(disc):]
+    assert np.array_equal(sums.view(np.uint64), np.cumsum(disc.values).view(np.uint64))
+    # a decaying signal's primitive must also converge where it is checked
+    early = tb.primitive_check(disc, 2.0, 1e-2, check_index=3)
+    assert early.tail_converges is False and not early.passed
+    with pytest.raises(ValueError):
+        tb.primitive_check(disc, 2.0, 1e-2, check_index=2048)
 
 
 def test_weak_star_constant():
@@ -246,14 +321,14 @@ def test_oscillation_modulus_range_too_short():
 def test_primitive_exponential():
     count = int(512 / 0.05) + 1
     sig = ac.render_continuous(ac.Convergent(0.0, "exp", 1.0, 1.0), 0.0, 0.05, count)
-    rep = tb.primitive_oac_check(sig, 1.0, 1e-2)
+    rep = tb.primitive_check(sig, 1.0, 1e-2)
     assert rep.passed
     assert rep.tail_converges
 
 
 def test_primitive_zero_stream():
     sig = ContinuousSignal(0.0, 0.1, np.zeros(4096), 0.0)
-    rep = tb.primitive_oac_check(sig, 0.0, 1e-9)
+    rep = tb.primitive_check(sig, 0.0, 1e-9)
     assert rep.passed
     assert rep.final_value_error == 0.0
 
@@ -262,14 +337,14 @@ def test_primitive_scaled_exponential():
     # psi = 2 e^{-2t}: transform 2/(2+s), value 1 at 0
     count = int(512 / 0.05) + 1
     sig = ac.render_continuous(ac.Convergent(0.0, "exp", 2.0, 2.0), 0.0, 0.05, count)
-    rep = tb.primitive_oac_check(sig, 1.0, 1e-2)
+    rep = tb.primitive_check(sig, 1.0, 1e-2)
     assert rep.passed
 
 
 def test_primitive_bounded_below_gate():
     sig = ContinuousSignal(0.0, 0.1, np.full(512, -3.0), 3.0)
     with pytest.raises(HypothesisViolated):
-        tb.primitive_oac_check(sig, 0.0, 1e-2, bounded_below_C=1.0)
+        tb.primitive_check(sig, 0.0, 1e-2, bounded_below_C=1.0)
 
 
 def test_mean_sweep_validation():
