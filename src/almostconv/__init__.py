@@ -63,7 +63,6 @@ from .spectral import (
     spectrum_support_check,
 )
 from .tauberian import (
-    ChainConfig,
     ChainReport,
     MeanSweep,
     abel_sweep,

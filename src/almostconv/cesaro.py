@@ -79,7 +79,6 @@ class CesaroSweep:
     argmax: tuple
     argmin: tuple
     sidedness: Sidedness
-    shift_stride: int
     p_bar_est: complex
     p_lower_est: complex
     source: Optional[str] = None
@@ -151,22 +150,11 @@ def _positions(signal: Signal, lay: _Layout, shifts: np.ndarray) -> tuple:
     grid; a shift is admissible when it lies within ``1e-9 * max(1, step)``
     of the grid point at that index.
     """
-    first = signal.x_at(lay.idx0)
-    guess = np.ceil((shifts - first) / signal.step)
-    pos = np.clip(np.nan_to_num(guess, nan=lay.count), 0, lay.count)
-    pos = pos.astype(np.int64)
-    while True:  # the guess is off by rounding only: step to the exact index
-        down = (pos > 0) & (signal.x_at(lay.idx0 + pos - 1) >= shifts)
-        up = (pos < lay.count) & (signal.x_at(lay.idx0 + pos) < shifts)
-        if not (down.any() or up.any()):
-            break
-        pos += up.astype(np.int64) - down
-    step = 1.0
-    if lay.count > 1:
-        step = float(signal.x_at(lay.idx0 + 1) - first)
+    grid = signal.x_at(lay.idx0 + np.arange(lay.count))
+    pos = np.searchsorted(grid, shifts)
+    step = float(grid[1] - grid[0]) if lay.count > 1 else 1.0
     ok = pos < lay.count
-    ok[ok] = (np.abs(signal.x_at(lay.idx0 + pos[ok]) - shifts[ok])
-              <= 1e-9 * max(1.0, abs(step)))
+    ok[ok] = np.abs(grid[pos[ok]] - shifts[ok]) <= 1e-9 * max(1.0, abs(step))
     return pos, ok
 
 
@@ -227,22 +215,22 @@ def _extremes_from(re: np.ndarray, im: np.ndarray, shift_of) -> ShiftExtremes:
                          argmin=shift_of(int(np.argmin(comp))))
 
 
-def _sweep_means(p: np.ndarray, layouts, stride: int):
-    """Yield (re, im) means of each layout at every ``stride``-th shift.
+def _sweep_means(p: np.ndarray, layouts):
+    """Yield (re, im) means of each layout at every admissible shift.
 
     They equal ``_means_at`` bit for bit, but come from slice differences
     of the real and imaginary parts of ``p``, extended with its end values
     so that slicing reproduces the clipping.  NumPy divides complex by real
     as a multiply by the reciprocal, so the scaling does the same.  A -0.0
     in ``p`` (only leading -0.0 data makes one) reaches the means, where
-    complex division and strided max/min treat signed zeros their own way:
-    such sums take the complex route itself.  The yielded arrays are
-    reused by the next window.
+    complex division and max/min treat signed zeros their own way: such
+    sums take the complex route itself.  The yielded arrays are reused by
+    the next window.
     """
     head = p[1:2].view(np.float64)
     if np.any((head == 0) & np.signbit(head)):
         for lay in layouts:
-            means = _means_at(p, lay, np.arange(0, lay.count, stride))
+            means = _means_at(p, lay, np.arange(lay.count))
             yield means.real, means.imag
         return
     last = len(p) - 1
@@ -255,32 +243,26 @@ def _sweep_means(p: np.ndarray, layouts, stride: int):
         row[pad:pad + len(p)] = part
         row[pad + len(p):] = part[-1]
     del p, head, part
-    buf = np.empty((2, max(-(-lay.count // stride) for lay in layouts)))
+    buf = np.empty((2, max(lay.count for lay in layouts)))
     for lay in layouts:
         a = pad + lay.lo
         b = a + lay.width
-        re, im = buf[:, :-(-lay.count // stride)]
+        re, im = buf[:, :lay.count]
         for part, out in zip(parts, (re, im)):
-            np.subtract(part[b:b + lay.count:stride],
-                        part[a:a + lay.count:stride], out=out)
+            np.subtract(part[b:b + lay.count], part[a:a + lay.count], out=out)
         inv = 1.0 / lay.scale
         re *= inv
         im *= inv
         yield re, im
 
 
-def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
-                 shift_stride: int = 1) -> CesaroSweep:
+def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
     """Sup/inf window means for every length in the schedule.
 
-    The shift grid is every admissible grid position, subsampled by
-    ``shift_stride``.  For continuous signals the grid stride equals the
-    sample step, so the sup over the grid is within B*O(h*f_max) of the
-    true sup for band-limited inputs; halving the stride can only refine
-    the extremes within that bound.
+    The shift grid is every admissible grid position.  For continuous
+    signals the grid stride equals the sample step, so the sup over the
+    grid is within B*O(h*f_max) of the true sup for band-limited inputs.
     """
-    if shift_stride < 1:
-        raise ValueError("shift_stride must be >= 1")
     lengths, layouts = [], []
     for k in schedule.lengths:
         m, actual = _snap_length(signal, k)
@@ -289,11 +271,10 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
             raise EmptyGrid(f"no shifts remain for window length {k}")
         lengths.append(actual)
         layouts.append(lay)
-    means = _sweep_means(signal.running_sum(), layouts, shift_stride)
+    means = _sweep_means(signal.running_sum(), layouts)
     sups, infs, argmaxes, argmins = [], [], [], []
     for lay, (re, im) in zip(layouts, means):
-        ext = _extremes_from(re, im, lambda j: float(
-            signal.x_at(lay.idx0 + j * shift_stride)))
+        ext = _extremes_from(re, im, lambda j: float(signal.x_at(lay.idx0 + j)))
         sups.append(ext.sup)
         infs.append(ext.inf)
         argmaxes.append(ext.argmax)
@@ -305,7 +286,6 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule,
         argmax=tuple(argmaxes),
         argmin=tuple(argmins),
         sidedness=schedule.sidedness,
-        shift_stride=shift_stride,
         p_bar_est=sups[-1],
         p_lower_est=infs[-1],
         source=signal.source,
@@ -343,8 +323,7 @@ def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
 
 
 def convolution_invariance_residual(signal: Signal, kernel: Signal,
-                                    schedule: WindowSchedule,
-                                    shift_stride: int = 1) -> float:
+                                    schedule: WindowSchedule) -> float:
     """Size of the uniform-mean functionals on ``signal - kernel*signal``.
 
     For any nonnegative unit-mass kernel the difference has upper and
@@ -358,5 +337,5 @@ def convolution_invariance_residual(signal: Signal, kernel: Signal,
     require_unit_mass(kernel)
     smoothed = convolve(signal, kernel)
     diff = subtract(signal, smoothed)
-    sweep = cesaro_sweep(diff, schedule, shift_stride)
+    sweep = cesaro_sweep(diff, schedule)
     return float(max(abs(sweep.p_bar_est), abs(sweep.p_lower_est)))

@@ -196,8 +196,7 @@ def run(config: AnalysisConfig) -> int:
         return 0
     if config.analysis == "chain":
         signal = load_input_signal(config)
-        report = tauberian.chain_report(
-            signal, tauberian.ChainConfig(tol=config.tol))
+        report = tauberian.chain_report(signal, config.tol)
         dump_json({"schema": SCHEMA_VERSION, "analysis": "chain",
                    "tol": config.tol, "report": chain_report_to_dict(report)},
                   _report_path(config, "report.json"))
@@ -243,21 +242,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
     config = config_from_file(args.config) if args.config else AnalysisConfig()
     updates = {}
-    for key in ("input", "out_dir", "tol", "seed", "k_min", "k_max", "growth",
-                "sidedness", "n_min", "n_max", "x0", "h", "count", "order",
-                "cases"):
+    for key, field in AnalysisConfig.__dataclass_fields__.items():
         val = getattr(args, key, None)
-        if val is not None:
-            updates[key] = val
-    for key in ("deltas", "xs"):
-        raw = getattr(args, key, None)
-        if raw is not None:
+        if val is None:
+            continue
+        if field.type == "tuple":
             try:
-                updates[key] = tuple(float(tok) for tok in raw.split(",") if tok)
+                val = tuple(float(tok) for tok in val.split(",") if tok)
             except ValueError as exc:
                 raise ConfigError(f"bad --{key}: {exc}") from exc
-    if args.analysis:
-        updates["analysis"] = args.analysis
+        updates[key] = val
     try:
         return replace(config, **updates)
     except TypeError as exc:

@@ -846,17 +846,16 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
     return vals, bound
 
 
-def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int,
-                    extension: Extension = Extension.VALID_ONLY) -> DiscreteSignal:
+def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int) -> DiscreteSignal:
     """Sample the generator at every integer in ``[n_min, n_max]``."""
     if n_min > n_max:
         raise ConfigError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
     vals, bound = _grid_values(spec, n_min, 1.0, n_max - n_min + 1)
-    return DiscreteSignal(n_min, vals, bound, extension, kind_of(spec))
+    return DiscreteSignal(n_min, vals, bound, source=kind_of(spec))
 
 
-def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
-                      extension: Extension = Extension.VALID_ONLY) -> ContinuousSignal:
+def render_continuous(spec: GeneratorSpec, x0: float, h: float,
+                      count: int) -> ContinuousSignal:
     """Sample the generator at ``x0 + j*h`` for ``j = 0..count-1``.
 
     Enforces the aliasing guard ``h * f_max <= MAX_CYCLES_PER_STEP`` for
@@ -877,7 +876,7 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float, count: int,
         raise AliasingError(
             f"h*f_max = {h * fm:.4g} exceeds {MAX_CYCLES_PER_STEP}; refine the grid")
     vals, bound = _grid_values(spec, x0, h, count)
-    return ContinuousSignal(x0, h, vals, bound, extension, kind_of(spec))
+    return ContinuousSignal(x0, h, vals, bound, source=kind_of(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -897,24 +896,22 @@ def fejer_kernel(width: int) -> DiscreteSignal:
     return DiscreteSignal(-m, w, float(w.max()), Extension.VALID_ONLY, "kernel")
 
 
-def gaussian_kernel(sigma: float, radius: Optional[int] = None) -> DiscreteSignal:
-    """Truncated discrete Gaussian, normalized to unit mass."""
+def gaussian_kernel(sigma: float) -> DiscreteSignal:
+    """Discrete Gaussian truncated at 4 sigma, normalized to unit mass."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    r = int(math.ceil(4 * sigma)) if radius is None else int(radius)
+    r = int(math.ceil(4 * sigma))
     j = np.arange(-r, r + 1)
     w = np.exp(-0.5 * (j / sigma) ** 2)
     w /= w.sum()
     return DiscreteSignal(-r, w, float(w.max()), Extension.VALID_ONLY, "kernel")
 
 
-def gaussian_kernel_continuous(sigma: float, h: float,
-                               radius: Optional[float] = None) -> ContinuousSignal:
-    """Sampled Gaussian on step ``h`` with unit trapezoid mass."""
+def gaussian_kernel_continuous(sigma: float, h: float) -> ContinuousSignal:
+    """Gaussian sampled on step ``h`` out to 4 sigma, with unit trapezoid mass."""
     if sigma <= 0 or h <= 0:
         raise ValueError("sigma and h must be positive")
-    r = 4 * sigma if radius is None else radius
-    m = max(1, int(round(r / h)))
+    m = max(1, int(round(4 * sigma / h)))
     t = h * np.arange(-m, m + 1)
     w = np.exp(-0.5 * (t / sigma) ** 2)
     w /= np.trapezoid(w, dx=h)

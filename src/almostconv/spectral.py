@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -83,14 +83,11 @@ class SpectrumEstimate:
         return 1.0 / (self.window_length * self.step)
 
 
-def default_mask_threshold(signal: Signal) -> float:
-    """Leakage floor: 1e-6 * bound * window length."""
-    return 1e-6 * max(signal.bound, 1e-300) * len(signal)
-
-
-def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN,
-                 mask_threshold: Optional[float] = None) -> SpectrumEstimate:
+def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN) -> SpectrumEstimate:
     """Centered tapered-DFT magnitude estimate of the signal's spectrum.
+
+    The support mask keeps the magnitudes above the leakage floor
+    ``1e-6 * bound * window_length``.
 
     Parameters
     ----------
@@ -99,15 +96,11 @@ def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN,
     taper : Taper
         Hann by default, for quantifiable leakage (exactly three bins
         per bin-aligned component); rectangular for exact round trips.
-    mask_threshold : float, optional
-        Magnitude floor for the support mask; defaults to
-        ``1e-6 * bound * window_length``.
     """
     n = len(signal)
     if n < 2:
         raise TooShort("spectrum estimation needs at least 2 samples")
-    if mask_threshold is None:
-        mask_threshold = default_mask_threshold(signal)
+    mask_threshold = 1e-6 * max(signal.bound, 1e-300) * n
     step = signal.step
     w = _taper_window(taper, n)
     tapered = w * signal.values
@@ -258,13 +251,13 @@ class SupportCheckReport:
     masked_count: int
 
 
-def spectrum_support_check(spec: GeneratorSpec, estimate: SpectrumEstimate,
-                           tol: float = 0.0) -> SupportCheckReport:
-    """Verify every masked frequency sits near a declared one.
+def spectrum_support_check(spec: GeneratorSpec,
+                           estimate: SpectrumEstimate) -> SupportCheckReport:
+    """Verify every masked frequency sits within the leakage distance of a
+    declared one.
 
-    ``leakage distance`` is two bins (the Hann mainlobe half-width);
-    ``tol`` adds extra slack in frequency units.  Requires a generator
-    with a declared frequency set.
+    The leakage distance is two bins (the Hann mainlobe half-width).
+    Requires a generator with a declared frequency set.
     """
     declared = declared_frequencies(spec)
     if declared is None:
@@ -280,7 +273,7 @@ def spectrum_support_check(spec: GeneratorSpec, estimate: SpectrumEstimate,
         off = min(off, float(np.min(np.abs(declared - f + band))),
                   float(np.min(np.abs(declared - f - band))))
         max_off = max(max_off, off)
-        if off > leak + tol:
+        if off > leak:
             violations.append((float(f),
                                float(estimate.magnitudes[
                                    int(np.argmin(np.abs(estimate.freqs - f)))]),

@@ -82,15 +82,6 @@ class MeanSweep:
     tail_bound: float
 
     def __post_init__(self):
-        xs = self.abscissas
-        if not xs:
-            raise ValueError("empty abscissa schedule")
-        if self.method is MeanMethod.ABEL:
-            ok = all(0 < x < 1 for x in xs) and all(b > a for a, b in zip(xs, xs[1:]))
-        else:
-            ok = all(x > 0 for x in xs) and all(b < a for a, b in zip(xs, xs[1:]))
-        if not ok:
-            raise ValueError("abscissas must move strictly toward the boundary")
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag))
                for v in self.values):
             raise ValueError("sweep values must be finite")
@@ -110,12 +101,30 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[complex]) -> complex:
     return complex(total)
 
 
-def abel_sweep(coeffs, bound: float, x_schedule,
-               tail_tol: float = 1e-12) -> MeanSweep:
+# certified truncation error of each boundary mean
+_ABEL_TAIL = 1e-12
+_LAPLACE_TAIL = 1e-9
+
+
+def _abscissas(method: MeanMethod, x_schedule) -> list:
+    """The schedule as floats, moving strictly toward the method's boundary."""
+    xs = [float(x) for x in x_schedule]
+    if not xs:
+        raise ValueError("empty abscissa schedule")
+    pairs = list(zip(xs, xs[1:]))
+    if method is MeanMethod.ABEL:
+        if any(not 0 < x < 1 for x in xs) or any(b <= a for a, b in pairs):
+            raise ValueError("Abel abscissas must increase strictly toward 1")
+    elif any(not x > 0 for x in xs) or any(b >= a for a, b in pairs):
+        raise ValueError("Laplace abscissas must decrease strictly toward 0")
+    return xs
+
+
+def abel_sweep(coeffs, bound: float, x_schedule) -> MeanSweep:
     """Values of ``(1-x) * sum_{n<=M(x)} a_n x^n`` along the schedule.
 
-    ``M(x) = ceil(log(tail_tol/bound) / log(x))`` certifies the dropped
-    tail at ``bound * x^M <= tail_tol`` using the declared bound only.
+    ``M(x) = ceil(log(1e-12/bound) / log(x))`` certifies the dropped
+    tail at ``bound * x^M <= 1e-12`` using the declared bound only.
     Raises :class:`InsufficientCoefficients` when the stream is shorter
     than the certified index for some abscissa.
     """
@@ -124,12 +133,10 @@ def abel_sweep(coeffs, bound: float, x_schedule,
         raise ValueError("declared bound must be positive")
     if np.max(np.abs(a)) > bound * (1 + 1e-12):
         raise ValueError("coefficients exceed the declared bound")
-    xs = [float(x) for x in x_schedule]
-    if any(not 0 < x < 1 for x in xs) or any(b <= a_ for a_, b in zip(xs, xs[1:])):
-        raise ValueError("Abel abscissas must increase strictly toward 1")
+    xs = _abscissas(MeanMethod.ABEL, x_schedule)
     values = []
     for x in xs:
-        m = int(math.ceil(math.log(tail_tol / bound) / math.log(x)))
+        m = int(math.ceil(math.log(_ABEL_TAIL / bound) / math.log(x)))
         m = max(m, 1)
         if m >= len(a):
             raise InsufficientCoefficients(
@@ -138,15 +145,14 @@ def abel_sweep(coeffs, bound: float, x_schedule,
         values.append(complex((1.0 - x) * np.dot(a[:m + 1], powers)))
     extrap = _extrapolate([1.0 - x for x in xs], values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.ABEL, tuple(xs), tuple(values), extrap,
-                     tail_bound=tail_tol)
+                     tail_bound=_ABEL_TAIL)
 
 
-def laplace_sweep(signal: Signal, x_schedule,
-                  tail_tol: float = 1e-9) -> MeanSweep:
+def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
     """Values of ``x * integral_0^T psi(t) exp(-x t) dt`` along the schedule.
 
     Requires the rendering to reach far enough that
-    ``bound * exp(-x T) <= tail_tol * x`` for every abscissa
+    ``bound * exp(-x T) <= 1e-9 * x`` for every abscissa
     (:class:`TailNotControlled` otherwise), so the dropped tail of the
     transform is certified from the declared bound.
     """
@@ -154,22 +160,20 @@ def laplace_sweep(signal: Signal, x_schedule,
         raise TypeError("Laplace sweep needs a continuous signal")
     if signal.start < -1e-12:
         raise ValueError("signal must live on the nonnegative half-line")
-    xs = [float(x) for x in x_schedule]
+    xs = _abscissas(MeanMethod.LAPLACE, x_schedule)
     T = signal.x_end
     t = signal.x_at(np.arange(len(signal)))
     values = []
     for x in xs:
-        if x <= 0:
-            raise ValueError(f"Laplace abscissa {x} must be positive")
-        if signal.bound * math.exp(-x * T) > tail_tol * x:
+        if signal.bound * math.exp(-x * T) > _LAPLACE_TAIL * x:
             raise TailNotControlled(
                 f"range [0, {T}] too short for abscissa {x}: "
-                f"tail {signal.bound * math.exp(-x * T):.3g} > {tail_tol * x:.3g}")
+                f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}")
         integrand = signal.values * np.exp(-x * t)
         values.append(complex(x * np.trapezoid(integrand, dx=signal.step)))
     extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.LAPLACE, tuple(xs), tuple(values), extrap,
-                     tail_bound=tail_tol)
+                     tail_bound=_LAPLACE_TAIL)
 
 
 def boundary_sweep(signal: Signal, x_schedule=()) -> MeanSweep:
@@ -338,43 +342,31 @@ def _geometric_indices(lo: int, hi: int, count: int) -> np.ndarray:
 class _View:
     """A signal, or its translation difference ``psi(x) - psi(x + lag*step)``.
 
-    Only the grid (start, step, length) is known up front; samples are
-    formed on request, one index slice at a time, so a route that reads
-    a few windows never builds the whole difference.  The difference
-    lives where both terms are sampled, as :func:`subtract` gives it.
+    ``lag`` is 0 for the signal itself and a positive step count for a
+    difference, which lives on the signal's first ``len - lag`` grid
+    points, as :func:`subtract` gives it.  Only the grid (start, step,
+    length) is known up front; samples are formed on request, one index
+    slice at a time, so a route that reads a few windows never builds
+    the whole difference.
     """
 
     signal: Signal
-    lag: Optional[int] = None
-
-    @classmethod
-    def difference(cls, signal: Signal, s: float) -> "_View":
-        d = signal.lag(s)
-        if len(signal) - abs(d) <= 0:
-            raise ValueError("signals have no overlapping range")
-        return cls(signal, d)
-
-    @property
-    def first(self) -> int:
-        """Signal index of the view's first sample."""
-        return 0 if self.lag is None else max(0, -self.lag)
+    lag: int = 0
 
     def __len__(self) -> int:
-        return len(self.signal) - (0 if self.lag is None else abs(self.lag))
+        return len(self.signal) - self.lag
 
     @property
     def start(self) -> float:
-        return self.signal.x_at(self.first)
+        return self.signal.x_at(0)
 
     def piece(self, a: int, e: int) -> Signal:
         """Samples ``a .. e-1`` of the view, as a signal on its grid."""
-        sig = self.signal
-        p, q = self.first + a, self.first + e
-        if self.lag is None:
-            return sig.derived(start=sig.x_at(p), values=sig.values[p:q])
-        d = self.lag
-        return sig.derived(start=sig.x_at(p),
-                           values=sig.values[p:q] - sig.values[p + d:q + d],
+        sig, d = self.signal, self.lag
+        if not d:
+            return sig.derived(start=sig.x_at(a), values=sig.values[a:e])
+        return sig.derived(start=sig.x_at(a),
+                           values=sig.values[a:e] - sig.values[a + d:e + d],
                            bound=2 * sig.bound, source=None)
 
     def tail_positions(self, count: int, pad: int) -> np.ndarray:
@@ -552,16 +544,6 @@ def oscillation_modulus(signal: Signal, u: float, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChainConfig:
-    """Knobs for :func:`chain_report`; an unset kernel or difference
-    shift list gets a default derived from the signal's grid."""
-
-    tol: float = 1e-2
-    kernel: Optional[Signal] = None
-    difference_shifts: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class DifferenceDecay:
     shift: float
     verdict: ACVerdict
@@ -592,34 +574,28 @@ def _limits_match(a: ACVerdict, b: ACVerdict, tol: float) -> bool:
     return abs(a.limit - b.limit) <= tol
 
 
-def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainReport:
+def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     """Run ordinary, weak*, and window-mean verdicts and check the chain.
 
     The pieces come from the signal's grid: two-sided windows doubling
-    from ``max(4 * step, span / 512)`` to ``span / 8``; weak* read at 96
-    tail positions; limits compared within ``10 * tol``; the oscillation
-    modulus over 4 steps beyond ``|x| >= |midpoint|``.  Each translation
-    difference ``psi(x) - psi(x + s)`` is read where its weak* verdict
-    reads it and nowhere else: its tail positions come from its grid
-    alone, and its samples are formed only on the kernel windows of
-    those positions.
+    from ``max(4 * step, span / 512)`` to ``span / 8``; the kernel
+    ``gaussian_kernel(0.5)`` on Z or ``gaussian_kernel_continuous(2 *
+    step, step)`` on R; weak* read at 96 tail positions; limits compared
+    within ``10 * tol``; the oscillation modulus over 4 steps beyond
+    ``|x| >= |midpoint|``.  Difference decay is checked at lags of 1, 4
+    and 16 steps.  Each translation difference ``psi(x) - psi(x + s)`` is
+    read where its weak* verdict reads it and nowhere else: its tail
+    positions come from its grid alone, and its samples are formed only
+    on the kernel windows of those positions.
     """
     step = signal.step
     span = step * (len(signal) - 1)
     top = span / 8
     schedule = WindowSchedule.geometric(max(4 * step, top / 64), top, 2,
                                         Sidedness.TWO_SIDED)
-    kernel = config.kernel
-    if kernel is None:
-        if signal.trapezoid:
-            kernel = gaussian_kernel_continuous(2 * step, step, radius=8 * step)
-        else:
-            kernel = gaussian_kernel(0.5, radius=2)
+    kernel = (gaussian_kernel_continuous(2 * step, step) if signal.trapezoid
+              else gaussian_kernel(0.5))
     shifts = tuple(geometric_tail_positions(signal, 96, pad=len(kernel) + 2))
-    diff_shifts = config.difference_shifts
-    if diff_shifts is None:
-        diff_shifts = tuple(step * d for d in (1, 4, 16))
-    tol = config.tol
     ctol = 10 * tol
 
     c_v = ordinary_verdict(signal, tol)
@@ -627,10 +603,10 @@ def chain_report(signal: Signal, config: ChainConfig = ChainConfig()) -> ChainRe
     ac_v = ac_verdict(cesaro_sweep(signal, schedule), tol)
 
     decay = []
-    for s in diff_shifts:
-        diff = _View.difference(signal, s)
+    for d in (1, 4, 16):
+        diff = _View(signal, d)
         dshifts = diff.tail_positions(64, pad=len(kernel) + 2)
-        decay.append(DifferenceDecay(float(s), _weak_star(diff, kernel, dshifts, tol)))
+        decay.append(DifferenceDecay(step * d, _weak_star(diff, kernel, dshifts, tol)))
     decay = tuple(decay)
     osc = oscillation_modulus(signal, 4 * step, abs(signal.start + span / 2))
 

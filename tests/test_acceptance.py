@@ -176,8 +176,7 @@ def test_criterion_10_hardy_littlewood_consistency():
             cesaro.cesaro_sweep(sig, WindowSchedule.geometric(128.0, 1024.0, 2, ONE)),
             1e-6)
         assert v.positive
-        sweep = tb.laplace_sweep(sig, (2.0 ** -5, 2.0 ** -6, 2.0 ** -7),
-                                 tail_tol=1e-9)
+        sweep = tb.laplace_sweep(sig, (2.0 ** -5, 2.0 ** -6, 2.0 ** -7))
         worst_c = max(worst_c, abs(sweep.extrapolated_limit - v.limit))
     ok = worst_d <= 1e-2 and worst_c <= 1e-2
     report(10, ok, f"mean-method consistency: abel worst={worst_d:.2e} "

@@ -245,8 +245,8 @@ def test_scaling_equivariance():
 def test_one_sided_matches_two_sided_for_zero_padded():
     # signal supported on [0, N], zero outside: the one-sided and
     # two-sided verdicts agree on almost convergence to 0
-    sig = ac.render_discrete(ac.Character(0.5), 0, 2 ** 12,
-                             extension=Extension.ZERO_OUTSIDE)
+    sig = ac.render_discrete(ac.Character(0.5), 0, 2 ** 12).derived(
+        extension=Extension.ZERO_OUTSIDE)
     tol = 1e-2
     v_one = cesaro.ac_verdict(
         cesaro.cesaro_sweep(sig, WindowSchedule.geometric(16, 1024, 2, ONE)), tol)
@@ -264,16 +264,16 @@ def test_zero_outside_includes_far_windows():
     assert ext.sup.real == pytest.approx(1.0)
 
 
-def test_shift_stride_refinement_bound():
-    lam = 0.02
-    sig = ac.render_continuous(ac.Character(lam), 0.0, 1.0, 4097)
-    sched = WindowSchedule((32.0, 64.0, 128.0))
-    coarse = cesaro.cesaro_sweep(sig, sched, shift_stride=2)
-    fine = cesaro.cesaro_sweep(sig, sched, shift_stride=1)
-    for s_f, s_c in zip(fine.sup, coarse.sup):
-        assert s_f.real >= s_c.real - 1e-12  # refinement only improves
-        # grid-sup error bound: |d/dx mean| <= B * 2 pi lam
-        assert s_f.real - s_c.real <= sig.bound * 2 * np.pi * lam * 2 * sig.h
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_shift_is_out_of_range(bad):
+    for ext in Extension:
+        for sig in (DiscreteSignal(-5, np.ones(64), 1.0, ext),
+                    ContinuousSignal(-2.0, 0.25, np.ones(64), 1.0, ext)):
+            for side in (ONE, TWO):
+                with pytest.raises(WindowOutOfRange):
+                    cesaro.window_average(sig, 2, bad, side)
+                with pytest.raises(WindowOutOfRange):
+                    cesaro.shift_extremes(sig, 2, [sig.x_at(10), bad], side)
 
 
 @given(st.integers(2, 40), st.integers(0, 60))
@@ -349,7 +349,9 @@ _parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 def test_sweep_and_window_average_match_gather_reference(
         kind, side, ext, stride, re, im, steps, at):
     # the window means and their extremes are those of the gather
-    # formulation exactly; a lone window mean keeps even the sign of a zero
+    # formulation exactly, over the whole shift grid for the sweep and over
+    # every stride-th shift for an explicit grid; a lone window mean keeps
+    # even the sign of a zero
     vals = np.asarray(re, dtype=complex)
     vals.imag = (im * len(vals))[:len(vals)]
     bound = float(np.max(np.abs(vals))) + 1.0
@@ -364,20 +366,27 @@ def test_sweep_and_window_average_match_gather_reference(
         sched = WindowSchedule(lengths, side)
         if any(len(shifts) == 0 for shifts, _ in refs):
             with pytest.raises((WindowOutOfRange, EmptyGrid)):
-                cesaro.cesaro_sweep(sig, sched, stride)
+                cesaro.cesaro_sweep(sig, sched)
             continue
-        sweep = cesaro.cesaro_sweep(sig, sched, stride)
+        sweep = cesaro.cesaro_sweep(sig, sched)
         assert sweep.lengths == tuple(
             float(round(k)) if kind == "discrete"
             else round(k / sig.h) * sig.h for k in lengths)
         for i, (shifts, means) in enumerate(refs):
-            shifts, means = shifts[::stride], means[::stride]
             r, j = means.real, means.imag
             comp = r if r.max() - r.min() >= j.max() - j.min() else j
             assert sweep.sup[i] == complex(r.max(), j.max())
             assert sweep.inf[i] == complex(r.min(), j.min())
             assert sweep.argmax[i] == shifts[np.argmax(comp)]
             assert sweep.argmin[i] == shifts[np.argmin(comp)]
+            shifts, means = shifts[::stride], means[::stride]
+            r, j = means.real, means.imag
+            comp = r if r.max() - r.min() >= j.max() - j.min() else j
+            ext = cesaro.shift_extremes(sig, lengths[i], shifts, side)
+            assert ext.sup == complex(r.max(), j.max())
+            assert ext.inf == complex(r.min(), j.min())
+            assert ext.argmax == shifts[np.argmax(comp)]
+            assert ext.argmin == shifts[np.argmin(comp)]
         shifts, means = refs[0]
         pos = at % len(shifts)
         got = cesaro.window_average(sig, lengths[0], shifts[pos], side)

@@ -148,6 +148,32 @@ def test_tauber_subcommand_discrete(tmp_path):
     assert lim["re"] == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("spec, xs, message", [
+    (ac.Convergent(2.0), "0.1,0.2,0.3", "Laplace abscissas must decrease strictly toward 0"),
+    (ac.Convergent(2.0), "0.5,-0.1", "Laplace abscissas must decrease strictly toward 0"),
+    (ac.Character(0.25), "0.3,0.2,0.1", "Abel abscissas must increase strictly toward 1"),
+], ids=["laplace_increasing", "laplace_negative", "abel_decreasing"])
+def test_abscissa_order_is_checked_before_any_mean(tmp_path, capsys, spec, xs, message):
+    # the default continuous grid is too short for 0.1: a Laplace list in
+    # the wrong order used to exit 2 on the first abscissa's tail
+    out_dir = tmp_path / "run"
+    rc = cli.main(["tauber", "--input", write_spec(tmp_path, spec), f"--xs={xs}",
+                   "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out_dir / "report.json").exists()
+
+
+def test_every_config_field_is_a_flag_of_every_analysis_command():
+    fields = set(cli.AnalysisConfig.__dataclass_fields__)
+    commands = next(a for a in cli.build_parser()._actions
+                    if a.dest == "command").choices
+    for name in ("analyze", "spectrum", "tauber", "chain", "cyclic"):
+        dests = {a.dest for a in commands[name]._actions}
+        assert fields - {"analysis"} <= dests, name
+        assert ("analysis" in dests) == (name == "analyze"), name
+
+
 def test_chain_subcommand(tmp_path):
     spec = write_spec(tmp_path, ac.Convergent(2.0))
     out_dir = tmp_path / "ch"
@@ -490,7 +516,7 @@ def test_analysis_csv_writers_match_per_row_code(tmp_path_factory, n, data):
         lengths=tuple(range(1, n + 1)), sup=tuple(sup.tolist()),
         inf=tuple(inf.tolist()), argmax=tuple(_column(data, n).tolist()),
         argmin=tuple(_column(data, n).tolist()), sidedness=Sidedness.TWO_SIDED,
-        shift_stride=1, p_bar_est=sup[-1], p_lower_est=inf[-1])
+        p_bar_est=sup[-1], p_lower_est=inf[-1])
     est = SpectrumEstimate(
         freqs=_column(data, n), magnitudes=np.abs(_column(data, n)),
         taper=Taper.HANN, mask_threshold=0.5,

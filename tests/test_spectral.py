@@ -212,7 +212,7 @@ def test_convolution_support_law():
     # leakage, and only where the kernel transform is alive
     spec = ac.TrigPoly(((1.0, 8 / 64), (0.7, -16 / 64)))
     sig = ac.render_discrete(spec, 0, 4095)
-    kernel = ac.signals.gaussian_kernel(1.0, radius=32)  # support 65
+    kernel = ac.signals.gaussian_kernel(8.0)  # support 65
     out = spectral.convolve(sig, kernel)
     est_out = spectral.dft_spectrum(out, Taper.HANN)
     est_in = spectral.dft_spectrum(sig, Taper.HANN)

@@ -76,8 +76,8 @@ def test_abel_schedule_validation():
 
 
 def test_laplace_constant():
-    sig = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 8001)
-    sweep = tb.laplace_sweep(sig, (0.1, 0.05), tail_tol=1e-6)
+    sig = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 16001)
+    sweep = tb.laplace_sweep(sig, (0.1, 0.05))
     T = sig.x_end
     for x, v in zip(sweep.abscissas, sweep.values):
         assert v == pytest.approx(1 - np.exp(-x * T), abs=1e-5)
@@ -85,21 +85,21 @@ def test_laplace_constant():
 
 def test_laplace_unit_character_closed_form():
     sig = ac.render_continuous(ac.Character(1.0), 0.0, 0.02, 200001)
-    sweep = tb.laplace_sweep(sig, (0.1,), tail_tol=1e-2)
+    sweep = tb.laplace_sweep(sig, (0.1,))
     oracle = abs(0.1 / (0.1 - 2j * np.pi))
     assert abs(sweep.values[0]) == pytest.approx(oracle, abs=1e-4)
 
 
 def test_laplace_scaling():
     sig = ac.render_continuous(ac.TrigPoly(((2.5, 0.0),)), 0.0, 0.05, 8001)
-    sweep = tb.laplace_sweep(sig, (0.1,), tail_tol=1e-5)
+    sweep = tb.laplace_sweep(sig, (0.1,))
     assert sweep.values[0] == pytest.approx(2.5, abs=1e-4)
 
 
 def test_laplace_tail_not_controlled():
     sig = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 101)
     with pytest.raises(TailNotControlled):
-        tb.laplace_sweep(sig, (0.01,), tail_tol=1e-9)
+        tb.laplace_sweep(sig, (0.01,))
 
 
 def test_residue_all_ones_sign_lock():
@@ -251,7 +251,7 @@ def test_primitive_check_on_both_groups():
 
 def test_weak_star_constant():
     sig = ac.render_discrete(ac.TrigPoly(((1.5, 0.0),)), 0, 1023)
-    kern = gaussian_kernel(0.5, radius=2)
+    kern = gaussian_kernel(0.5)
     shifts = tb.geometric_tail_positions(sig, 64, pad=len(kern) + 2)
     v = tb.weak_star_verdict(sig, kern, shifts, 1e-6)
     assert v.positive
@@ -348,10 +348,22 @@ def test_primitive_bounded_below_gate():
 
 
 def test_mean_sweep_validation():
-    with pytest.raises(ValueError):
-        tb.MeanSweep(tb.MeanMethod.ABEL, (0.9, 0.8), (1.0, 1.0), None, 1e-12)
-    with pytest.raises(ValueError):
-        tb.MeanSweep(tb.MeanMethod.LAPLACE, (0.1, 0.2), (1.0, 1.0), None, 1e-9)
+    # both sweeps check the schedule before computing a mean: the Laplace
+    # grid is too short for 0.1, so a late check would report its tail
+    with pytest.raises(ValueError, match="Abel abscissas must increase"):
+        tb.abel_sweep(np.ones(100), 1.0, (0.9, 0.8))
+    short = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 101)
+    for xs in ((0.1, 0.2), (0.2, 0.1, -0.05), (0.1, 0.0)):
+        with pytest.raises(ValueError, match="Laplace abscissas must decrease"):
+            tb.laplace_sweep(short, xs)
+    for sweep in (lambda xs: tb.abel_sweep(np.ones(100), 1.0, xs),
+                  lambda xs: tb.laplace_sweep(short, xs)):
+        with pytest.raises(ValueError, match="empty abscissa schedule"):
+            sweep(())
+    # the dot product of near-DBL_MAX coefficients overflows
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="sweep values must be finite"):
+        tb.abel_sweep(np.full(8000, 1e308), 1e308, (0.9,))
 
 
 def test_chain_convergent_signal():
@@ -421,7 +433,7 @@ def test_hardy_littlewood_continuous():
             cesaro.cesaro_sweep(sig, WindowSchedule.geometric(128.0, 1024.0, 2, ONE)),
             1e-6)
         assert v.positive
-        sweep = tb.laplace_sweep(sig, xs, tail_tol=1e-9)
+        sweep = tb.laplace_sweep(sig, xs)
         assert abs(sweep.extrapolated_limit - v.limit) <= 1e-2
 
 
@@ -498,8 +510,8 @@ def _random_signal(continuous, n, origin, seed, h=0.25):
     bound = float(np.max(np.abs(vals)))
     if continuous:
         return ContinuousSignal(first * h, h, vals, bound), \
-            gaussian_kernel_continuous(2 * h, h, radius=8 * h)
-    return DiscreteSignal(first, vals, bound), gaussian_kernel(0.5, radius=2)
+            gaussian_kernel_continuous(2 * h, h)
+    return DiscreteSignal(first, vals, bound), gaussian_kernel(0.5)
 
 
 @given(continuous=st.booleans(), n=st.integers(60, 400), origin=_ORIGINS,
@@ -529,12 +541,11 @@ def test_weak_star_matches_whole_array_convolution(continuous, n, origin, seed,
 @settings(max_examples=60, deadline=None)
 def test_chain_matches_whole_array_pieces(continuous, n, origin, seed, tol):
     sig, kern = _random_signal(continuous, n, origin, seed)
-    shifts = tuple(d * sig.step for d in (1, -1, 4, -4, 16, -16))
-    config = tb.ChainConfig(tol=tol, kernel=kern, difference_shifts=shifts)
-    rep = tb.chain_report(sig, config)
+    shifts = [d * sig.step for d in (1, 4, 16)]
+    rep = tb.chain_report(sig, tol)
     wshifts = tb.geometric_tail_positions(sig, 96, pad=len(kern) + 2)
     assert rep.wstar_verdict == _whole_weak_star(sig, kern, wshifts, tol)
-    assert [d.shift for d in rep.difference_decay] == list(shifts)
+    assert [d.shift for d in rep.difference_decay] == shifts
     for d in rep.difference_decay:
         assert d.verdict == _whole_decay(sig, kern, d.shift, tol)
     span = sig.step * (len(sig) - 1)
@@ -564,27 +575,16 @@ def _parity(new, old, expected):
     assert isinstance(got, tuple) and got[0] is expected, got
 
 
-def _chain_decay(sig, kern, s):
-    config = tb.ChainConfig(kernel=kern, difference_shifts=(s,))
-    return tb.chain_report(sig, config).difference_decay[0].verdict
-
-
-def test_difference_shift_off_the_grid_raises_as_before():
-    sig, kern = _random_signal(True, 200, "straddle", 1)
-    _parity((_chain_decay, sig, kern, 0.3 * sig.step),
-            (_whole_decay, sig, kern, 0.3 * sig.step, 1e-2), ValueError)
-
-
-def test_difference_without_overlap_raises_as_before():
-    sig, kern = _random_signal(False, 200, "zero", 2)
-    for s in (200.0, -250.0):
-        _parity((_chain_decay, sig, kern, s),
-                (_whole_decay, sig, kern, s, 1e-2), ValueError)
+def _view_decay(sig, kern, d):
+    """The difference-decay verdict of :func:`chain_report` at lag ``d``."""
+    diff = tb._View(sig, d)
+    dshifts = diff.tail_positions(64, pad=len(kern) + 2)
+    return tb._weak_star(diff, kern, dshifts, 1e-2)
 
 
 def test_difference_too_short_for_padding_raises_as_before():
     sig, kern = _random_signal(False, 200, "above", 3)
-    _parity((_chain_decay, sig, kern, 190.0),
+    _parity((_view_decay, sig, kern, 190),
             (_whole_decay, sig, kern, 190.0, 1e-2), RangeTooShort)
 
 
@@ -594,7 +594,7 @@ def test_kernel_mass_raises_as_before_on_every_route():
     shifts = tb.geometric_tail_positions(sig, 64, pad=len(heavy) + 2)
     _parity((tb.weak_star_verdict, sig, heavy, shifts, 1e-2),
             (_whole_weak_star, sig, heavy, shifts, 1e-2), ValueError)
-    _parity((tb._weak_star, tb._View.difference(sig, 4.0), heavy, shifts, 1e-2),
+    _parity((tb._weak_star, tb._View(sig, 4), heavy, shifts, 1e-2),
             (_whole_decay, sig, heavy, 4.0, 1e-2), ValueError)
     schedule = WindowSchedule.geometric(2, 8, 2, ONE)
     with pytest.raises(ValueError, match="kernel mass"):
@@ -607,17 +607,17 @@ def test_vanishing_kernel_transform_raises_as_before():
     shifts = tb.geometric_tail_positions(sig, 64, pad=len(wide) + 2)
     _parity((tb.weak_star_verdict, sig, wide, shifts, 1e-2),
             (_whole_weak_star, sig, wide, shifts, 1e-2), KernelVanishes)
-    _parity((tb._weak_star, tb._View.difference(sig, -4.0), wide, shifts, 1e-2),
-            (_whole_decay, sig, wide, -4.0, 1e-2), KernelVanishes)
+    _parity((tb._weak_star, tb._View(sig, 4), wide, shifts, 1e-2),
+            (_whole_decay, sig, wide, 4.0, 1e-2), KernelVanishes)
 
 
 def test_kernel_wider_than_the_difference_raises_as_before():
     # the check measures the whole difference, not the slices convolved
     sig, kern = _random_signal(True, 30, "straddle", 6)
-    for s in (14 * sig.step, -20 * sig.step):
-        diff = subtract(sig, sig.shifted(s))
+    for d in (14, 20):
+        diff = subtract(sig, sig.shifted(d * sig.step))
         shifts = diff.x_at(np.arange(len(diff)))
-        _parity((tb._weak_star, tb._View.difference(sig, s), kern, shifts, 1e-2),
+        _parity((tb._weak_star, tb._View(sig, d), kern, shifts, 1e-2),
                 (_whole_weak_star, diff, kern, shifts, 1e-2), KernelTooWide)
     short = ContinuousSignal(0.0, sig.step, sig.values[:16], sig.bound)
     _parity((tb.weak_star_verdict, short, kern, [0.0], 1e-2),
@@ -659,7 +659,7 @@ def test_errors_keep_their_order():
     _parity((tb.weak_star_verdict, sig, heavy, [np.nan], 1e-2),
             (_whole_weak_star, sig, heavy, [np.nan], 1e-2), ValueError)
     # a continuous kernel on discrete data fails before any shift is placed
-    cont = gaussian_kernel_continuous(2.0, 1.0, radius=2.0)
+    cont = gaussian_kernel_continuous(0.5, 1.0)
     _parity((tb.weak_star_verdict, sig, cont, [-50.0], 1e-2),
             (_whole_weak_star, sig, cont, [-50.0], 1e-2), TypeError)
 

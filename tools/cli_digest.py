@@ -1,0 +1,183 @@
+"""Digest of every CLI output of the benchmark's job cycles, for byte-identity checks.
+
+Usage, from the repository root::
+
+    python3 tools/cli_digest.py 6011 > change.json
+    python3 tools/cli_digest.py 6011 --root ../parent > parent.json
+    diff parent.json change.json
+
+Every job of ``perfbench/workloads.build_jobs(w, seed)`` for the ``scan``,
+``files`` and ``duality`` workloads goes through ``almostconv.cli.main`` in
+this process, followed by fixed ``tauber``, ``chain`` and ``analyze``
+probes: default and explicit abscissas on both groups, abscissa lists
+that are out of order or out of range, and chains on short, zero-outside
+and ``-0.0``-led data.  For each job the digest records the exit code,
+stdout, stderr and the sha256 of every file written.  The package and
+the job lists are imported from ``--root`` (default: this checkout), so
+one copy of this script digests any checkout.  Temporary paths in
+messages read ``{tmp}``.  The script reads the benchmark's files and
+writes none of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("scan", "files", "duality")
+
+_TRIG = {"kind": "trig_poly", "terms": [
+    {"coefficient": {"re": 0.5, "im": 0.25}, "frequency": 0.0},
+    {"coefficient": {"re": 0.3, "im": 0.0}, "frequency": 0.125}]}
+_CONVERGENT = {"kind": "convergent", "limit": 2.0}
+_BLOCKS = {"kind": "block_sequence"}
+_DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
+_ZERO_OUTSIDE = ("# signal kind=discrete n_min=-3 bound=2.0 extension=zero_outside "
+                 "source=custom\nindex,re,im\n"
+                 + "".join(f"{j - 3},{(j % 5) / 2.5!r},0.0\n" for j in range(300)))
+_NEG_ZERO = ("# signal kind=continuous x0=-0.0 h=0.25 bound=3.0 "
+             "extension=valid_only source=custom\nx,re,im\n"
+             + "".join(f"{0.25 * j!r},{-0.0 if j < 3 else (j % 7) / 3.5!r},"
+                       f"{-0.0 if j < 2 else 0.5!r}\n" for j in range(600)))
+
+# (name, input file name, input text, argv with {in}); each writes to its own --out-dir
+PROBES = [
+    ("tauber-trig-z", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--n-max", "2047"]),
+    ("tauber-trig-z-xs", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--n-max", "2047", "--xs", "0.5,0.75,0.9"]),
+    ("tauber-trig-z-xs-order", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--xs", "0.1,0.2,0.3"]),
+    ("tauber-trig-z-xs-back", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--xs", "0.9,0.5"]),
+    ("tauber-trig-z-xs-one", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--xs", "0.5,1.0"]),
+    ("tauber-trig-z-short", "trig.json", _TRIG,
+     ["tauber", "--input", "{in}", "--n-max", "20"]),
+    ("tauber-convergent-r-default", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}"]),
+    ("tauber-convergent-r", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}", "--h", "0.25", "--count", "32769"]),
+    ("tauber-convergent-r-xs", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}", "--h", "0.25", "--count", "32769",
+      "--xs", "0.25,0.125,0.0625"]),
+    ("tauber-convergent-r-xs-order", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}", "--xs", "0.1,0.2,0.3"]),
+    ("tauber-convergent-r-xs-negative", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}", "--xs", "0.5,-0.1"]),
+    ("tauber-convergent-r-xs-zero", "conv.json", _CONVERGENT,
+     ["tauber", "--input", "{in}", "--h", "0.25", "--count", "32769",
+      "--xs", "0.5,0.0"]),
+    ("tauber-dirichlet-r", "dirichlet.json", _DIRICHLET,
+     ["tauber", "--input", "{in}", "--h", "0.1", "--count", "4096"]),
+    ("tauber-csv-z", "zero.csv", _ZERO_OUTSIDE, ["tauber", "--input", "{in}"]),
+    ("chain-trig-z", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--n-max", "4095"]),
+    ("chain-trig-z-straddle", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--n-min", "-3000", "--n-max", "1000",
+      "--tol", "1e-3"]),
+    ("chain-trig-z-short", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--n-max", "40"]),
+    ("chain-blocks-z", "blocks.json", _BLOCKS,
+     ["chain", "--input", "{in}", "--n-max", "65535"]),
+    ("chain-convergent-r", "conv.json", _CONVERGENT,
+     ["chain", "--input", "{in}", "--h", "0.25", "--count", "2049"]),
+    ("chain-convergent-r-below", "conv.json", _CONVERGENT,
+     ["chain", "--input", "{in}", "--x0", "-100", "--h", "0.125",
+      "--count", "3001", "--tol", "0.1"]),
+    ("chain-dirichlet-r", "dirichlet.json", _DIRICHLET,
+     ["chain", "--input", "{in}", "--h", "0.1", "--count", "8192"]),
+    ("chain-csv-zero-outside", "zero.csv", _ZERO_OUTSIDE,
+     ["chain", "--input", "{in}"]),
+    ("chain-csv-negative-zero", "negzero.csv", _NEG_ZERO,
+     ["chain", "--input", "{in}"]),
+    ("cesaro-csv-zero-outside-two", "zero.csv", _ZERO_OUTSIDE,
+     ["analyze", "--input", "{in}", "--k-min", "2", "--k-max", "64"]),
+    ("cesaro-csv-zero-outside-one", "zero.csv", _ZERO_OUTSIDE,
+     ["analyze", "--input", "{in}", "--k-min", "2", "--k-max", "64",
+      "--sidedness", "one"]),
+    ("cesaro-csv-negative-zero", "negzero.csv", _NEG_ZERO,
+     ["analyze", "--input", "{in}", "--k-min", "0.25", "--k-max", "16",
+      "--sidedness", "one"]),
+    ("spectrum-trig-z", "trig.json", _TRIG,
+     ["spectrum", "--input", "{in}", "--n-max", "1023"]),
+]
+
+
+def _outputs(out_dir: str) -> dict:
+    digest = {}
+    for base, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                digest[os.path.relpath(path, out_dir)] = hashlib.sha256(
+                    fh.read()).hexdigest()
+    return dict(sorted(digest.items()))
+
+
+def _run(cli, argv, in_path: str, out_dir: str, tmp: str) -> dict:
+    os.makedirs(out_dir)
+    argv = [a.replace("{in}", in_path).replace("{out}", out_dir) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # recorded, so that a crash shows in the diff
+            rc = f"{type(exc).__name__}: {exc}"
+    return {"exit": rc, "stdout": out.getvalue().replace(tmp, "{tmp}"),
+            "stderr": err.getvalue().replace(tmp, "{tmp}"),
+            "files": _outputs(out_dir)}
+
+
+def digest(seed: int, root: Path) -> dict:
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from almostconv import cli
+    from workloads import build_jobs, write_inputs
+
+    tmp = tempfile.mkdtemp(prefix="cli-digest-")
+    result = {}
+    try:
+        for workload in WORKLOADS:
+            jobs = build_jobs(workload, seed)
+            inputs = os.path.join(tmp, workload)
+            write_inputs(jobs, inputs)
+            for job in jobs:
+                result[f"{workload}/{job.key}"] = _run(
+                    cli, job.argv, os.path.join(inputs, job.input_name or ""),
+                    os.path.join(tmp, "out", workload, job.key), tmp)
+        probes = os.path.join(tmp, "probes")
+        os.makedirs(probes)
+        for name, file_name, content, argv in PROBES:
+            path = os.path.join(probes, file_name)
+            with open(path, "w") as fh:
+                fh.write(content if isinstance(content, str)
+                         else json.dumps(content))
+            result[f"probe/{name}"] = _run(
+                cli, argv + ["--out-dir", "{out}"], path, os.path.join(tmp, "out", "probe", name), tmp)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return result
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("seed", type=int, help="seed of the benchmark job lists")
+    p.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                   help="checkout whose src/ and perfbench/ are used")
+    args = p.parse_args(argv)
+    json.dump(digest(args.seed, args.root.resolve()), sys.stdout, indent=1,
+              sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
