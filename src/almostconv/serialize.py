@@ -11,12 +11,15 @@ File formats:
 
 All writers are deterministic (sorted keys, shortest-roundtrip floats)
 so identical inputs produce byte-identical files.  CSV writers stream
-rows in blocks of ``signals.BLOCK``, every float as its ``repr``.
-Sample files are parsed by ``np.loadtxt``, whose float conversion is
-correctly rounded like ``float()``.  Unlike a ``float()`` per field, it
-reads a ``#`` after the data on a row as the start of a comment, and it
-rejects ``1_000``, non-ASCII digits, and lines after the header that
-hold only whitespace or whitespace and then a ``#`` comment.
+rows in blocks of ``signals.BLOCK``: every float cell is its ``repr``,
+but within a block each distinct float (by bits, so ``-0.0`` is apart
+from ``0.0``) is formatted once and its string reused by every row that
+holds it.  Sample files are parsed by ``np.loadtxt``, whose float
+conversion is correctly rounded like ``float()``.  Unlike a ``float()``
+per field, it reads a ``#`` after the data on a row as the start of a
+comment, and it rejects ``1_000``, non-ASCII digits, and lines after
+the header that hold only whitespace or whitespace and then a ``#``
+comment.  Metadata lines are found by a literal search for ``#``.
 """
 
 from __future__ import annotations
@@ -190,32 +193,63 @@ def save_generator(spec: GeneratorSpec, path: str) -> None:
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def _floats(values) -> list:
-    return np.asarray(values, dtype=np.float64).tolist()
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
 
 
 def _parts(values) -> tuple:
     z = np.asarray(values, dtype=np.complex128)
-    return z.real.tolist(), z.imag.tolist()
+    return z.real, z.imag
 
 
-def _write_rows(path: str, head: str, row, *columns) -> None:
-    """Write ``head``, then ``row(*values)`` for each row of the columns.
+def _cells(column) -> list:
+    """The column's cells as strings: ``str`` of an int, ``repr`` of a float.
 
-    ``row`` is a bound ``str.format`` ending in a newline and the columns
-    are equal-length lists or ranges; rows are joined ``BLOCK`` at a time,
-    so no string of the whole file is built.
+    ``repr`` runs once per distinct float, found by ``np.unique`` on the
+    bits, and its string is gathered to every row holding that float.
+    """
+    if isinstance(column, range) or column.dtype.kind != "f":
+        return list(map(str, column if isinstance(column, range) else column.tolist()))
+    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
+                       dtype=object)
+    return strings[where].tolist()
+
+
+def _write_rows(path: str, head: str, *columns) -> None:
+    """Write ``head``, then one comma-joined line per row of the columns.
+
+    The columns are equal-length float or int arrays, or ranges; rows are
+    formatted and joined ``BLOCK`` at a time, so no string of the whole
+    file is built.  A block's cell strings are freed before its text is
+    yielded: held across the yield (as a ``zip`` of them would be), they
+    overlap the next block's and leave the heap fragmented.
     """
     def chunks():
         yield head
         for lo in range(0, len(columns[0]), BLOCK):
-            yield "".join(map(row, *(c[lo:lo + BLOCK] for c in columns)))
+            yield "\n".join(map(",".join, zip(*(_cells(c[lo:lo + BLOCK])
+                                                 for c in columns)))) + "\n"
 
     atomic_write_text(path, chunks())
 
 
-_META_LINE = re.compile(r"^\s*#(.*)", re.M)
+_HASH_TO_EOL = re.compile(r"#(.*)")
 _TABLE_LINE = re.compile(r"^\s*[^#\s]", re.M)
+
+
+def _meta_lines(text: str):
+    r"""What follows ``#`` on each line whose first non-space is that ``#``.
+
+    These are the matches of ``^\s*#(.*)`` under ``re.M`` (whose ``\s``
+    is ``str.isspace``), found by a literal search for ``#`` rather than
+    a match attempt at every character of the text.
+    """
+    for m in _HASH_TO_EOL.finditer(text):
+        pos = m.start()
+        lead = text[text.rfind("\n", 0, pos) + 1:pos]
+        if not lead or lead.isspace():
+            yield m.group(1)
 
 
 def _parse_meta(line: str) -> dict:
@@ -240,8 +274,8 @@ def _read_table(path: str, what: str) -> tuple:
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     meta = {}
-    for m in _META_LINE.finditer(text):
-        meta.update(_parse_meta(m.group(1)))
+    for line in _meta_lines(text):
+        meta.update(_parse_meta(line))
     lines = _TABLE_LINE.finditer(text)
     header = next(lines, None)
     if next(lines, None) is None:
@@ -270,15 +304,14 @@ def signal_to_csv(signal: Signal, path: str) -> None:
     if isinstance(signal, DiscreteSignal):
         n = len(signal.values)
         head = f"# signal kind=discrete n_min={signal.n_min} {tail}index,re,im\n"
-        _write_rows(path, head, "{},{!r},{!r}\n".format,
-                    range(signal.n_min, signal.n_min + n), *_parts(signal.values))
+        _write_rows(path, head, range(signal.n_min, signal.n_min + n),
+                    *_parts(signal.values))
         return
     # x_at(i) = x0 + i*h: the same multiply and add, element by element
     xs = float(signal.x0) + np.arange(len(signal.samples)) * float(signal.h)
     head = (f"# signal kind=continuous x0={float(signal.x0)!r} "
             f"h={float(signal.h)!r} {tail}x,re,im\n")
-    _write_rows(path, head, "{!r},{!r},{!r}\n".format, xs.tolist(),
-                *_parts(signal.samples))
+    _write_rows(path, head, xs, *_parts(signal.samples))
 
 
 def signal_from_csv(path: str) -> Signal:
@@ -292,6 +325,8 @@ def signal_from_csv(path: str) -> Signal:
             raise ConfigError("sample positions must be finite")
         kind = "discrete" if np.all(np.abs(xs - np.round(xs)) < 1e-9) and \
             (len(xs) < 2 or abs(xs[1] - xs[0] - 1) < 1e-9) else "continuous"
+    elif kind not in ("discrete", "continuous"):
+        raise ConfigError(f"unknown signal kind {kind!r}")
     try:
         ext = Extension(meta.get("extension", "valid_only"))
         bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
@@ -316,20 +351,18 @@ def signal_from_csv(path: str) -> Signal:
 
 def sweep_to_csv(sweep: CesaroSweep, path: str) -> None:
     _write_rows(path, "k,sup_re,sup_im,inf_re,inf_im,argmax,argmin\n",
-                "{!r},{!r},{!r},{!r},{!r},{!r},{!r}\n".format,
                 _floats(sweep.lengths), *_parts(sweep.sup), *_parts(sweep.inf),
                 _floats(sweep.argmax), _floats(sweep.argmin))
 
 
 def spectrum_to_csv(est: SpectrumEstimate, path: str) -> None:
-    _write_rows(path, "freq,magnitude,masked\n", "{!r},{!r},{}\n".format,
-                _floats(est.freqs), _floats(est.magnitudes),
-                np.asarray(est.support_mask, dtype=np.int64).tolist())
+    _write_rows(path, "freq,magnitude,masked\n", _floats(est.freqs),
+                _floats(est.magnitudes), np.asarray(est.support_mask, dtype=np.int64))
 
 
 def mean_sweep_to_csv(sweep: MeanSweep, path: str) -> None:
-    _write_rows(path, "abscissa,re,im\n", "{!r},{!r},{!r}\n".format,
-                _floats(sweep.abscissas), *_parts(sweep.values))
+    _write_rows(path, "abscissa,re,im\n", _floats(sweep.abscissas),
+                *_parts(sweep.values))
 
 
 def verdict_to_dict(v: ACVerdict) -> dict:
@@ -375,8 +408,8 @@ def chain_report_to_dict(report: ChainReport) -> dict:
 
 
 def cyclic_to_csv(f: CyclicFunction, path: str) -> None:
-    _write_rows(path, f"# cyclic N={f.N}\nindex,re,im\n", "{},{!r},{!r}\n".format,
-                range(f.N), *_parts(f.values))
+    _write_rows(path, f"# cyclic N={f.N}\nindex,re,im\n", range(f.N),
+                *_parts(f.values))
 
 
 def cyclic_from_csv(path: str) -> CyclicFunction:

@@ -90,6 +90,18 @@ def _check_bound(values: np.ndarray, bound: float) -> None:
         raise ValueError(f"|values| reach {top} above declared bound {bound}")
 
 
+def _check_grid(start, step: float, count: int, trapezoid: bool) -> None:
+    """Every grid position ``start + j*step`` must be a finite float, and an
+    integer grid must stay within +-2**53, where integers are exact floats."""
+    if not trapezoid:
+        if not (-2 ** 53 <= start and start + (count - 1) <= 2 ** 53):
+            raise ValueError("integer grid positions must lie within +-2**53")
+        return
+    end = float(start) + (count - 1) * float(step)
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"grid positions {start}..{end} must be finite")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Complex samples at ``x_j = start + j*step``, with a quadrature rule.
@@ -131,6 +143,7 @@ class Signal:
         if not self.trapezoid and self.step != 1.0:
             raise ValueError("plain sums count samples on the integers: step must be 1")
         object.__setattr__(self, "values", _as_complex(self.values))
+        _check_grid(self.start, self.step, len(self.values), self.trapezoid)
         _check_bound(self.values, self.bound)
 
     def __len__(self) -> int:

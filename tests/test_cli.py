@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -541,27 +542,87 @@ def test_analysis_csv_writers_match_per_row_code(tmp_path_factory, n, data):
     assert back.values.view(np.float64).tobytes() == cyc.values.view(np.float64).tobytes()
 
 
-@pytest.mark.parametrize("text", [
-    "\n\n  \n# signal kind=discrete n_min=3 bound=2.0 extension=zero_outside "
-    "source=-\n\n \nindex,re,im\n3,1,0\n4,-0.0,2\n",
-    "index,re,im\n0,1,0\n\n\n1,2,-0.0\n\n2,0.5,0.25\n\n",
-    "x,re,im\n# kind=continuous x0=0.5 h=0.25 source=late\n0.5,1,0\n"
-    "# a comment among the rows\n0.75,1,1\n",
-    "# signal kind=discrete n_min=-2 bound=3.0\r\nindex,re,im\r\n"
-    "-2,1,0\r\n-1,0,3\r\n",
-    "index , re , im\n 0 , 1.5 ,  -2 \n1,\t2,0\t\n  2,2,1\n",
-    "index,re,im\n-3,1,0\n-2,0.5,0\n-1,0,0.25\n",
-    "x,re,im\n0.5,1,0\n0.75,0.5,0\n1.0,0,0.25\n",
-    "x,re,im\n7,1,0\n",
-], ids=["leading_blank_lines", "blank_lines_between_rows", "comment_after_header",
-        "crlf", "spaces_around_fields", "no_kind_discrete", "no_kind_continuous",
-        "no_kind_one_row"])
-def test_odd_but_valid_sample_files_read_as_before(tmp_path, text):
+@pytest.mark.parametrize("n", [ac.signals.BLOCK, ac.signals.BLOCK + 1])
+def test_distinct_floats_and_signed_zeros_match_per_row_code(tmp_path, n):
+    # the drawn columns repeat values from small pools; here every value of
+    # a column is distinct, 0.0 and -0.0 among them in one block
+    from almostconv.spectral import SpectrumEstimate, Taper
+
+    rng = np.random.default_rng(n)
+    vals = np.empty(n, dtype=np.complex128)
+    vals.real = rng.standard_normal(n)
+    vals.real[[3, n // 2]] = 0.0, -0.0
+    vals.imag = rng.standard_normal(n)
+    vals.imag[[0, n - 1]] = -0.0, 0.0
+    for col in (vals.real, vals.imag):
+        assert len(np.unique(col.view(np.int64))) == n
+    bound = float(np.max(np.abs(vals)))
+    est = SpectrumEstimate(
+        freqs=vals.real.copy(), magnitudes=np.abs(vals), taper=Taper.HANN,
+        mask_threshold=0.5, support_mask=vals.imag > 0, parseval_rel_error=0.0,
+        window_length=n, step=1.0)
+    for obj, new_writer, old_writer in (
+            (est, serialize.spectrum_to_csv, _old_spectrum_to_csv),
+            (ac.DiscreteSignal(-7, vals, bound), serialize.signal_to_csv,
+             _old_signal_to_csv),
+            (ac.ContinuousSignal(-0.0, 0.1, vals, bound), serialize.signal_to_csv,
+             _old_signal_to_csv)):
+        new_writer(obj, str(tmp_path / "new.csv"))
+        old_writer(obj, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = serialize.signal_from_csv(str(tmp_path / "new.csv"))
+    assert back.values.view(np.float64).tobytes() == vals.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("text, read_as", [
+    pytest.param("\n\n  \n# signal kind=discrete n_min=3 bound=2.0 "
+                 "extension=zero_outside source=-\n\n \nindex,re,im\n3,1,0\n4,-0.0,2\n",
+                 None, id="leading_blank_lines"),
+    pytest.param("index,re,im\n0,1,0\n\n\n1,2,-0.0\n\n2,0.5,0.25\n\n", None,
+                 id="blank_lines_between_rows"),
+    pytest.param("x,re,im\n# kind=continuous x0=0.5 h=0.25 source=late\n0.5,1,0\n"
+                 "# a comment among the rows\n0.75,1,1\n", None,
+                 id="comment_after_header"),
+    pytest.param("# signal kind=discrete n_min=-2 bound=3.0\r\nindex,re,im\r\n"
+                 "-2,1,0\r\n-1,0,3\r\n", None, id="crlf"),
+    pytest.param("index , re , im\n 0 , 1.5 ,  -2 \n1,\t2,0\t\n  2,2,1\n", None,
+                 id="spaces_around_fields"),
+    pytest.param("index,re,im\n-3,1,0\n-2,0.5,0\n-1,0,0.25\n", None,
+                 id="no_kind_discrete"),
+    pytest.param("x,re,im\n0.5,1,0\n0.75,0.5,0\n1.0,0,0.25\n", None,
+                 id="no_kind_continuous"),
+    pytest.param("x,re,im\n7,1,0\n", None, id="no_kind_one_row"),
+    # str.isspace characters that are no line break for the text reader
+    pytest.param("\x1c# signal kind=continuous x0=0.5\n\x85 # h=0.25\n"
+                 "\u2028#source=spaced\n\x0b\t# bound=4.0\nx,re,im\n0.5,1,0\n0.75,2,0\n",
+                 None, id="unicode_space_before_hash"),
+    pytest.param("#signal kind=continuous x0=-0.0 h=0.5\nx,re,im\n0,1,0\n0.5,2,0\n",
+                 None, id="hash_first_in_file"),
+    # np.loadtxt cuts the comment off; its kind=continuous is no metadata
+    pytest.param("index,re,im\n0,1,0 # kind=continuous\n1,2,0\n",
+                 "index,re,im\n0,1,0\n1,2,0\n", id="row_ending_in_metadata"),
+    pytest.param(" \t\n\x0b\x0c\n\r\n\n   # signal kind=discrete n_min=-1\n"
+                 "index,re,im\n-1,1,0\n0,2,0\n", None,
+                 id="whitespace_lines_before_metadata"),
+])
+def test_odd_but_valid_sample_files_read_as_before(tmp_path, text, read_as):
     path = tmp_path / "odd.csv"
     path.write_bytes(text.encode())
-    expected = _old_signal_from_csv(str(path))
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes((read_as or text).encode())
+    expected = _old_signal_from_csv(str(plain))
     assert _signal_fields(serialize.signal_from_csv(str(path))) == \
         _signal_fields(expected)
+
+
+_OLD_META_LINE = re.compile(r"^\s*#(.*)", re.M)
+
+
+@given(text=st.text(alphabet="# \n\r\t\x1c a=,"))
+@settings(max_examples=300, deadline=None)
+def test_metadata_scan_matches_the_multiline_regex(text):
+    assert list(serialize._meta_lines(text)) == \
+        [m.group(1) for m in _OLD_META_LINE.finditer(text)]
 
 
 @pytest.mark.parametrize("rows", ["0,1,0\ninf,0.5,0\n", "0,1,0\n1,1,0\ninf,0.5,0\n",
@@ -582,6 +643,87 @@ def test_infinite_first_index_without_n_min_is_a_config_error(tmp_path):
     path.write_text("# signal kind=discrete\nindex,re,im\ninf,1,0\n")
     with pytest.raises(ac.errors.ConfigError):
         serialize.signal_from_csv(str(path))
+
+
+def _sample_rows(count, grid="x"):
+    return f"{grid},re,im\n" + "".join(f"{0.5 * j!r},{(j % 3) / 2},0.0\n"
+                                        for j in range(count))
+
+
+# the commands that read a sample file; analyze gets windows that fit one
+_SAMPLE_COMMANDS = {
+    "analyze": ["analyze", "--k-min", "2", "--k-max", "64"],
+    "tauber": ["tauber"],
+    "spectrum": ["spectrum"],
+    "chain": ["chain"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SAMPLE_COMMANDS))
+def test_unknown_signal_kind_is_a_config_error(tmp_path, capsys, command):
+    # used to be read as continuous without complaint
+    path = tmp_path / "bogus.csv"
+    path.write_text("# signal kind=bogus x0=0 h=0.5 bound=1.0\n" + _sample_rows(1200))
+    with pytest.raises(ConfigError, match="unknown signal kind 'bogus'"):
+        serialize.signal_from_csv(str(path))
+    rc = cli.main([*_SAMPLE_COMMANDS[command], "--input", str(path),
+                   "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: unknown signal kind 'bogus'\n"
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+_HOSTILE_GRIDS = {
+    # h taken from the rows
+    "x0_inf": "# signal kind=continuous x0=inf bound=1.0\n" + _sample_rows(1200),
+    "grid_end_overflow": ("# signal kind=continuous x0=1e308 h=1e306 bound=1.0\n"
+                          + _sample_rows(1200)),
+    "n_min_401_digits": (f"# signal kind=discrete n_min=1{'0' * 400} bound=1.0\n"
+                         + _sample_rows(1200, "index")),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_HOSTILE_GRIDS))
+@pytest.mark.parametrize("command", sorted(_SAMPLE_COMMANDS))
+def test_sample_grid_positions_must_be_finite_floats(tmp_path, capsys, command, grid):
+    # each command either reported on these or failed later with a message
+    # about something else ("int too large to convert to float", a Nyquist
+    # or window length out of range)
+    path = tmp_path / "grid.csv"
+    path.write_text(_HOSTILE_GRIDS[grid])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([*_SAMPLE_COMMANDS[command], "--input", str(path),
+                       "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: inconsistent samples: ")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("make, ok", [
+    (lambda: ac.DiscreteSignal(2 ** 53 - 1, [1.0, 1.0], 1.0), True),
+    (lambda: ac.DiscreteSignal(-2 ** 53, [1.0], 1.0), True),
+    (lambda: ac.DiscreteSignal(2 ** 53 - 1, [1.0, 1.0, 1.0], 1.0), False),
+    (lambda: ac.DiscreteSignal(-2 ** 53 - 1, [1.0], 1.0), False),
+    (lambda: ac.DiscreteSignal(0, [1.0], 1.0).derived(start=2 ** 60), False),
+    (lambda: ac.ContinuousSignal(1e308, 1e306, np.ones(50), 1.0), True),
+    (lambda: ac.ContinuousSignal(1e308, 1e306, np.ones(200), 1.0), False),
+    (lambda: ac.ContinuousSignal(-np.inf, 0.5, [1.0], 1.0), False),
+    (lambda: ac.ContinuousSignal(np.nan, 0.5, [1.0], 1.0), False),
+], ids=["z_end_at_2_53", "z_start_at_minus_2_53", "z_end_past_2_53",
+        "z_start_past_minus_2_53", "z_derived_start_2_60", "r_end_finite",
+        "r_end_overflow", "r_start_minus_inf", "r_start_nan"])
+def test_signal_grid_must_be_exact_and_finite(make, ok):
+    if ok:
+        make()
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid positions"):
+            make()
 
 
 @pytest.mark.parametrize("rows", ["0,1\n1,2,0\n", "0,1\n1,2\n", "0,abc,0\n1,2,0\n",
@@ -632,22 +774,27 @@ def test_csv_memory_stays_bounded(tmp_path):
 
     rng = np.random.default_rng(3)
     n = 1 << 18
-    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    sig = ac.DiscreteSignal(-5, vals, float(np.max(np.abs(vals))))
-    path = str(tmp_path / "big.csv")
-    tracemalloc.start()
-    try:
-        serialize.signal_to_csv(sig, path)
-        write_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        back = serialize.signal_from_csv(path)
-        read_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(back.values, vals)
-    assert write_peak < 40 * 2 ** 20
-    assert read_peak < 40 * 2 ** 20
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # two symbols per column: every block is formatted through the gather
+    symbols = np.empty(n, dtype=np.complex128)
+    symbols.real = rng.choice([0.0, 1.0], n)
+    symbols.imag = rng.choice([-0.0, 0.5], n)
+    for vals in (noise, symbols):
+        sig = ac.DiscreteSignal(-5, vals, float(np.max(np.abs(vals))))
+        path = str(tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            serialize.signal_to_csv(sig, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            back = serialize.signal_from_csv(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert back.values.view(np.float64).tobytes() == vals.view(np.float64).tobytes()
+        assert write_peak < 40 * 2 ** 20
+        assert read_peak < 40 * 2 ** 20
 
 
 def test_numpy_scalar_metadata_round_trips(tmp_path):

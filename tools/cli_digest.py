@@ -8,10 +8,14 @@ Usage, from the repository root::
 
 Every job of ``perfbench/workloads.build_jobs(w, seed)`` for the ``scan``,
 ``files`` and ``duality`` workloads goes through ``almostconv.cli.main`` in
-this process, followed by fixed ``tauber``, ``chain`` and ``analyze``
-probes: default and explicit abscissas on both groups, abscissa lists
-that are out of order or out of range, and chains on short, zero-outside
-and ``-0.0``-led data.  For each job the digest records the exit code,
+this process, followed by fixed probes: default and explicit abscissas
+on both groups, abscissa lists that are out of order or out of range,
+chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
+``tauber`` on sample files with indented and trailing metadata lines and
+``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows, and every analysis
+command on sample files with an unknown kind or grid positions that are
+not finite floats.  A probe whose argv names ``{out}`` writes there;
+every other one gets ``--out-dir {out}``.  For each job the digest records the exit code,
 stdout, stderr and the sha256 of every file written.  The package and
 the job lists are imported from ``--root`` (default: this checkout), so
 one copy of this script digests any checkout.  Temporary paths in
@@ -48,7 +52,38 @@ _NEG_ZERO = ("# signal kind=continuous x0=-0.0 h=0.25 bound=3.0 "
              + "".join(f"{0.25 * j!r},{-0.0 if j < 3 else (j % 7) / 3.5!r},"
                        f"{-0.0 if j < 2 else 0.5!r}\n" for j in range(600)))
 
-# (name, input file name, input text, argv with {in}); each writes to its own --out-dir
+# metadata indented by str.isspace characters and after the last row
+_EDGES_Z = ("  \t# signal kind=discrete n_min=-5\n\x1c # bound=2.5 extension=zero_outside\n"
+            "index,re,im\n"
+            + "".join(f"{j - 5},{-0.0 if j % 4 == 0 else (j % 5) / 2!r},"
+                      f"{-0.0 if j % 3 else 0.5}\n" for j in range(2000))
+            + "# source=trailing\n")
+_EDGES_R = ("\u2028#signal kind=continuous x0=-0.0\n \x0b# h=0.25 bound=2.0\nx,re,im\n"
+            + "".join(f"{0.25 * j!r},{-0.0 if j % 2 else 1.5},-0.0\n"
+                      for j in range(2400))
+            + "# source=trailing\n")
+
+
+def _hostile(meta: str, grid: str = "x") -> str:
+    return (f"# signal {meta} bound=1.0\n{grid},re,im\n"
+            + "".join(f"{0.5 * j!r},{(j % 3) / 2},0.0\n" for j in range(1200)))
+
+
+_HOSTILE = {
+    "kind-bogus": _hostile("kind=bogus x0=0 h=0.5"),
+    "x0-inf": _hostile("kind=continuous x0=inf"),
+    "grid-end-overflow": _hostile("kind=continuous x0=1e308 h=1e306"),
+    "n-min-401-digits": _hostile(f"kind=discrete n_min=1{'0' * 400}", "index"),
+}
+_HOSTILE_ARGV = {
+    "analyze": ["analyze", "--input", "{in}", "--k-min", "2", "--k-max", "64"],
+    "tauber": ["tauber", "--input", "{in}"],
+    "spectrum": ["spectrum", "--input", "{in}"],
+    "chain": ["chain", "--input", "{in}"],
+}
+
+# (name, input file name, input text, argv with {in} and maybe {out}); each
+# writes to its own output directory
 PROBES = [
     ("tauber-trig-z", "trig.json", _TRIG,
      ["tauber", "--input", "{in}", "--n-max", "2047"]),
@@ -109,7 +144,17 @@ PROBES = [
       "--sidedness", "one"]),
     ("spectrum-trig-z", "trig.json", _TRIG,
      ["spectrum", "--input", "{in}", "--n-max", "1023"]),
-]
+    ("spectrum-csv-edges-z", "edges_z.csv", _EDGES_Z, ["spectrum", "--input", "{in}"]),
+    ("spectrum-csv-edges-r", "edges_r.csv", _EDGES_R, ["spectrum", "--input", "{in}"]),
+    ("tauber-csv-edges-z", "edges_z.csv", _EDGES_Z, ["tauber", "--input", "{in}"]),
+    ("tauber-csv-edges-r", "edges_r.csv", _EDGES_R,
+     ["tauber", "--input", "{in}", "--xs", "0.5,0.25"]),
+    ("generate-blocks-z", "blocks.json", _BLOCKS,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
+    ("generate-trig-z", "trig.json", _TRIG,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
+] + [(f"{command}-csv-{name}", f"{name}.csv", text, argv)
+     for name, text in _HOSTILE.items() for command, argv in _HOSTILE_ARGV.items()]
 
 
 def _outputs(out_dir: str) -> dict:
@@ -160,8 +205,10 @@ def digest(seed: int, root: Path) -> dict:
             with open(path, "w") as fh:
                 fh.write(content if isinstance(content, str)
                          else json.dumps(content))
+            if not any("{out}" in a for a in argv):
+                argv = argv + ["--out-dir", "{out}"]
             result[f"probe/{name}"] = _run(
-                cli, argv + ["--out-dir", "{out}"], path, os.path.join(tmp, "out", "probe", name), tmp)
+                cli, argv, path, os.path.join(tmp, "out", "probe", name), tmp)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return result
