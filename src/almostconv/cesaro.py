@@ -17,17 +17,23 @@ Window conventions
 
 How extremes are computed
 -------------------------
-The sweep builds one running sum per signal (``Signal.running_sum``: a plain
-sum for discrete data, a cumulative trapezoid for continuous data) and
-splits it into real and imaginary float arrays, extended with their end
-values so that windows reaching outside the data read zero there.  Each
-window length then takes all its window sums as one slice difference per
-part and scales them by the reciprocal of the window width, which is how
-NumPy divides a complex array by a real number, so the means are the same
-bits as dividing complex window sums (a running sum holding -0.0, which
-only leading -0.0 data gives, takes that complex division itself, so even
-the signs of zero means agree).  Sup, inf, argmax and argmin come
-straight from the two parts; only the winning shifts are converted to
+The sweep builds one running sum per signal (``Signal.running_sum``: a
+plain sum for discrete data, a cumulative trapezoid for continuous data)
+and splits it into real and imaginary float arrays, extended with their
+end values so that windows reaching outside the data read zero there.
+It then walks the shifts ``signals.BLOCK`` at a time.  On each block,
+every window length takes its means as one slice difference per part,
+scaled in place by the reciprocal of the window width, in a buffer of
+one block.  So each stretch of the running sum is read from memory once
+for all the lengths whose windows start or end in it, and each block's
+means stay in cache.  The scaling is how NumPy divides a complex array
+by a real number, so the means are the same bits as dividing complex
+window sums (a running sum holding -0.0, which only leading -0.0 data
+gives, takes that complex division itself over the whole grid, so even
+the signs of zero means agree).  Each block keeps the first argmax and
+argmin of both parts; the extremes are the extremes of the block
+extremes, taken from the first block that reaches them, so ties still go
+to the smallest shift.  Only the winning shifts are converted to
 positions.  :func:`window_average` and :func:`shift_extremes` evaluate
 just the windows they are asked for from the same running sum.
 
@@ -47,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyGrid, WindowOutOfRange
-from .signals import Extension, Sidedness, Signal, WindowSchedule, subtract
+from .signals import BLOCK, Extension, Sidedness, Signal, WindowSchedule, subtract
 from .spectral import convolve, require_unit_mass
 from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
 
@@ -215,23 +221,20 @@ def _extremes_from(re: np.ndarray, im: np.ndarray, shift_of) -> ShiftExtremes:
                          argmin=shift_of(int(np.argmin(comp))))
 
 
-def _sweep_means(p: np.ndarray, layouts):
-    """Yield (re, im) means of each layout at every admissible shift.
+def _sweep_extremes(p: np.ndarray, layouts, shift_of):
+    """Extremes of each layout's means over all its admissible shifts,
+    ``shift_of(lay, j)`` naming shift ``j``.
 
-    They equal ``_means_at`` bit for bit, but come from slice differences
-    of the real and imaginary parts of ``p``, extended with its end values
-    so that slicing reproduces the clipping.  NumPy divides complex by real
-    as a multiply by the reciprocal, so the scaling does the same.  A -0.0
-    in ``p`` (only leading -0.0 data makes one) reaches the means, where
-    complex division and max/min treat signed zeros their own way: such
-    sums take the complex route itself.  The yielded arrays are reused by
-    the next window.
+    The means equal ``_means_at``'s bit for bit; see the module docstring.
+    A -0.0 in ``p`` reaches the means, where complex division and max/min
+    treat signed zeros their own way: such sums take ``_means_at`` itself.
     """
     head = p[1:2].view(np.float64)
     if np.any((head == 0) & np.signbit(head)):
         for lay in layouts:
             means = _means_at(p, lay, np.arange(lay.count))
-            yield means.real, means.imag
+            yield _extremes_from(means.real, means.imag,
+                                 lambda j: shift_of(lay, j))
         return
     last = len(p) - 1
     pad = max([0] + [-lay.lo for lay in layouts])
@@ -243,17 +246,33 @@ def _sweep_means(p: np.ndarray, layouts):
         row[pad:pad + len(p)] = part
         row[pad + len(p):] = part[-1]
     del p, head, part
-    buf = np.empty((2, max(lay.count for lay in layouts)))
-    for lay in layouts:
-        a = pad + lay.lo
-        b = a + lay.width
-        re, im = buf[:, :lay.count]
-        for part, out in zip(parts, (re, im)):
-            np.subtract(part[b:b + lay.count], part[a:a + lay.count], out=out)
-        inv = 1.0 / lay.scale
-        re *= inv
-        im *= inv
-        yield re, im
+    count = max(lay.count for lay in layouts)
+    buf = np.empty((2, min(BLOCK, count)))
+    rows = np.arange(2)
+    # per layout and block: (maxima, argmaxes, minima, argmins) of both parts
+    found = [[] for _ in layouts]
+    for first in range(0, count, BLOCK):
+        for lay, blocks in zip(layouts, found):
+            size = min(BLOCK, lay.count - first)
+            if size < 1:
+                continue
+            a = pad + lay.lo + first
+            b = a + lay.width
+            means = buf[:, :size]
+            np.subtract(parts[:, b:b + size], parts[:, a:a + size], out=means)
+            means *= 1.0 / lay.scale
+            top, bottom = means.argmax(axis=1), means.argmin(axis=1)
+            blocks.append((means[rows, top], top, means[rows, bottom], bottom))
+    for lay, blocks in zip(layouts, found):
+        tops, top_at, bottoms, bottom_at = map(np.array, zip(*blocks))
+        # the first block that reaches an extreme holds its first shift
+        up, down = tops.argmax(axis=0), bottoms.argmin(axis=0)
+        (re_max, im_max), (re_min, im_min) = tops[up, rows], bottoms[down, rows]
+        c = 0 if re_max - re_min >= im_max - im_min else 1
+        yield ShiftExtremes(
+            sup=complex(re_max, im_max), inf=complex(re_min, im_min),
+            argmax=shift_of(lay, int(up[c]) * BLOCK + int(top_at[up[c], c])),
+            argmin=shift_of(lay, int(down[c]) * BLOCK + int(bottom_at[down[c], c])))
 
 
 def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
@@ -271,23 +290,18 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
             raise EmptyGrid(f"no shifts remain for window length {k}")
         lengths.append(actual)
         layouts.append(lay)
-    means = _sweep_means(signal.running_sum(), layouts)
-    sups, infs, argmaxes, argmins = [], [], [], []
-    for lay, (re, im) in zip(layouts, means):
-        ext = _extremes_from(re, im, lambda j: float(signal.x_at(lay.idx0 + j)))
-        sups.append(ext.sup)
-        infs.append(ext.inf)
-        argmaxes.append(ext.argmax)
-        argmins.append(ext.argmin)
+    exts = list(_sweep_extremes(
+        signal.running_sum(), layouts,
+        lambda lay, j: float(signal.x_at(lay.idx0 + j))))
     return CesaroSweep(
         lengths=tuple(lengths),
-        sup=tuple(sups),
-        inf=tuple(infs),
-        argmax=tuple(argmaxes),
-        argmin=tuple(argmins),
+        sup=tuple(e.sup for e in exts),
+        inf=tuple(e.inf for e in exts),
+        argmax=tuple(e.argmax for e in exts),
+        argmin=tuple(e.argmin for e in exts),
         sidedness=schedule.sidedness,
-        p_bar_est=sups[-1],
-        p_lower_est=infs[-1],
+        p_bar_est=exts[-1].sup,
+        p_lower_est=exts[-1].inf,
         source=signal.source,
     )
 

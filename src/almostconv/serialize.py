@@ -185,10 +185,6 @@ def load_generator(path: str) -> GeneratorSpec:
     return generator_from_dict(obj)
 
 
-def save_generator(spec: GeneratorSpec, path: str) -> None:
-    dump_json(generator_to_dict(spec), path)
-
-
 # ---------------------------------------------------------------------------
 # CSV tables
 # ---------------------------------------------------------------------------
@@ -315,6 +311,12 @@ def signal_to_csv(signal: Signal, path: str) -> None:
 
 
 def signal_from_csv(path: str) -> Signal:
+    """The signal of a samples CSV, whose first column must list its grid.
+
+    Row ``j`` must sit at ``x_at(j)``: exactly when the metadata declares
+    the grid (``n_min``, or ``x0`` and ``h``), as the writer's rows do, and
+    within ``1e-9 * max(1, step)`` when the grid is read off the column.
+    """
     meta, xs, vals = _read_table(path, "samples")
     source = meta.get("source")
     if source in (None, "-"):
@@ -331,18 +333,32 @@ def signal_from_csv(path: str) -> Signal:
         ext = Extension(meta.get("extension", "valid_only"))
         bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
         if kind == "discrete":
-            n_min = int(meta["n_min"]) if "n_min" in meta else round(float(xs[0]))
-            return DiscreteSignal(n_min, vals, bound, ext, source)
-        x0 = float(meta.get("x0", xs[0]))
-        if "h" in meta:
-            h = float(meta["h"])
-        elif len(xs) > 1:
-            h = float(xs[1] - xs[0])
+            declared = "n_min" in meta
+            n_min = int(meta["n_min"]) if declared else round(float(xs[0]))
+            signal = DiscreteSignal(n_min, vals, bound, ext, source)
         else:
-            raise ConfigError("continuous samples need a step")
-        return ContinuousSignal(x0, h, vals, bound, ext, source)
+            declared = "x0" in meta and "h" in meta
+            x0 = float(meta.get("x0", xs[0]))
+            if "h" in meta:
+                h = float(meta["h"])
+            elif len(xs) > 1:
+                h = float(xs[1] - xs[0])
+            else:
+                raise ConfigError("continuous samples need a step")
+            signal = ContinuousSignal(x0, h, vals, bound, ext, source)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"inconsistent samples: {exc}") from exc
+    grid = signal.x_at(np.arange(len(xs)))
+    tol = 0.0 if declared else 1e-9 * max(1.0, signal.step)
+    with np.errstate(over="ignore"):
+        off = np.flatnonzero(~(np.abs(xs - grid) <= tol))
+    if off.size:
+        j = off[0]
+        raise ConfigError(
+            f"inconsistent samples: row {j} (from 0) is at {float(xs[j])!r}, "
+            f"but the grid from {float(signal.start)!r} by "
+            f"{float(signal.step)!r} puts it at {float(grid[j])!r}")
+    return signal
 
 
 # ---------------------------------------------------------------------------

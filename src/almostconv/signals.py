@@ -896,19 +896,6 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float,
 # Finite kernels (nonnegative, unit mass)
 # ---------------------------------------------------------------------------
 
-def delta_kernel() -> DiscreteSignal:
-    return DiscreteSignal(0, [1.0], 1.0, Extension.VALID_ONLY, "kernel")
-
-
-def fejer_kernel(width: int) -> DiscreteSignal:
-    """Triangular unit-mass kernel supported on ``[-width//2, width//2]``."""
-    m = max(1, width // 2)
-    j = np.arange(-m, m + 1)
-    w = 1.0 - np.abs(j) / (m + 1.0)
-    w /= w.sum()
-    return DiscreteSignal(-m, w, float(w.max()), Extension.VALID_ONLY, "kernel")
-
-
 def gaussian_kernel(sigma: float) -> DiscreteSignal:
     """Discrete Gaussian truncated at 4 sigma, normalized to unit mass."""
     if sigma <= 0:

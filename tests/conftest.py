@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import almostconv as ac
+from almostconv import serialize
+from almostconv.signals import DiscreteSignal, Extension
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +54,22 @@ def brute_window_mean(values, n_min, k, shift, sidedness="two"):
     for n in idx:
         total += values[n - n_min]
     return total / width
+
+
+def delta_kernel() -> DiscreteSignal:
+    """The unit of convolution."""
+    return DiscreteSignal(0, [1.0], 1.0, Extension.VALID_ONLY, "kernel")
+
+
+def fejer_kernel(width: int) -> DiscreteSignal:
+    """Triangular unit-mass kernel supported on ``[-width//2, width//2]``."""
+    m = max(1, width // 2)
+    j = np.arange(-m, m + 1)
+    w = 1.0 - np.abs(j) / (m + 1.0)
+    w /= w.sum()
+    return DiscreteSignal(-m, w, float(w.max()), Extension.VALID_ONLY, "kernel")
+
+
+def save_generator(spec, path: str) -> None:
+    """Write a generator spec as the JSON file the CLI reads."""
+    serialize.dump_json(serialize.generator_to_dict(spec), path)

@@ -14,8 +14,9 @@ from almostconv.signals import (
     DiscreteSignal,
     Sidedness,
     WindowSchedule,
-    fejer_kernel,
 )
+
+from conftest import fejer_kernel
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED

@@ -13,10 +13,9 @@ from almostconv.signals import (
     Extension,
     Sidedness,
     WindowSchedule,
-    fejer_kernel,
 )
 
-from conftest import brute_window_mean
+from conftest import brute_window_mean, fejer_kernel
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -405,3 +404,75 @@ def test_negated_signal_keeps_zero_signs():
         assert _same(sweep.sup[i], complex(means.real.max(), means.imag.max()))
         assert _same(sweep.inf[i], complex(means.real.min(), means.imag.min()))
     assert _same(sweep.sup[0], 0.0)
+
+
+BLOCK = ac.signals.BLOCK
+
+
+def _whole_grid_extremes(sig, sched):
+    """Each window's extremes from all its means at once, gathered by
+    ``_means_at`` over every shift index."""
+    p = sig.running_sum()
+    out = []
+    for k in sched.lengths:
+        lay = cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
+        means = cesaro._means_at(p, lay, np.arange(lay.count))
+        out.append(cesaro._extremes_from(
+            means.real, means.imag, lambda j: float(sig.x_at(lay.idx0 + j))))
+    return out
+
+
+def _assert_same_sweep(sweep, exts):
+    assert len(sweep.lengths) == len(exts)
+    for i, ext in enumerate(exts):
+        assert _same(sweep.sup[i], ext.sup) and _same(sweep.inf[i], ext.inf)
+        assert (sweep.argmax[i], sweep.argmin[i]) == (ext.argmax, ext.argmin)
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+@pytest.mark.parametrize("side", [ONE, TWO])
+@pytest.mark.parametrize("ext", list(Extension))
+@pytest.mark.parametrize("lead", ["plain", "negative_zero"])
+def test_blocked_sweep_equals_whole_grid_means(count, kind, side, ext, lead):
+    # the middle window has ``count`` shifts, the others a few more or
+    # fewer, so the last block is short, full or one shift long; the
+    # imaginary parts rise, so on valid-only data their means peak at the
+    # last shift
+    def make(vals):
+        if kind == "discrete":
+            return DiscreteSignal(-7, vals, 3.0, ext)
+        return ContinuousSignal(-1.75, 0.25, vals, 3.0, ext)
+
+    step = 1.0 if kind == "discrete" else 0.25
+    lengths = (3 * step, 8 * step, 21 * step)
+    probe = make(np.zeros(64))
+    have = cesaro._layout(probe, 8, side).count
+    rng = np.random.default_rng(count)
+    n = 64 + count - have
+    vals = np.clip(rng.standard_normal(n), -2, 2) + 1j * np.linspace(-2, 2, n)
+    if lead == "negative_zero":
+        vals[:2] = complex(-0.0, -0.0)
+    sig = make(vals)
+    assert cesaro._layout(sig, 8, side).count == count
+    sched = WindowSchedule(lengths, side)
+    _assert_same_sweep(cesaro.cesaro_sweep(sig, sched),
+                       _whole_grid_extremes(sig, sched))
+
+
+def test_blocked_sweep_ties_go_to_the_earliest_block():
+    # +1 and -1 spikes repeat every BLOCK samples from the second block on,
+    # so each window's max and min are reached once per block: the
+    # earliest shift is in block 1, not in a later block
+    n = 3 * BLOCK + 5
+    vals = np.zeros(n)
+    vals[BLOCK + 100::BLOCK] = 1.0
+    vals[BLOCK + 3000::BLOCK] = -1.0
+    sig = DiscreteSignal(0, vals, 1.0)
+    sched = WindowSchedule((2, 4, 8), TWO)
+    sweep = cesaro.cesaro_sweep(sig, sched)
+    _assert_same_sweep(sweep, _whole_grid_extremes(sig, sched))
+    for i, m in enumerate((2, 4, 8)):
+        assert sweep.sup[i] == 1 / (2 * m + 1) and sweep.inf[i] == -1 / (2 * m + 1)
+        assert sweep.argmax[i] == BLOCK + 100 - m
+        assert sweep.argmin[i] == BLOCK + 3000 - m

@@ -13,10 +13,12 @@ from almostconv import cesaro, cli, cyclic, serialize
 from almostconv.errors import ConfigError
 from almostconv.signals import Sidedness, WindowSchedule
 
+from conftest import save_generator
+
 
 def write_spec(tmp_path, spec, name="spec.json"):
     path = tmp_path / name
-    serialize.save_generator(spec, str(path))
+    save_generator(spec, str(path))
     return str(path)
 
 
@@ -247,7 +249,7 @@ def test_generator_json_round_trip(tmp_path):
     ]
     for i, spec in enumerate(specs):
         path = tmp_path / f"s{i}.json"
-        serialize.save_generator(spec, str(path))
+        save_generator(spec, str(path))
         assert serialize.load_generator(str(path)) == spec
 
 
@@ -701,6 +703,57 @@ def test_sample_grid_positions_must_be_finite_floats(tmp_path, capsys, command, 
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: inconsistent samples: ")
     assert not (tmp_path / "run" / "report.json").exists()
+
+
+def _swapped_rows():
+    rows = [f"{j},{(j % 3) / 2},0.0\n" for j in range(1200)]
+    rows[500], rows[501] = rows[501], rows[500]
+    return "# signal kind=discrete n_min=0 bound=1.0\nindex,re,im\n" + "".join(rows)
+
+
+# sample files whose index column leaves the grid after its first two rows
+_OFF_GRID = {
+    # no metadata; the step goes from 0.1 to 1.0 after 1,000 rows
+    "step_change": ("x,re,im\n" + "".join(
+        f"{0.1 * j if j < 1000 else 99.9 + (j - 999)!r},{(j % 3) / 2},0.0\n"
+        for j in range(1400)),
+        "row 1000 (from 0) is at 100.9, but the grid from 0.0 by 0.1 puts it at 100.0"),
+    "swapped_rows": (_swapped_rows(),
+                     "row 500 (from 0) is at 501.0, but the grid from 0.0 by 1.0 "
+                     "puts it at 500.0"),
+}
+
+
+@pytest.mark.parametrize("rows", sorted(_OFF_GRID))
+@pytest.mark.parametrize("command", sorted(_SAMPLE_COMMANDS))
+def test_sample_rows_must_sit_on_their_grid(tmp_path, capsys, command, rows):
+    # only the first two positions were read, so these were analysed as if
+    # every row sat on the grid they start
+    text, where = _OFF_GRID[rows]
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    rc = cli.main([*_SAMPLE_COMMANDS[command], "--input", str(path),
+                   "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: inconsistent samples: {where}\n"
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+def test_declared_grid_is_exact_and_read_grid_within_tolerance(tmp_path):
+    xs = 0.5 + np.arange(8) * 0.25
+    xs[5] += 1e-12
+    rows = "x,re,im\n" + "".join(f"{float(x)!r},1.0,0.0\n" for x in xs)
+    path = tmp_path / "a.csv"
+    path.write_text(rows)
+    sig = serialize.signal_from_csv(str(path))
+    assert (sig.start, sig.step) == (0.5, 0.25)
+    path.write_text("# signal kind=continuous x0=0.5 h=0.25\n" + rows)
+    with pytest.raises(ConfigError, match="row 5 .from 0. is at 1.750000000001"):
+        serialize.signal_from_csv(str(path))
+    xs[5] += 1e-9
+    path.write_text("x,re,im\n" + "".join(f"{float(x)!r},1.0,0.0\n" for x in xs))
+    with pytest.raises(ConfigError, match="row 5 .from 0. is at 1.750000001001"):
+        serialize.signal_from_csv(str(path))
 
 
 @pytest.mark.parametrize("make, ok", [

@@ -24,6 +24,8 @@ from almostconv.signals import (
     kind_of,
 )
 
+from conftest import fejer_kernel
+
 
 def test_character_zero_is_one_everywhere():
     assert evaluate(ac.Character(0.0), 3.7) == pytest.approx(1.0)
@@ -191,7 +193,7 @@ def test_known_limits():
 
 
 def test_kernels_have_unit_mass():
-    assert ac.signals.fejer_kernel(64).values.sum() == pytest.approx(1.0)
+    assert fejer_kernel(64).values.sum() == pytest.approx(1.0)
     assert ac.signals.gaussian_kernel(1.0).values.sum() == pytest.approx(1.0)
     k = ac.signals.gaussian_kernel_continuous(0.5, 0.25)
     assert np.trapezoid(k.values, dx=k.h) == pytest.approx(1.0)

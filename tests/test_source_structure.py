@@ -99,12 +99,9 @@ def test_no_full_matrices_factorization():
 # on purpose: library API that tests and callers use directly
 UNREACHED_BY_DESIGN = {
     ("serialize", "generator_to_dict"): "spec -> JSON dict, the inverse of load_generator",
-    ("serialize", "save_generator"): "writes the generator files that the CLI reads",
     ("serialize", "cyclic_to_csv"): "CSV export of a Z_N function",
     ("serialize", "cyclic_from_csv"): "CSV import of a Z_N function",
     ("signals", "scaled"): "signal arithmetic beside subtract, which the package uses",
-    ("signals", "delta_kernel"): "identity kernel, the unit of convolution",
-    ("signals", "fejer_kernel"): "triangular unit-mass kernel for convolution",
 }
 
 

@@ -7,6 +7,8 @@ from almostconv.errors import GapTooWide, KernelTooWide, TooShort
 from almostconv.signals import DiscreteSignal, Sidedness, WindowSchedule
 from almostconv.spectral import Taper
 
+from conftest import delta_kernel, fejer_kernel
+
 
 def direct_dft(values):
     """Independent DFT oracle: explicit double sum."""
@@ -54,7 +56,7 @@ def test_dft_too_short():
 
 def test_convolve_delta_is_identity():
     sig = ac.render_discrete(ac.Character(1 / 5), 0, 63)
-    out = spectral.convolve(sig, ac.signals.delta_kernel())
+    out = spectral.convolve(sig, delta_kernel())
     assert out.n_min == sig.n_min
     assert np.allclose(out.values, sig.values)
 
@@ -68,13 +70,13 @@ def test_convolve_adjacent_cancelation():
 
 def test_convolve_unit_mass_fixes_constants():
     sig = ac.render_discrete(ac.TrigPoly(((2.5, 0.0),)), 0, 255)
-    out = spectral.convolve(sig, ac.signals.fejer_kernel(32))
+    out = spectral.convolve(sig, fejer_kernel(32))
     assert np.allclose(out.values, 2.5)
 
 
 def test_convolve_range_shrinks_by_support():
     sig = ac.render_discrete(ac.Character(0.1), 0, 100)
-    kernel = ac.signals.fejer_kernel(16)  # support [-8, 8]
+    kernel = fejer_kernel(16)  # support [-8, 8]
     out = spectral.convolve(sig, kernel)
     assert out.n_min == 8 and out.n_max == 92
 
@@ -82,7 +84,7 @@ def test_convolve_range_shrinks_by_support():
 def test_convolve_kernel_too_wide():
     sig = ac.render_discrete(ac.Character(0.1), 0, 10)
     with pytest.raises(KernelTooWide):
-        spectral.convolve(sig, ac.signals.fejer_kernel(64))
+        spectral.convolve(sig, fejer_kernel(64))
 
 
 def test_highpass_keeps_offgap_character():

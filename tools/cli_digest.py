@@ -13,14 +13,14 @@ on both groups, abscissa lists that are out of order or out of range,
 chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
 ``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows, and every analysis
-command on sample files with an unknown kind or grid positions that are
-not finite floats.  A probe whose argv names ``{out}`` writes there;
-every other one gets ``--out-dir {out}``.  For each job the digest records the exit code,
-stdout, stderr and the sha256 of every file written.  The package and
-the job lists are imported from ``--root`` (default: this checkout), so
-one copy of this script digests any checkout.  Temporary paths in
-messages read ``{tmp}``.  The script reads the benchmark's files and
-writes none of them.
+command on sample files with an unknown kind, grid positions that are
+not finite floats, or rows off their grid.  A probe whose argv names
+``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
+each job the digest records the exit code, stdout, stderr and the sha256
+of every file written.  The package and the job lists are imported from
+``--root`` (default: this checkout), so one copy of this script digests
+any checkout.  Temporary paths in messages read ``{tmp}``.  The script
+reads the benchmark's files and writes none of them.
 """
 
 from __future__ import annotations
@@ -74,6 +74,12 @@ _HOSTILE = {
     "x0-inf": _hostile("kind=continuous x0=inf"),
     "grid-end-overflow": _hostile("kind=continuous x0=1e308 h=1e306"),
     "n-min-401-digits": _hostile(f"kind=discrete n_min=1{'0' * 400}", "index"),
+    # rows off the grid that the first two positions start
+    "step-change": "x,re,im\n" + "".join(
+        f"{0.1 * j if j < 1000 else 99.9 + (j - 999)!r},{(j % 3) / 2},0.0\n"
+        for j in range(1400)),
+    "swapped-rows": "# signal kind=discrete n_min=0 bound=1.0\nindex,re,im\n" + "".join(
+        f"{j},{(j % 3) / 2},0.0\n" for j in [*range(500), 501, 500, *range(502, 1200)]),
 }
 _HOSTILE_ARGV = {
     "analyze": ["analyze", "--input", "{in}", "--k-min", "2", "--k-max", "64"],
