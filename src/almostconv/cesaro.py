@@ -213,12 +213,20 @@ def shift_extremes(signal: Signal, k, shift_grid,
 
 
 def _extremes_from(re: np.ndarray, im: np.ndarray, shift_of) -> ShiftExtremes:
-    re_max, re_min, im_max, im_min = re.max(), re.min(), im.max(), im.min()
-    comp = re if re_max - re_min >= im_max - im_min else im
-    return ShiftExtremes(sup=complex(re_max, im_max),
-                         inf=complex(re_min, im_min),
-                         argmax=shift_of(int(np.argmax(comp))),
-                         argmin=shift_of(int(np.argmin(comp))))
+    parts = (re, im)
+    return _witnessed((re.max(), im.max()), (re.min(), im.min()),
+                      lambda c: int(np.argmax(parts[c])),
+                      lambda c: int(np.argmin(parts[c])), shift_of)
+
+
+def _witnessed(top, bottom, top_at, bottom_at, shift_of) -> ShiftExtremes:
+    """Extremes from the (re, im) maxima ``top`` and minima ``bottom``.  The
+    witnesses are where the wider part reaches them: shifts ``top_at(c)``
+    and ``bottom_at(c)`` of part ``c``, named by ``shift_of``."""
+    c = 0 if top[0] - bottom[0] >= top[1] - bottom[1] else 1
+    return ShiftExtremes(sup=complex(*top), inf=complex(*bottom),
+                         argmax=shift_of(top_at(c)),
+                         argmin=shift_of(bottom_at(c)))
 
 
 def _sweep_extremes(p: np.ndarray, layouts, shift_of):
@@ -267,12 +275,11 @@ def _sweep_extremes(p: np.ndarray, layouts, shift_of):
         tops, top_at, bottoms, bottom_at = map(np.array, zip(*blocks))
         # the first block that reaches an extreme holds its first shift
         up, down = tops.argmax(axis=0), bottoms.argmin(axis=0)
-        (re_max, im_max), (re_min, im_min) = tops[up, rows], bottoms[down, rows]
-        c = 0 if re_max - re_min >= im_max - im_min else 1
-        yield ShiftExtremes(
-            sup=complex(re_max, im_max), inf=complex(re_min, im_min),
-            argmax=shift_of(lay, int(up[c]) * BLOCK + int(top_at[up[c], c])),
-            argmin=shift_of(lay, int(down[c]) * BLOCK + int(bottom_at[down[c], c])))
+        yield _witnessed(
+            tops[up, rows], bottoms[down, rows],
+            lambda c: int(up[c]) * BLOCK + int(top_at[up[c], c]),
+            lambda c: int(down[c]) * BLOCK + int(bottom_at[down[c], c]),
+            lambda j: shift_of(lay, j))
 
 
 def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:

@@ -313,9 +313,10 @@ def signal_to_csv(signal: Signal, path: str) -> None:
 def signal_from_csv(path: str) -> Signal:
     """The signal of a samples CSV, whose first column must list its grid.
 
-    Row ``j`` must sit at ``x_at(j)``: exactly when the metadata declares
-    the grid (``n_min``, or ``x0`` and ``h``), as the writer's rows do, and
-    within ``1e-9 * max(1, step)`` when the grid is read off the column.
+    Row ``j`` must sit at ``x_at(j)`` within ``1e-9 * max(1, step)``, plus,
+    on a continuous grid, the ``4 * (j + 2)`` spacings of its largest
+    position that decimal rows and a step read off them can round by.  The
+    writer's rows differ by 0; integer grids round by nothing.
     """
     meta, xs, vals = _read_table(path, "samples")
     source = meta.get("source")
@@ -333,11 +334,9 @@ def signal_from_csv(path: str) -> Signal:
         ext = Extension(meta.get("extension", "valid_only"))
         bound = float(meta["bound"]) if "bound" in meta else float(np.max(np.abs(vals)))
         if kind == "discrete":
-            declared = "n_min" in meta
-            n_min = int(meta["n_min"]) if declared else round(float(xs[0]))
+            n_min = int(meta["n_min"]) if "n_min" in meta else round(float(xs[0]))
             signal = DiscreteSignal(n_min, vals, bound, ext, source)
         else:
-            declared = "x0" in meta and "h" in meta
             x0 = float(meta.get("x0", xs[0]))
             if "h" in meta:
                 h = float(meta["h"])
@@ -348,8 +347,12 @@ def signal_from_csv(path: str) -> Signal:
             signal = ContinuousSignal(x0, h, vals, bound, ext, source)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"inconsistent samples: {exc}") from exc
-    grid = signal.x_at(np.arange(len(xs)))
-    tol = 0.0 if declared else 1e-9 * max(1.0, signal.step)
+    rows = np.arange(len(xs))
+    grid = signal.x_at(rows)
+    tol = 1e-9 * max(1.0, signal.step)
+    if kind == "continuous":
+        scale = max(abs(signal.start), abs(signal.x_end), signal.step)
+        tol = tol + 4.0 * (rows + 2) * np.spacing(scale)
     with np.errstate(over="ignore"):
         off = np.flatnonzero(~(np.abs(xs - grid) <= tol))
     if off.size:

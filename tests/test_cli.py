@@ -739,21 +739,41 @@ def test_sample_rows_must_sit_on_their_grid(tmp_path, capsys, command, rows):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
-def test_declared_grid_is_exact_and_read_grid_within_tolerance(tmp_path):
+def _decimal_rows(first_tenths, n, head=""):
+    # positions first_tenths/10 + j/10, printed as exact decimals
+    return head + "x,re,im\n" + "".join(
+        f"{(first_tenths + j) // 10}.{(first_tenths + j) % 10},1.0,0.0\n"
+        for j in range(n))
+
+
+@pytest.mark.parametrize("text, start, step", [
+    # float("0.3") != 0.0 + 3*0.1
+    (_decimal_rows(0, 4, "# signal kind=continuous x0=0 h=0.1\n"), 0.0, 0.1),
+    # one spacing of 1e7 is 1.86e-9, and the step read off the rows is off
+    # by about that much
+    (_decimal_rows(10 ** 8, 3000), 1e7, 10000000.1 - 1e7),
+    (_decimal_rows(10001, 50000), 1000.1, 1000.2 - 1000.1),
+], ids=["declared_decimal_step", "read_step_near_1e7", "read_step_50000_rows"])
+def test_decimal_grids_read_despite_rounding(tmp_path, text, start, step):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    sig = serialize.signal_from_csv(str(path))
+    assert (sig.start, sig.step) == (start, step)
+    assert len(sig.samples) == text.count("\n") - 1 - text.startswith("#")
+
+
+def test_grid_tolerance_refuses_more_than_rounding(tmp_path):
     xs = 0.5 + np.arange(8) * 0.25
-    xs[5] += 1e-12
+    xs[5] += 2e-9
     rows = "x,re,im\n" + "".join(f"{float(x)!r},1.0,0.0\n" for x in xs)
     path = tmp_path / "a.csv"
-    path.write_text(rows)
-    sig = serialize.signal_from_csv(str(path))
-    assert (sig.start, sig.step) == (0.5, 0.25)
-    path.write_text("# signal kind=continuous x0=0.5 h=0.25\n" + rows)
-    with pytest.raises(ConfigError, match="row 5 .from 0. is at 1.750000000001"):
-        serialize.signal_from_csv(str(path))
-    xs[5] += 1e-9
+    for head in ["", "# signal kind=continuous x0=0.5 h=0.25\n"]:
+        path.write_text(head + rows)
+        with pytest.raises(ConfigError, match="row 5 .from 0. is at 1.750000002"):
+            serialize.signal_from_csv(str(path))
+    xs[5] -= 1.5e-9
     path.write_text("x,re,im\n" + "".join(f"{float(x)!r},1.0,0.0\n" for x in xs))
-    with pytest.raises(ConfigError, match="row 5 .from 0. is at 1.750000001001"):
-        serialize.signal_from_csv(str(path))
+    assert serialize.signal_from_csv(str(path)).step == 0.25
 
 
 @pytest.mark.parametrize("make, ok", [
