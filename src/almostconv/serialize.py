@@ -51,7 +51,6 @@ from .signals import (
     TrigPoly,
 )
 from .cesaro import CesaroSweep
-from .cyclic import CyclicFunction
 from .spectral import SpectrumEstimate
 from .tauberian import ChainReport, MeanSweep
 from .verdict import ACVerdict
@@ -201,12 +200,19 @@ def _parts(values) -> tuple:
 def _cells(column) -> list:
     """The column's cells as strings: ``str`` of an int, ``repr`` of a float.
 
-    ``repr`` runs once per distinct float, found by ``np.unique`` on the
-    bits, and its string is gathered to every row holding that float.
+    Where a strided sample of about 1,024 of the floats repeats one (by
+    bits), ``repr`` runs once per distinct float, found by ``np.unique``
+    on the bits, and its string is gathered to every row holding that
+    float.  A column whose sample is all distinct, such as a spectrum's,
+    would share almost nothing, and each cell gets its own ``repr``.
     """
     if isinstance(column, range) or column.dtype.kind != "f":
         return list(map(str, column if isinstance(column, range) else column.tolist()))
-    bits, where = np.unique(column.view(np.int64), return_inverse=True)
+    bits = column.view(np.int64)
+    sample = bits[::max(1, len(bits) // 1024)]
+    if len(np.unique(sample)) == len(sample):
+        return list(map(float.__repr__, column.tolist()))
+    bits, where = np.unique(bits, return_inverse=True)
     strings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
                        dtype=object)
     return strings[where].tolist()
@@ -424,18 +430,3 @@ def chain_report_to_dict(report: ChainReport) -> dict:
         "consistency": report.consistency,
         "violations": list(report.violations),
     }
-
-
-def cyclic_to_csv(f: CyclicFunction, path: str) -> None:
-    _write_rows(path, f"# cyclic N={f.N}\nindex,re,im\n", range(f.N),
-                *_parts(f.values))
-
-
-def cyclic_from_csv(path: str) -> CyclicFunction:
-    meta, _, vals = _read_table(path, "cyclic samples")
-    n = int(meta.get("N", len(vals)))
-    if n != len(vals):
-        raise ConfigError(f"declared N={n} but {len(vals)} rows present")
-    if not np.isfinite(vals).all():
-        raise ConfigError("cyclic values must be finite")
-    return CyclicFunction(n, vals)

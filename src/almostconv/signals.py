@@ -27,9 +27,21 @@ where theory pins it down, a known almost-convergence limit
 Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
 thread pool, one thread per CPU.  Each sample has the same bits as the
 whole-array formula gives it, whatever the number of points rendered.
-A sum of characters whose samples provably repeat every :data:`BLOCK`
-grid points (dyadic frequencies on an exact dyadic grid, as on Z ->
-Z_{2^k}) is rendered over one block and tiled, with the same bits.
+Two kinds of grid render of a sum of characters over more than
+:data:`BLOCK` points start from the first block:
+
+- if its samples provably repeat every BLOCK grid points (dyadic
+  frequencies on an exact dyadic grid, as on Z -> Z_{2^k}), that block
+  is tiled, with the same bits;
+- if its phases ``f*x_j`` are rounded anyway (a Dirichlet line, or any
+  non-dyadic grid), each later block turns the first block's unit
+  phases by one exact phase per term.  Only the first block keeps the
+  per-point bits; later samples are within
+  ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of the
+  exact values at the float grid points.  They do not depend on the
+  number rendered, unless a shorter grid's phases were all exact.
+
+Every other grid render keeps the per-point bits.
 """
 
 from __future__ import annotations
@@ -516,8 +528,8 @@ def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
 
 #: Points per block of :func:`evaluate_many`.  A block's buffers, about
 #: 1 MB, stay in a 2 MiB L2 cache.  It is also the period that
-#: :func:`_grid_values` tiles: every dyadic denominator up to 2^14
-#: divides it.
+#: :func:`_grid_values` tiles (every dyadic denominator up to 2^14
+#: divides it), and the stride by which it turns rounded phases.
 BLOCK = 16384
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -548,26 +560,24 @@ def _executor():
         return _pool
 
 
-def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
-    """Call ``fill(x, o, z, w)`` on every block of ``xs`` and ``out``.
+def _deal(task, tasks: int, size: int) -> None:
+    """Call ``task(i, z, w)`` for every ``i`` in ``range(tasks)``.
 
-    ``z`` and ``w`` are complex scratch buffers of the block's length,
-    reused by one thread across its blocks.  The blocks are dealt out in
-    turn to min(CPUs, blocks) threads, the caller among them; the ufunc
-    loops run with the GIL released.
+    ``z`` and ``w`` are complex scratch buffers of ``size`` entries, reused
+    by one thread across its tasks.  The tasks are dealt out in turn to
+    min(CPUs, tasks) threads, the caller among them; the ufunc loops run
+    with the GIL released.
     """
-    n = len(xs)
-    workers = max(1, min(_CPUS, -(-n // BLOCK)))
+    workers = max(1, min(_CPUS, tasks))
 
     def work(first: int) -> None:
-        zbuf = np.empty(min(BLOCK, n), dtype=np.complex128)
+        zbuf = np.empty(size, dtype=np.complex128)
         wbuf = np.empty_like(zbuf)
         # Overflow and NaN are left to the Signal's finite check.  NumPy's
         # error state is per context: a pool thread does not inherit it.
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(first * BLOCK, n, workers * BLOCK):
-                hi = min(lo + BLOCK, n)
-                fill(xs[lo:hi], out[lo:hi], zbuf[:hi - lo], wbuf[:hi - lo])
+            for i in range(first, tasks, workers):
+                task(i, zbuf, wbuf)
 
     if workers == 1:
         work(0)
@@ -579,6 +589,19 @@ def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
     finally:
         for future in futures:
             future.result()
+
+
+def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
+    """Call ``fill(x, o, z, w)`` on every block of ``xs`` and ``out``, on
+    the render pool (:func:`_deal`); ``z`` and ``w`` are complex scratch
+    of the block's length."""
+    n = len(xs)
+
+    def task(i, z, w):
+        lo, hi = i * BLOCK, min(i * BLOCK + BLOCK, n)
+        fill(xs[lo:hi], out[lo:hi], z[:hi - lo], w[:hi - lo])
+
+    _deal(task, -(-n // BLOCK), min(BLOCK, n))
 
 
 def _reduce_phase(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -625,6 +648,51 @@ def _add_characters(terms, x: np.ndarray, out: np.ndarray, z: np.ndarray,
         out += w
 
 
+#: Terms per pass of :func:`_add_rotated_characters`: their first-block
+#: phase tables take at most 32 * 256 KiB = 8 MiB.
+_TERMS_PER_PASS = 32
+
+
+def _turns(ratios, steps: int) -> np.ndarray:
+    """``frac(f*step*steps)`` for each ``f*step`` given as an integer ratio:
+    the phase of ``steps`` whole grid steps, taken exactly, rounded once."""
+    return np.array([num * steps % den / den for num, den in ratios])
+
+
+def _add_rotated_characters(terms, start, step, out: np.ndarray) -> None:
+    """``out += c * exp(2*pi*i*f*x)`` for each ``(c, f)`` on the grid
+    ``x_j = start + j*step`` of more than one block, whose phases ``f*x_j``
+    are rounded anyway.
+
+    The first block is rendered as :func:`_add_characters` renders it, and
+    each term's unit phases ``T_r`` there are kept.  Sample ``qB + r`` sits
+    ``qB`` steps after sample ``r``, so it is ``T_r * (c * exp(2*pi*i*f*
+    step*qB))``, with the phase of the ``qB`` steps taken exactly: one
+    scalar phase per term per block instead of ``BLOCK`` of them.  Terms
+    are added in order, so no sample depends on the number rendered.
+    """
+    head, n = start + step * np.arange(BLOCK), len(out)
+    for first in range(0, len(terms), _TERMS_PER_PASS):
+        group = terms[first:first + _TERMS_PER_PASS]
+        ratios = [(Fraction(f) * Fraction(step)).as_integer_ratio() for _, f in group]
+        coeffs = np.array([c for c, _ in group], dtype=np.complex128)
+        tables = np.empty((len(group), BLOCK), dtype=np.complex128)
+
+        def phases(r, z, w):
+            _unit_phases(group[r][1], head, tables[r], w.view(np.float64)[:BLOCK])
+
+        _deal(phases, len(group), BLOCK)
+
+        def fill(q, z, w):
+            lo, hi = q * BLOCK, min(q * BLOCK + BLOCK, n)
+            factors = coeffs * np.exp(_turns(ratios, lo) * (2j * np.pi)) if q else coeffs
+            for table, factor in zip(tables, factors):
+                np.multiply(table[:hi - lo], factor, out=w[:hi - lo])
+                out[lo:hi] += w[:hi - lo]
+
+        _deal(fill, -(-n // BLOCK), BLOCK)
+
+
 def _add_density(density: Density, x: np.ndarray, out: np.ndarray,
                  z: np.ndarray, w: np.ndarray) -> None:
     """Add the trapezoid integral of ``exp(2*pi*i*f*x) dens(f) df``.
@@ -668,12 +736,18 @@ def _character_terms(spec: GeneratorSpec) -> Optional[list]:
     return None
 
 
-def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
-    """The ``fill(x, o, z, w)`` that writes one block of ``spec``'s values."""
+def _rendered_terms(spec: GeneratorSpec) -> Optional[list]:
+    """:func:`_character_terms` of a spec about to be rendered; a divergent
+    Dirichlet line raises :class:`DivergentSeries`."""
     if isinstance(spec, DirichletLine) and not spec.sigma > spec.abscissa:
         raise DivergentSeries(
             f"sigma={spec.sigma} not above declared abscissa {spec.abscissa}")
-    terms = _character_terms(spec)
+    return _character_terms(spec)
+
+
+def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
+    """The ``fill(x, o, z, w)`` that writes one block of ``spec``'s values."""
+    terms = _rendered_terms(spec)
     if terms is not None:
         density = getattr(spec, "density", None)
 
@@ -713,7 +787,8 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
     Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
     small thread pool.  A sample's bits do not depend on the number of
     points or on where the blocks fall, so :func:`_grid_values` may
-    evaluate one block of a periodic grid and copy it.
+    evaluate one block of a periodic grid and copy it.  Its rounded-phase
+    grid renders keep these bits in their first block only.
     """
     xs = np.asarray(points, dtype=np.float64)
     out = np.zeros(xs.shape, dtype=np.complex128)
@@ -805,38 +880,58 @@ def _exact_line(a: Fraction, b: Fraction, last: int) -> bool:
     return d <= 2 ** 1074 and max(abs(a * d), abs((a + b * last) * d)) <= 2 ** 53
 
 
+def _exact_phases(spec: GeneratorSpec, start, step, count) -> Optional[bool]:
+    """Whether every grid point ``x_j = start + j*step`` and every product
+    ``f*x_j`` is computed exactly, for a sum of characters (a spec with
+    declared frequencies and no density) over more than BLOCK points;
+    None for any other render.  Checked in exact rational arithmetic;
+    every finite float is a dyadic rational.
+    """
+    if not isinstance(count, numbers.Integral) or count <= BLOCK:
+        return None
+    freqs = declared_frequencies(spec)
+    if freqs is None or isinstance(spec, MeasureTransform) and spec.density is not None:
+        return None
+    a, b, last = Fraction(start), Fraction(step), int(count) - 1
+    return (_exact_line(Fraction(0), b, last) and _exact_line(a, b, last)
+            and all(_exact_line(f * a, f * b, last) for f in map(Fraction, freqs)))
+
+
 def _repeats_every_block(spec: GeneratorSpec, start, step, count) -> bool:
     """Whether the samples at ``start + j*step`` repeat every BLOCK points.
 
-    Holds, bit for bit, for a sum of characters (a spec with declared
-    frequencies and no density) when every grid point ``x_j`` and every
-    product ``f*x_j`` is computed exactly and ``f*step*BLOCK`` is an
-    integer.  Then ``f*x_{j+BLOCK}`` is ``f*x_j`` plus a whole number,
-    :func:`_reduce_phase` gives both the same bits, and every later
-    operation is elementwise.  Checked in exact rational arithmetic;
-    every finite float is a dyadic rational.  A Dirichlet line's
-    frequencies ``-log(n)/(2*pi)`` fail the last condition.
+    Holds, bit for bit, when :func:`_exact_phases` holds and ``f*step*BLOCK``
+    is an integer for every frequency.  Then ``f*x_{j+BLOCK}`` is ``f*x_j``
+    plus a whole number, :func:`_reduce_phase` gives both the same bits,
+    and every later operation is elementwise.  A Dirichlet line's
+    frequencies ``-log(n)/(2*pi)`` fail both conditions.
     """
-    if not isinstance(count, numbers.Integral) or count <= BLOCK:
-        return False
-    freqs = declared_frequencies(spec)
-    if freqs is None or isinstance(spec, MeasureTransform) and spec.density is not None:
-        return False
-    a, b, last = Fraction(start), Fraction(step), int(count) - 1
-    if not (_exact_line(Fraction(0), b, last) and _exact_line(a, b, last)):
-        return False
-    return all((f * b * BLOCK).denominator == 1
-               and _exact_line(f * a, f * b, last)
-               for f in map(Fraction, freqs))
+    return bool(_exact_phases(spec, start, step, count)) and all(
+        (Fraction(f) * Fraction(step) * BLOCK).denominator == 1
+        for f in declared_frequencies(spec))
 
 
 def _grid_values(spec: GeneratorSpec, start: float, step: float,
                  count: int) -> tuple:
     """Values at ``start + j*step`` for ``j = 0..count-1``, and a bound.
 
-    A sum of characters that :func:`_repeats_every_block` proves periodic
-    is evaluated on the first BLOCK points, as the first block of the
-    whole grid would be, and that block is tiled over the rest.
+    A sum of characters over more than BLOCK points is rendered from its
+    first block:
+
+    - if :func:`_repeats_every_block` proves it periodic, that block is
+      evaluated as the first block of the whole grid would be, and tiled
+      over the rest, with the bits of the per-point render;
+    - if some grid point or phase ``f*x_j`` is rounded anyway
+      (:func:`_exact_phases` is False), later blocks turn the first
+      block's unit phases by one phase per term per block
+      (:func:`_add_rotated_characters`).  The first block keeps the
+      per-point bits; each later sample is within
+      ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of
+      the exact value at its grid point.  It does not depend on
+      ``count`` among the counts whose phases are rounded: a longer grid
+      only adds points that can round.
+
+    Every other grid, exact phases included, is rendered point by point.
     """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:
@@ -851,6 +946,9 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
     elif _repeats_every_block(spec, start, step, count):
         head = evaluate_many(spec, start + step * np.arange(BLOCK))
         vals = np.resize(head, count)
+    elif _exact_phases(spec, start, step, count) is False:
+        vals = np.zeros(count, dtype=np.complex128)
+        _add_rotated_characters(_rendered_terms(spec), start, step, vals)
     else:
         vals = evaluate_many(spec, start + step * np.arange(count))
     bound = declared_bound(spec)

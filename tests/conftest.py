@@ -3,6 +3,8 @@ import pytest
 
 import almostconv as ac
 from almostconv import serialize
+from almostconv.cyclic import CyclicFunction
+from almostconv.errors import ConfigError
 from almostconv.signals import DiscreteSignal, Extension
 
 
@@ -73,3 +75,20 @@ def fejer_kernel(width: int) -> DiscreteSignal:
 def save_generator(spec, path: str) -> None:
     """Write a generator spec as the JSON file the CLI reads."""
     serialize.dump_json(serialize.generator_to_dict(spec), path)
+
+
+def cyclic_to_csv(f: CyclicFunction, path: str) -> None:
+    """Write a Z_N function as ``index,re,im`` rows under a ``# cyclic N=`` line."""
+    serialize._write_rows(path, f"# cyclic N={f.N}\nindex,re,im\n", range(f.N),
+                          *serialize._parts(f.values))
+
+
+def cyclic_from_csv(path: str) -> CyclicFunction:
+    """Read what :func:`cyclic_to_csv` writes."""
+    meta, _, vals = serialize._read_table(path, "cyclic samples")
+    n = int(meta.get("N", len(vals)))
+    if n != len(vals):
+        raise ConfigError(f"declared N={n} but {len(vals)} rows present")
+    if not np.isfinite(vals).all():
+        raise ConfigError("cyclic values must be finite")
+    return CyclicFunction(n, vals)

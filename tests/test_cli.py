@@ -13,7 +13,7 @@ from almostconv import cesaro, cli, cyclic, serialize
 from almostconv.errors import ConfigError
 from almostconv.signals import Sidedness, WindowSchedule
 
-from conftest import save_generator
+from conftest import cyclic_from_csv, cyclic_to_csv, save_generator
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -327,8 +327,8 @@ def test_cyclic_csv_round_trip(tmp_path):
 
     f = CyclicFunction(6, np.arange(6) * (1 + 2j))
     path = tmp_path / "f.csv"
-    serialize.cyclic_to_csv(f, str(path))
-    back = serialize.cyclic_from_csv(str(path))
+    cyclic_to_csv(f, str(path))
+    back = cyclic_from_csv(str(path))
     assert back.N == 6
     assert np.allclose(back.values, f.values)
 
@@ -534,12 +534,12 @@ def test_analysis_csv_writers_match_per_row_code(tmp_path_factory, n, data):
             (serialize.sweep_to_csv, _old_sweep_to_csv, sweep),
             (serialize.spectrum_to_csv, _old_spectrum_to_csv, est),
             (serialize.mean_sweep_to_csv, _old_mean_sweep_to_csv, means),
-            (serialize.cyclic_to_csv, _old_cyclic_to_csv, cyc)):
+            (cyclic_to_csv, _old_cyclic_to_csv, cyc)):
         new_writer(obj, str(tmp / "new.csv"))
         old_writer(obj, str(tmp / "old.csv"))
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes(), \
             new_writer.__name__
-    back = serialize.cyclic_from_csv(str(tmp / "new.csv"))
+    back = cyclic_from_csv(str(tmp / "new.csv"))
     assert back.N == n
     assert back.values.view(np.float64).tobytes() == cyc.values.view(np.float64).tobytes()
 
@@ -574,6 +574,33 @@ def test_distinct_floats_and_signed_zeros_match_per_row_code(tmp_path, n):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     back = serialize.signal_from_csv(str(tmp_path / "new.csv"))
     assert back.values.view(np.float64).tobytes() == vals.view(np.float64).tobytes()
+
+
+def test_only_columns_with_repeats_are_deduplicated(tmp_path, monkeypatch):
+    calls = []
+    unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        calls.append((len(values), kwargs.get("return_inverse", False)))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    n = 2 * ac.signals.BLOCK
+    rng = np.random.default_rng(17)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # every float distinct, in the grid column too: no np.unique over a block
+    distinct = ac.ContinuousSignal(-0.5, 0.1, vals, float(np.max(np.abs(vals))))
+    # a generated sum of characters repeats every 64 rows: each of the two
+    # blocks of both value columns is deduplicated
+    periodic = ac.render_discrete(
+        ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 5 / 64))), 0, n - 1)
+    for signal, dedups in ((distinct, []),
+                           (periodic, [(ac.signals.BLOCK, True)] * 4)):
+        calls.clear()
+        serialize.signal_to_csv(signal, str(tmp_path / "new.csv"))
+        assert [call for call in calls if call[1]] == dedups
+        _old_signal_to_csv(signal, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("text, read_as", [
@@ -809,7 +836,7 @@ def test_cyclic_from_csv_rejects_bad_rows(tmp_path, rows):
     path = tmp_path / "f.csv"
     path.write_text("# cyclic N=2\nindex,re,im\n" + rows)
     with pytest.raises(ac.errors.ConfigError):
-        serialize.cyclic_from_csv(str(path))
+        cyclic_from_csv(str(path))
 
 
 @pytest.mark.parametrize("text", ["", "# only metadata\n", "index,re,im\n",

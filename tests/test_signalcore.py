@@ -6,10 +6,11 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import signals
@@ -17,6 +18,7 @@ from almostconv.errors import AliasingError, ConfigError, DivergentSeries, Unsup
 from almostconv.signals import (
     BLOCK,
     _block_boundaries,
+    _exact_phases,
     _reduce_phase,
     _repeats_every_block,
     evaluate,
@@ -342,19 +344,21 @@ def test_density_render_memory_stays_bounded():
 def test_concurrent_renders_match_serial_ones():
     specs = _POINTWISE_SPECS[:4]
     xs = np.arange(5 * BLOCK + 3, dtype=np.float64) - 1000.0
-    want = [_bits(evaluate_many(s, xs)) for s in specs]
+    jobs = [partial(evaluate_many, s, xs) for s in specs]
+    # a rounded-phase render: per-term tables, then one phase per block
+    jobs.append(lambda: ac.render_continuous(specs[2], -3.0, 0.1, 5 * BLOCK + 3).values)
+    want = [_bits(job()) for job in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         # more callers than cores, all sharing the render pool
         with ThreadPoolExecutor(max_workers=8) as callers:
-            futures = [callers.submit(evaluate_many, specs[i % 4], xs)
-                       for i in range(16)]
+            futures = [callers.submit(jobs[i % len(jobs)]) for i in range(20)]
             got = [f.result(timeout=300) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for i, values in enumerate(got):
-        assert np.array_equal(_bits(values), want[i % 4])
+        assert np.array_equal(_bits(values), want[i % len(jobs)])
 
 
 def _render_several_blocks():
@@ -496,6 +500,14 @@ def test_periodic_character_sums_tile(spec, start, step, count):
 ])
 def test_renders_that_cannot_tile_keep_every_bit(spec, start, step, count):
     assert not _repeats_every_block(spec, start, step, count)
+    if step == 0.1 or isinstance(spec, ac.DirichletLine):
+        # Rounded phases (a non-dyadic grid, a Dirichlet line): only the
+        # first block keeps the per-point bits; later blocks are turned
+        # by one phase per term and meet the rounding bound instead.
+        assert _exact_phases(spec, start, step, count) is False
+        _assert_rounded_render(spec, start, step, count,
+                               _render_bits(spec, start, step, count).view(np.complex128))
+        return
     assert np.array_equal(_render_bits(spec, start, step, count),
                           _grid_bits(spec, start, step, count))
 
@@ -535,6 +547,95 @@ def test_tiled_render_evaluates_one_block_per_term(monkeypatch):
     monkeypatch.setattr(signals, "_unit_phases", spy)
     ac.render_discrete(_SCAN_POLY, -1000, 2 ** 18 - 1001)
     assert seen == [BLOCK] * len(_SCAN_POLY.terms)
+
+
+# ---------------------------------------------------------------------------
+# Rounded-phase character sums: one exact block, one phase per term per block
+# ---------------------------------------------------------------------------
+
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+
+
+def _reference(spec, xs):
+    """The sum of characters at the float grid points, in long double."""
+    x = xs.astype(np.longdouble)
+    out = np.zeros(len(xs), dtype=np.clongdouble)
+    for c, f in signals._character_terms(spec):
+        t = np.longdouble(f) * x
+        out += np.clongdouble(c) * np.exp(1j * _TWO_PI * (t - np.floor(t)))
+    return out
+
+
+def _assert_rounded_render(spec, start, step, count, values):
+    xs = start + step * np.arange(count)
+    assert np.array_equal(_bits(values[:BLOCK]),
+                          _bits(evaluate_many(spec, xs[:BLOCK])))
+    # sum |c| * (8*pi*|f|*max|x| + 16*pi) * u, u = 2**-53
+    u, top = 2.0 ** -53, float(np.max(np.abs(xs)))
+    bound = sum(abs(c) * (8 * math.pi * abs(f) * top + 16 * math.pi) * u
+                for c, f in signals._character_terms(spec))
+    assert float(np.max(np.abs(values - _reference(spec, xs)))) <= bound
+
+
+@st.composite
+def _rounded_sums(draw):
+    """A sum of characters on a grid whose phases f*x_j are rounded."""
+    discrete = draw(st.booleans())
+    if discrete:
+        start, step, top = draw(st.integers(-10 ** 5, 10 ** 5)), 1.0, 0.5
+    else:
+        # under the aliasing guard, |f|*step <= 0.1
+        start = draw(st.floats(-1e5, 1e5))
+        step, top = draw(st.floats(1e-3, 1.0, exclude_max=True)), 0.1
+    freqs = st.floats(-top, top).map(lambda v: v / step)
+    terms = draw(st.lists(st.tuples(_COEFFS, freqs), min_size=1, max_size=4))
+    return ac.TrigPoly(terms), start, step
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs an extended long double")
+@settings(max_examples=30, deadline=None)
+@given(case=_rounded_sums(),
+       count=st.sampled_from([BLOCK + 1, 3 * BLOCK + 7, 70_001]))
+def test_rounded_phase_renders_meet_the_rounding_bound(case, count):
+    spec, start, step = case
+    # rounded over BLOCK + 1 points, so over every longer grid as well
+    assume(_exact_phases(spec, start, step, BLOCK + 1) is False)
+    values = _render_bits(spec, start, step, count).view(np.complex128)
+    _assert_rounded_render(spec, start, step, count, values)
+    short = _render_bits(spec, start, step, 2 ** 15)
+    assert np.array_equal(short, _render_bits(spec, start, step, 2 ** 17)[:len(short)])
+
+
+def test_rounded_phase_render_turns_one_block_per_term(monkeypatch):
+    seen, turned = [], []
+    unit_phases, turns = signals._unit_phases, signals._turns
+
+    def spy_phases(freq, x, z, t):
+        seen.append(len(x))
+        unit_phases(freq, x, z, t)
+
+    def spy_turns(ratios, steps):
+        out = turns(ratios, steps)
+        turned.append((steps, len(out)))
+        return out
+
+    monkeypatch.setattr(signals, "_unit_phases", spy_phases)
+    monkeypatch.setattr(signals, "_turns", spy_turns)
+    spec = _POINTWISE_SPECS[2]
+    ac.render_continuous(spec, -3.0, 0.1, 5 * BLOCK + 3)
+    # BLOCK phases per term, then one phase per term per later block
+    assert seen == [BLOCK] * len(spec.coeffs)
+    assert sorted(turned) == [(q * BLOCK, len(spec.coeffs)) for q in range(1, 6)]
+
+
+def test_realigned_rounded_phases_stay_within_the_declared_bound():
+    # at every multiple of 10 the three characters meet at 1, where the
+    # sum reaches its declared bound; no later block may round above it
+    spec = ac.TrigPoly(((0.5, 0.1), (0.3, 0.2), (0.2, 0.3)))
+    assert _exact_phases(spec, 0, 1.0, 2 ** 20) is False
+    values = ac.render_discrete(spec, 0, 2 ** 20 - 1).values
+    assert abs(values[10 * 99_999] - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("build", [

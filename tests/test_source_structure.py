@@ -99,8 +99,6 @@ def test_no_full_matrices_factorization():
 # on purpose: library API that tests and callers use directly
 UNREACHED_BY_DESIGN = {
     ("serialize", "generator_to_dict"): "spec -> JSON dict, the inverse of load_generator",
-    ("serialize", "cyclic_to_csv"): "CSV export of a Z_N function",
-    ("serialize", "cyclic_from_csv"): "CSV import of a Z_N function",
     ("signals", "scaled"): "signal arithmetic beside subtract, which the package uses",
 }
 
