@@ -27,27 +27,19 @@ where theory pins it down, a known almost-convergence limit
 Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
 thread pool, one thread per CPU.  Each sample has the same bits as the
 whole-array formula gives it, whatever the number of points rendered.
-Two kinds of grid render of a sum of characters over more than
-:data:`BLOCK` points start from the first block:
-
-- if its samples provably repeat every BLOCK grid points (dyadic
-  frequencies on an exact dyadic grid, as on Z -> Z_{2^k}), that block
-  is tiled, with the same bits;
-- if its phases ``f*x_j`` are rounded anyway (a Dirichlet line, or any
-  non-dyadic grid), each later block turns the first block's unit
-  phases by one exact phase per term.  Only the first block keeps the
-  per-point bits; later samples are within
-  ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of the
-  exact values at the float grid points.  They do not depend on the
-  number rendered, unless a shorter grid's phases were all exact.
-
-Every other grid render keeps the per-point bits.
+A grid render of a sum of characters (no density) over more than
+:data:`BLOCK` points is block-turned: each later block turns the first
+block's unit phases by one exact phase per term, and when every such
+turn is 0 (dyadic frequencies on Z -> Z_{2^k}) the first block is
+tiled.  The first block has the per-point bits; later samples are
+within ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of
+the exact values at the float grid points.  No sample's bits depend on
+the number rendered.  Every other grid render keeps the per-point bits.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -527,9 +519,9 @@ def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 #: Points per block of :func:`evaluate_many`.  A block's buffers, about
-#: 1 MB, stay in a 2 MiB L2 cache.  It is also the period that
-#: :func:`_grid_values` tiles (every dyadic denominator up to 2^14
-#: divides it), and the stride by which it turns rounded phases.
+#: 1 MB, stay in a 2 MiB L2 cache.  It is also the stride by which
+#: :func:`_turned_values` turns phases, and the period it tiles (every
+#: dyadic denominator up to 2^14 divides it).
 BLOCK = 16384
 
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -648,8 +640,8 @@ def _add_characters(terms, x: np.ndarray, out: np.ndarray, z: np.ndarray,
         out += w
 
 
-#: Terms per pass of :func:`_add_rotated_characters`: their first-block
-#: phase tables take at most 32 * 256 KiB = 8 MiB.
+#: Terms per pass of :func:`_turned_values`: their first-block phase
+#: tables take at most 32 * 256 KiB = 8 MiB.
 _TERMS_PER_PASS = 32
 
 
@@ -659,22 +651,28 @@ def _turns(ratios, steps: int) -> np.ndarray:
     return np.array([num * steps % den / den for num, den in ratios])
 
 
-def _add_rotated_characters(terms, start, step, out: np.ndarray) -> None:
-    """``out += c * exp(2*pi*i*f*x)`` for each ``(c, f)`` on the grid
-    ``x_j = start + j*step`` of more than one block, whose phases ``f*x_j``
-    are rounded anyway.
+def _turned_values(terms, start, step, count: int) -> np.ndarray:
+    """``sum c * exp(2*pi*i*f*x)`` over ``(c, f)`` in ``terms`` on the grid
+    ``x_j = start + j*step`` of ``count`` points, more than one block.
 
     The first block is rendered as :func:`_add_characters` renders it, and
     each term's unit phases ``T_r`` there are kept.  Sample ``qB + r`` sits
     ``qB`` steps after sample ``r``, so it is ``T_r * (c * exp(2*pi*i*f*
     step*qB))``, with the phase of the ``qB`` steps taken exactly: one
-    scalar phase per term per block instead of ``BLOCK`` of them.  Terms
-    are added in order, so no sample depends on the number rendered.
+    scalar phase per term per block instead of ``BLOCK`` of them.  If every
+    whole-block turn ``frac(f*step*BLOCK)`` is 0, every block's factor is
+    ``c`` and the first block is tiled.  The first block has the per-point
+    bits; later samples are within ``sum |c| * (8*pi*|f|*max|x| + 16*pi)
+    * u`` of the exact values at the float grid points.  Terms are added
+    in order, so no sample depends on ``count``.
     """
+    ratios = [(Fraction(f) * Fraction(step)).as_integer_ratio() for _, f in terms]
+    tiled = all(num * BLOCK % den == 0 for num, den in ratios)
+    out = np.zeros(BLOCK if tiled else count, dtype=np.complex128)
     head, n = start + step * np.arange(BLOCK), len(out)
     for first in range(0, len(terms), _TERMS_PER_PASS):
         group = terms[first:first + _TERMS_PER_PASS]
-        ratios = [(Fraction(f) * Fraction(step)).as_integer_ratio() for _, f in group]
+        turns = ratios[first:first + _TERMS_PER_PASS]
         coeffs = np.array([c for c, _ in group], dtype=np.complex128)
         tables = np.empty((len(group), BLOCK), dtype=np.complex128)
 
@@ -685,12 +683,13 @@ def _add_rotated_characters(terms, start, step, out: np.ndarray) -> None:
 
         def fill(q, z, w):
             lo, hi = q * BLOCK, min(q * BLOCK + BLOCK, n)
-            factors = coeffs * np.exp(_turns(ratios, lo) * (2j * np.pi)) if q else coeffs
+            factors = coeffs * np.exp(_turns(turns, lo) * (2j * np.pi)) if q else coeffs
             for table, factor in zip(tables, factors):
                 np.multiply(table[:hi - lo], factor, out=w[:hi - lo])
                 out[lo:hi] += w[:hi - lo]
 
         _deal(fill, -(-n // BLOCK), BLOCK)
+    return np.resize(out, count) if tiled else out
 
 
 def _add_density(density: Density, x: np.ndarray, out: np.ndarray,
@@ -786,9 +785,9 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
 
     Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
     small thread pool.  A sample's bits do not depend on the number of
-    points or on where the blocks fall, so :func:`_grid_values` may
-    evaluate one block of a periodic grid and copy it.  Its rounded-phase
-    grid renders keep these bits in their first block only.
+    points or on where the blocks fall.  A block-turned grid render
+    (:func:`_grid_values`) has these bits in its first block; its later
+    samples are within the rounding bound of :func:`_turned_values`.
     """
     xs = np.asarray(points, dtype=np.float64)
     out = np.zeros(xs.shape, dtype=np.complex128)
@@ -868,70 +867,15 @@ def known_limit(spec: GeneratorSpec) -> Optional[complex]:
     return None
 
 
-def _exact_line(a: Fraction, b: Fraction, last: int) -> bool:
-    """Whether ``a + b*j`` is a float for every integer ``0 <= j <= last``.
-
-    Over one power-of-two denominator the numerators are linear in ``j``,
-    so the two ends bound them all.  (Reduced numerators do not: an
-    interior ``j`` can need one more bit.)  An integer of at most 2^53
-    over at most 2^1074 is a float.
-    """
-    d = max(a.denominator, b.denominator)
-    return d <= 2 ** 1074 and max(abs(a * d), abs((a + b * last) * d)) <= 2 ** 53
-
-
-def _exact_phases(spec: GeneratorSpec, start, step, count) -> Optional[bool]:
-    """Whether every grid point ``x_j = start + j*step`` and every product
-    ``f*x_j`` is computed exactly, for a sum of characters (a spec with
-    declared frequencies and no density) over more than BLOCK points;
-    None for any other render.  Checked in exact rational arithmetic;
-    every finite float is a dyadic rational.
-    """
-    if not isinstance(count, numbers.Integral) or count <= BLOCK:
-        return None
-    freqs = declared_frequencies(spec)
-    if freqs is None or isinstance(spec, MeasureTransform) and spec.density is not None:
-        return None
-    a, b, last = Fraction(start), Fraction(step), int(count) - 1
-    return (_exact_line(Fraction(0), b, last) and _exact_line(a, b, last)
-            and all(_exact_line(f * a, f * b, last) for f in map(Fraction, freqs)))
-
-
-def _repeats_every_block(spec: GeneratorSpec, start, step, count) -> bool:
-    """Whether the samples at ``start + j*step`` repeat every BLOCK points.
-
-    Holds, bit for bit, when :func:`_exact_phases` holds and ``f*step*BLOCK``
-    is an integer for every frequency.  Then ``f*x_{j+BLOCK}`` is ``f*x_j``
-    plus a whole number, :func:`_reduce_phase` gives both the same bits,
-    and every later operation is elementwise.  A Dirichlet line's
-    frequencies ``-log(n)/(2*pi)`` fail both conditions.
-    """
-    return bool(_exact_phases(spec, start, step, count)) and all(
-        (Fraction(f) * Fraction(step) * BLOCK).denominator == 1
-        for f in declared_frequencies(spec))
-
-
 def _grid_values(spec: GeneratorSpec, start: float, step: float,
                  count: int) -> tuple:
     """Values at ``start + j*step`` for ``j = 0..count-1``, and a bound.
 
-    A sum of characters over more than BLOCK points is rendered from its
-    first block:
-
-    - if :func:`_repeats_every_block` proves it periodic, that block is
-      evaluated as the first block of the whole grid would be, and tiled
-      over the rest, with the bits of the per-point render;
-    - if some grid point or phase ``f*x_j`` is rounded anyway
-      (:func:`_exact_phases` is False), later blocks turn the first
-      block's unit phases by one phase per term per block
-      (:func:`_add_rotated_characters`).  The first block keeps the
-      per-point bits; each later sample is within
-      ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of
-      the exact value at its grid point.  It does not depend on
-      ``count`` among the counts whose phases are rounded: a longer grid
-      only adds points that can round.
-
-    Every other grid, exact phases included, is rendered point by point.
+    A sum of characters with no density over more than BLOCK points is
+    block-turned (:func:`_turned_values`): the first block has the
+    per-point bits and is tiled when every whole-block turn is 0; later
+    samples are within the rounding bound there.  No sample's bits
+    depend on ``count``.  Every other grid is rendered point by point.
     """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:
@@ -943,22 +887,28 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
         if lo < 0 or lo + count > len(spec.values):
             raise UnsupportedPoint("requested range outside the custom samples")
         vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
-    elif _repeats_every_block(spec, start, step, count):
-        head = evaluate_many(spec, start + step * np.arange(BLOCK))
-        vals = np.resize(head, count)
-    elif _exact_phases(spec, start, step, count) is False:
-        vals = np.zeros(count, dtype=np.complex128)
-        _add_rotated_characters(_rendered_terms(spec), start, step, vals)
     else:
-        vals = evaluate_many(spec, start + step * np.arange(count))
+        terms = _rendered_terms(spec)
+        if count > BLOCK and terms is not None and getattr(spec, "density", None) is None:
+            vals = _turned_values(terms, start, step, count)
+        else:
+            vals = evaluate_many(spec, start + step * np.arange(count))
     bound = declared_bound(spec)
     if bound is None:
         bound = float(np.max(np.abs(vals)))
     return vals, bound
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as an int; :class:`ConfigError` unless it is a whole number."""
+    if value % 1:
+        raise ConfigError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int) -> DiscreteSignal:
     """Sample the generator at every integer in ``[n_min, n_max]``."""
+    n_min, n_max = _whole(n_min, "n_min"), _whole(n_max, "n_max")
     if n_min > n_max:
         raise ConfigError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
     vals, bound = _grid_values(spec, n_min, 1.0, n_max - n_min + 1)
@@ -977,6 +927,7 @@ def render_continuous(spec: GeneratorSpec, x0: float, h: float,
         raise ConfigError(f"grid x0={x0}, h={h} must be finite")
     if h <= 0:
         raise ConfigError("grid step must be positive")
+    count = _whole(count, "count")
     if count < 1:
         raise ConfigError(f"need at least one sample, got count={count}")
     end = x0 + h * (count - 1)

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import signals
@@ -18,9 +18,7 @@ from almostconv.errors import AliasingError, ConfigError, DivergentSeries, Unsup
 from almostconv.signals import (
     BLOCK,
     _block_boundaries,
-    _exact_phases,
     _reduce_phase,
-    _repeats_every_block,
     evaluate,
     evaluate_many,
     kind_of,
@@ -303,15 +301,19 @@ def test_block_rendering_matches_whole_array_bits(spec):
                 (n, xs[0])
 
 
-@pytest.mark.parametrize("spec", [
-    ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 1 / 3), (-0.2 + 0.9j, -0.0731))),
-    ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
-], ids=kind_of)
-def test_sample_bits_do_not_depend_on_render_length(spec):
-    short = ac.render_discrete(spec, 0, 99).values
-    long = ac.render_discrete(spec, 0, 2 ** 15 - 1).values
-    assert np.array_equal(_bits(short), _bits(long[:100]))
-    assert np.array_equal(_bits([evaluate(spec, 77.0)]), _bits(long[77:78]))
+@pytest.mark.parametrize("spec, start, step, counts", [
+    (ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 1 / 3), (-0.2 + 0.9j, -0.0731))),
+     0, 1.0, (100, 2 ** 15)),
+    (ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
+     0, 1.0, (100, 2 ** 15)),
+    # every phase is exact over 2**15 points; past 2**52 the grid rounds
+    (ac.Character(2 ** -16), 2 ** 52 - 2 ** 15, 0.5, (2 ** 15, 2 ** 17)),
+], ids=["trig_poly", "dirichlet_line", "character"])
+def test_sample_bits_do_not_depend_on_render_length(spec, start, step, counts):
+    short, long = (_render_bits(spec, start, step, n) for n in counts)
+    assert np.array_equal(short, long[:len(short)])
+    sample = np.array([evaluate(spec, start + 77 * step)])
+    assert np.array_equal(sample.view(np.uint64), long[154:156])
 
 
 def test_reduce_phase_matches_np_mod_bitwise():
@@ -411,6 +413,27 @@ def test_plain_sum_signals_live_on_the_integers():
     assert type(ac.DiscreteSignal(2.0, [1.0], 1.0).n_min) is int
 
 
+@pytest.mark.parametrize("render, message", [
+    # these used to render 3 and 12 samples
+    (lambda spec: ac.render_continuous(spec, 0, 0.1, 2.5), "count"),
+    (lambda spec: ac.render_discrete(spec, 0, 10.5), "n_max"),
+    (lambda spec: ac.render_discrete(spec, -0.5, 10), "n_min"),
+    (lambda spec: ac.render_continuous(spec, 0, 0.1, math.nan), "count"),
+], ids=["count", "n_max", "n_min", "count_nan"])
+def test_render_counts_and_ends_are_whole_numbers(render, message):
+    with pytest.raises(ConfigError, match=f"{message} must be a whole number"):
+        render(ac.Convergent(1.0))
+
+
+def test_whole_float_counts_render_as_ints_do():
+    spec = ac.TrigPoly(((0.5, 0.01), (0.25j, -0.03)))
+    assert np.array_equal(
+        _bits(ac.render_continuous(spec, 0.5, 0.1, 20000.0).values),
+        _bits(ac.render_continuous(spec, 0.5, 0.1, 20000).values))
+    assert np.array_equal(_bits(ac.render_discrete(spec, -3.0, 19996.0).values),
+                          _bits(ac.render_discrete(spec, -3, 19996).values))
+
+
 # ---------------------------------------------------------------------------
 # Periodic character sums are rendered over one block and tiled
 # ---------------------------------------------------------------------------
@@ -426,6 +449,25 @@ def _render_bits(spec, start, step, count):
     else:
         signal = ac.render_continuous(spec, start, step, count)
     return signal.values.view(np.uint64)
+
+
+def _turned(spec, step, count):
+    """Whether the render is block-turned and not tiled: a sum of characters
+    with no density over more than BLOCK points, one of whose whole-block
+    turns ``f*step*BLOCK`` is not a whole number."""
+    return (count > BLOCK and getattr(spec, "density", None) is None
+            and any((Fraction(f) * Fraction(step) * BLOCK).denominator != 1
+                    for _, f in signals._character_terms(spec)))
+
+
+def _assert_render_contract(spec, start, step, count):
+    """Tiled and per-point renders have the per-point bits; a turned one
+    has them in its first block and meets the rounding bound after it."""
+    bits = _render_bits(spec, start, step, count)
+    if _turned(spec, step, count):
+        _assert_rounded_render(spec, start, step, count, bits.view(np.complex128))
+    else:
+        assert np.array_equal(bits, _grid_bits(spec, start, step, count))
 
 
 _DYADIC_FREQS = st.one_of(
@@ -460,8 +502,7 @@ def test_tiled_renders_keep_every_bit(spec, discrete, start, shift, count):
         # dyadic steps under the aliasing guard for |f| <= 1
         step = 2.0 ** -(4 + shift % 5)
         start = start * 2.0 ** -shift
-    assert np.array_equal(_render_bits(spec, start, step, count),
-                          _grid_bits(spec, start, step, count))
+    _assert_render_contract(spec, start, step, count)
 
 
 _SCAN_POLY = ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 5 / 64), (0.2j, -1 / 2)))
@@ -477,17 +518,19 @@ _SCAN_POLY = ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 5 / 64), (0.2j, -1 / 2)))
     (ac.DirichletLine((0.5 - 0.25j,), 2.0), -3, 1.0, 70_001),
 ])
 def test_periodic_character_sums_tile(spec, start, step, count):
-    assert _repeats_every_block(spec, start, step, count)
-    assert np.array_equal(_render_bits(spec, start, step, count),
-                          _grid_bits(spec, start, step, count))
+    bits = _render_bits(spec, start, step, count)
+    # two words per sample: the render repeats every BLOCK samples
+    assert np.array_equal(bits[2 * BLOCK:], bits[:-2 * BLOCK])
+    assert np.array_equal(bits, _grid_bits(spec, start, step, count))
 
 
 @pytest.mark.parametrize("spec, start, step, count", [
     # the grid points are not dyadic
     (ac.Character(1 / 64), 0.0, 0.1, 20_000),
-    # f*x needs more than 53 bits near the end of the grid
+    # f*x needs more than 53 bits near the end of the grid, but rounds
+    # alike in every block, so its zero turns tile the per-point bits
     (ac.Character(3 / 64), 2 ** 53 - 20_000, 1.0, 20_000),
-    # f*step*BLOCK is not an integer
+    # f*step*BLOCK is not an integer: exact phases, turned
     (ac.Character(1 / 2 ** 15), 0, 1.0, 20_000),
     (ac.TrigPoly(((1.0, 0.25), (0.5, 3 / 2 ** 20))), -7, 1.0, 20_000),
     (ac.TrigPoly(((1.0, 1 / 64),)), 0.0, 1 / 2 ** 10, 20_000),
@@ -499,17 +542,10 @@ def test_periodic_character_sums_tile(spec, start, step, count):
     (ac.Character(0.5), 0, 1.0, BLOCK),
 ])
 def test_renders_that_cannot_tile_keep_every_bit(spec, start, step, count):
-    assert not _repeats_every_block(spec, start, step, count)
-    if step == 0.1 or isinstance(spec, ac.DirichletLine):
-        # Rounded phases (a non-dyadic grid, a Dirichlet line): only the
-        # first block keeps the per-point bits; later blocks are turned
-        # by one phase per term and meet the rounding bound instead.
-        assert _exact_phases(spec, start, step, count) is False
-        _assert_rounded_render(spec, start, step, count,
-                               _render_bits(spec, start, step, count).view(np.complex128))
-        return
-    assert np.array_equal(_render_bits(spec, start, step, count),
-                          _grid_bits(spec, start, step, count))
+    # A turned render (a non-dyadic grid, a Dirichlet line, a turn that is
+    # not whole) keeps the per-point bits in its first block only; later
+    # blocks are turned by one phase per term and meet the rounding bound.
+    _assert_render_contract(spec, start, step, count)
 
 
 @pytest.mark.parametrize("freq, start", [
@@ -518,35 +554,49 @@ def test_renders_that_cannot_tile_keep_every_bit(spec, start, step, count):
 ])
 def test_exactness_is_checked_between_the_ends(freq, start):
     # both ends of the grid and their products with f are floats; an odd
-    # x in between needs one more bit
+    # x in between needs one more bit.  No render relies on exact phases:
+    # an integer grid past 2**53 is refused, and any other meets the
+    # render contract at the float grid points.
     count = 20_001
     for x in (start, start + count - 1):
         assert float(x) == x and Fraction(freq * x) == Fraction(freq) * x
-    assert not _repeats_every_block(ac.Character(freq), start, 1.0, count)
+    spec = ac.Character(freq)
+    if start + count - 1 > 2 ** 53:
+        with pytest.raises(ValueError, match="within"):
+            ac.render_discrete(spec, start, start + count - 1)
+    else:
+        _assert_render_contract(spec, start, 1.0, count)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_grid_that_overflows_is_not_tiled():
     # with f = 0 only the grid points themselves can fail: past 1.8e308
-    # they are inf, and 0*inf is NaN
-    spec = ac.Character(0.0)
-    assert not _repeats_every_block(spec, 1e308, 1e306, BLOCK + 1)
-    # the grid end is checked before rendering
+    # they are inf, which a tiled first block does not see, so the grid
+    # end is checked before rendering
     with pytest.raises(ConfigError, match="grid end .* must be finite"):
-        ac.render_continuous(spec, 1e308, 1e306, BLOCK + 1)
+        ac.render_continuous(ac.Character(0.0), 1e308, 1e306, BLOCK + 1)
 
 
 def test_tiled_render_evaluates_one_block_per_term(monkeypatch):
-    seen = []
-    unit_phases = signals._unit_phases
+    seen, turned = [], []
+    unit_phases, turns = signals._unit_phases, signals._turns
 
-    def spy(freq, x, z, t):
+    def spy_phases(freq, x, z, t):
         seen.append(len(x))
         unit_phases(freq, x, z, t)
 
-    monkeypatch.setattr(signals, "_unit_phases", spy)
-    ac.render_discrete(_SCAN_POLY, -1000, 2 ** 18 - 1001)
-    assert seen == [BLOCK] * len(_SCAN_POLY.terms)
+    def spy_turns(ratios, steps):
+        turned.append(steps)
+        return turns(ratios, steps)
+
+    monkeypatch.setattr(signals, "_unit_phases", spy_phases)
+    monkeypatch.setattr(signals, "_turns", spy_turns)
+    for spec, start, step in [(_SCAN_POLY, -1000, 1.0),
+                              # rounded phases whose whole-block turns are 0
+                              (ac.Character(1 / 64), 0.1, 1 / 16)]:
+        seen.clear()
+        _render_bits(spec, start, step, 2 ** 18)
+        assert seen == [BLOCK] * len(signals._character_terms(spec))
+    assert turned == []
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +649,6 @@ def _rounded_sums(draw):
        count=st.sampled_from([BLOCK + 1, 3 * BLOCK + 7, 70_001]))
 def test_rounded_phase_renders_meet_the_rounding_bound(case, count):
     spec, start, step = case
-    # rounded over BLOCK + 1 points, so over every longer grid as well
-    assume(_exact_phases(spec, start, step, BLOCK + 1) is False)
     values = _render_bits(spec, start, step, count).view(np.complex128)
     _assert_rounded_render(spec, start, step, count, values)
     short = _render_bits(spec, start, step, 2 ** 15)
@@ -633,8 +681,8 @@ def test_realigned_rounded_phases_stay_within_the_declared_bound():
     # at every multiple of 10 the three characters meet at 1, where the
     # sum reaches its declared bound; no later block may round above it
     spec = ac.TrigPoly(((0.5, 0.1), (0.3, 0.2), (0.2, 0.3)))
-    assert _exact_phases(spec, 0, 1.0, 2 ** 20) is False
     values = ac.render_discrete(spec, 0, 2 ** 20 - 1).values
+    _assert_rounded_render(spec, 0, 1.0, 2 ** 20, values)
     assert abs(values[10 * 99_999] - 1.0) < 1e-9
 
 

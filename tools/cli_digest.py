@@ -12,7 +12,8 @@ this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
-``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows, and every analysis
+``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows and of a character
+whose whole-block turn is not 0, and every analysis
 command on sample files with an unknown kind, grid positions that are
 not finite floats, or rows off their grid.  A probe whose argv names
 ``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
@@ -43,6 +44,8 @@ _TRIG = {"kind": "trig_poly", "terms": [
     {"coefficient": {"re": 0.3, "im": 0.0}, "frequency": 0.125}]}
 _CONVERGENT = {"kind": "convergent", "limit": 2.0}
 _BLOCKS = {"kind": "block_sequence"}
+# exact phases, but f*BLOCK is not whole: block-turned, not tiled
+_CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
 _ZERO_OUTSIDE = ("# signal kind=discrete n_min=-3 bound=2.0 extension=zero_outside "
                  "source=custom\nindex,re,im\n"
@@ -159,6 +162,8 @@ PROBES = [
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
     ("generate-trig-z", "trig.json", _TRIG,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
+    ("generate-char-exact-nonperiodic", "char.json", _CHAR_EXACT,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "65535"]),
 ] + [(f"{command}-csv-{name}", f"{name}.csv", text, argv)
      for name, text in _HOSTILE.items() for command, argv in _HOSTILE_ARGV.items()]
 
