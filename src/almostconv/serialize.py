@@ -14,7 +14,11 @@ so identical inputs produce byte-identical files.  CSV writers stream
 rows in blocks of ``signals.BLOCK``: every float cell is its ``repr``,
 but within a block each distinct float (by bits, so ``-0.0`` is apart
 from ``0.0``) is formatted once and its string reused by every row that
-holds it.  Sample files are parsed by ``np.loadtxt``, whose float
+holds it.  A block with many floats to format sends them to a NumPy
+kernel (:mod:`almostconv._shortest`) that computes the same shortest
+round-trip digits for all of them at once; a float it cannot certify,
+and every float of a small block, is formatted by ``float.__repr__``.
+Sample files are parsed by ``np.loadtxt``, whose float
 conversion is correctly rounded like ``float()``.  Unlike a ``float()``
 per field, it reads a ``#`` after the data on a row as the start of a
 comment, and it rejects ``1_000``, non-ASCII digits, and lines after
@@ -197,6 +201,20 @@ def _parts(values) -> tuple:
     return z.real, z.imag
 
 
+#: Fewest floats that go to the vectorised ``repr`` kernel: below this,
+#: its fixed cost outweighs a ``float.__repr__`` per float.
+KERNEL_MIN = 512
+
+
+def _reprs(floats: np.ndarray) -> list:
+    """``repr`` of each float: by ``float.__repr__`` for fewer than
+    :data:`KERNEL_MIN` of them, else by :mod:`almostconv._shortest`."""
+    if len(floats) < KERNEL_MIN:
+        return list(map(float.__repr__, floats.tolist()))
+    from ._shortest import reprs
+    return reprs(floats)
+
+
 def _cells(column) -> list:
     """The column's cells as strings: ``str`` of an int, ``repr`` of a float.
 
@@ -204,17 +222,19 @@ def _cells(column) -> list:
     bits), ``repr`` runs once per distinct float, found by ``np.unique``
     on the bits, and its string is gathered to every row holding that
     float.  A column whose sample is all distinct, such as a spectrum's,
-    would share almost nothing, and each cell gets its own ``repr``.
+    would share almost nothing, and its floats are formatted as they are.
+    Either way, :data:`KERNEL_MIN` or more floats to format go to the
+    vectorised kernel, which hands the floats it cannot certify to
+    ``float.__repr__``; fewer get ``float.__repr__`` each.
     """
     if isinstance(column, range) or column.dtype.kind != "f":
         return list(map(str, column if isinstance(column, range) else column.tolist()))
     bits = column.view(np.int64)
     sample = bits[::max(1, len(bits) // 1024)]
     if len(np.unique(sample)) == len(sample):
-        return list(map(float.__repr__, column.tolist()))
+        return _reprs(column)
     bits, where = np.unique(bits, return_inverse=True)
-    strings = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
-                       dtype=object)
+    strings = np.array(_reprs(bits.view(np.float64)), dtype=object)
     return strings[where].tolist()
 
 

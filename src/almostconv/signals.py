@@ -911,6 +911,8 @@ def render_discrete(spec: GeneratorSpec, n_min: int, n_max: int) -> DiscreteSign
     n_min, n_max = _whole(n_min, "n_min"), _whole(n_max, "n_max")
     if n_min > n_max:
         raise ConfigError(f"need n_min <= n_max, got [{n_min}, {n_max}]")
+    if n_min < -2 ** 53 or n_max > 2 ** 53:
+        raise ConfigError("integer grid positions must lie within +-2**53")
     vals, bound = _grid_values(spec, n_min, 1.0, n_max - n_min + 1)
     return DiscreteSignal(n_min, vals, bound, source=kind_of(spec))
 

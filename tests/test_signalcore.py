@@ -562,10 +562,27 @@ def test_exactness_is_checked_between_the_ends(freq, start):
         assert float(x) == x and Fraction(freq * x) == Fraction(freq) * x
     spec = ac.Character(freq)
     if start + count - 1 > 2 ** 53:
-        with pytest.raises(ValueError, match="within"):
+        with pytest.raises(ConfigError, match="within"):
             ac.render_discrete(spec, start, start + count - 1)
     else:
         _assert_render_contract(spec, start, 1.0, count)
+
+
+@pytest.mark.parametrize("n_min, n_max", [
+    (2 ** 53 - 10, 2 ** 53 + 2 ** 14),
+    (-2 ** 53 - 1, -2 ** 53 + 5),
+])
+def test_integer_grid_past_2_53_is_refused_before_rendering(monkeypatch, n_min, n_max):
+    rendered, grid_values = [], signals._grid_values
+
+    def spy(*args):
+        rendered.append(args)
+        return grid_values(*args)
+
+    monkeypatch.setattr(signals, "_grid_values", spy)
+    with pytest.raises(ConfigError, match=r"within \+-2\*\*53"):
+        ac.render_discrete(ac.Convergent(1.0), n_min, n_max)
+    assert rendered == []
 
 
 def test_grid_that_overflows_is_not_tiled():

@@ -12,8 +12,9 @@ this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
-``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows and of a character
-whose whole-block turn is not 0, and every analysis
+``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows, of a character
+whose whole-block turn is not 0 and of custom samples with every float
+the ``repr`` kernel leaves to ``float.__repr__``, and every analysis
 command on sample files with an unknown kind, grid positions that are
 not finite floats, or rows off their grid.  A probe whose argv names
 ``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
@@ -47,6 +48,16 @@ _BLOCKS = {"kind": "block_sequence"}
 # exact phases, but f*BLOCK is not whole: block-turned, not tiled
 _CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
+# more distinct floats than serialize.KERNEL_MIN, among them every kind
+# the repr kernel leaves to float.__repr__ (subnormal, zero, a power of
+# two, an interval-end tie, out of its range); |re + i*im| stays finite
+_EXTREMES = [5e-324, 2.0 ** -1022, 1e-300, 0.0, -0.0, 0.5, 1024.0, 7.4e22, 1e300,
+             1.7976931348623157e308]
+_SPREAD = [(-1) ** j * (j + 0.5) * 10.0 ** (j % 61 - 30) for j in range(1200)]
+_CUSTOM_EXTREMES = {"kind": "custom", "values": [
+    {"re": re, "im": im} for re, im in zip(
+        _EXTREMES + [-v for v in _EXTREMES] + _SPREAD,
+        [1 / (j + 3) for j in range(20)] + _EXTREMES + _SPREAD[::-1])]}
 _ZERO_OUTSIDE = ("# signal kind=discrete n_min=-3 bound=2.0 extension=zero_outside "
                  "source=custom\nindex,re,im\n"
                  + "".join(f"{j - 3},{(j % 5) / 2.5!r},0.0\n" for j in range(300)))
@@ -164,6 +175,9 @@ PROBES = [
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
     ("generate-char-exact-nonperiodic", "char.json", _CHAR_EXACT,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "65535"]),
+    ("generate-custom-extremes", "extremes.json", _CUSTOM_EXTREMES,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
+      "--n-max", str(len(_CUSTOM_EXTREMES["values"]) - 1)]),
 ] + [(f"{command}-csv-{name}", f"{name}.csv", text, argv)
      for name, text in _HOSTILE.items() for command, argv in _HOSTILE_ARGV.items()]
 
