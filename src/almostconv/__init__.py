@@ -14,7 +14,6 @@ from .cesaro import (
     CesaroSweep,
     ac_verdict,
     cesaro_sweep,
-    convolution_invariance_residual,
     shift_extremes,
     window_average,
 )

@@ -53,8 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyGrid, WindowOutOfRange
-from .signals import BLOCK, Extension, Sidedness, Signal, WindowSchedule, subtract
-from .spectral import convolve, require_unit_mass
+from .signals import BLOCK, Extension, Sidedness, Signal, WindowSchedule
 from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
 
 _MONOTONE_SLACK = 1e-12
@@ -341,22 +340,3 @@ def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
         return ACVerdict(VerdictStatus.NOT_ALMOST_CONVERGENT, None, float(g3),
                          witness, notes)
     return ACVerdict(VerdictStatus.INCONCLUSIVE, None, float(g3), None, notes)
-
-
-def convolution_invariance_residual(signal: Signal, kernel: Signal,
-                                    schedule: WindowSchedule) -> float:
-    """Size of the uniform-mean functionals on ``signal - kernel*signal``.
-
-    For any nonnegative unit-mass kernel the difference has upper and
-    lower uniform means exactly zero in the limit, so the returned
-    ``max(|p_bar_est|, |p_lower_est|)`` should shrink as the schedule
-    grows; it quantifies how far the finite sweep is from that identity.
-    """
-    vals = np.asarray(kernel.values)
-    if np.any(vals.real < -1e-12) or np.any(np.abs(vals.imag) > 1e-12):
-        raise ValueError("kernel must be nonnegative")
-    require_unit_mass(kernel)
-    smoothed = convolve(signal, kernel)
-    diff = subtract(signal, smoothed)
-    sweep = cesaro_sweep(diff, schedule)
-    return float(max(abs(sweep.p_bar_est), abs(sweep.p_lower_est)))

@@ -34,7 +34,9 @@ turn is 0 (dyadic frequencies on Z -> Z_{2^k}) the first block is
 tiled.  The first block has the per-point bits; later samples are
 within ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of
 the exact values at the float grid points.  No sample's bits depend on
-the number rendered.  Every other grid render keeps the per-point bits.
+the number rendered.  A block sequence on a grid is filled run by run,
+one run of indices per block, with the per-point bits.  Every other grid
+render keeps the per-point bits.
 """
 
 from __future__ import annotations
@@ -77,19 +79,26 @@ class Sidedness(str, Enum):
     ONE_SIDED = "one_sided"
 
 
-def _as_complex(values) -> np.ndarray:
+def _as_complex(values) -> tuple:
+    """``values`` as a complex array, and ``max |values|``.
+
+    One pass takes the modulus: a NaN or inf sample makes it NaN or inf,
+    and only then are the parts checked, so finite parts whose modulus
+    overflows reach the bound check.
+    """
     out = np.asarray(values, dtype=np.complex128)
     if out.ndim != 1 or out.size == 0:
         raise ValueError("signal values must be a nonempty 1-d array")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    top = float(np.max(np.abs(out)))
+    if not math.isfinite(top) and not np.all(np.isfinite(out)):
         raise ValueError("signal values must be finite")
-    return out
+    return out, top
 
 
-def _check_bound(values: np.ndarray, bound: float) -> None:
+def _check_bound(top: float, bound: float) -> None:
+    """``top``, the largest ``|value|``, must stay at or below ``bound``."""
     if not math.isfinite(bound) or bound < 0:
         raise ValueError(f"bound must be finite and nonnegative, got {bound}")
-    top = float(np.max(np.abs(values)))
     if top > bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK:
         raise ValueError(f"|values| reach {top} above declared bound {bound}")
 
@@ -146,9 +155,10 @@ class Signal:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if not self.trapezoid and self.step != 1.0:
             raise ValueError("plain sums count samples on the integers: step must be 1")
-        object.__setattr__(self, "values", _as_complex(self.values))
-        _check_grid(self.start, self.step, len(self.values), self.trapezoid)
-        _check_bound(self.values, self.bound)
+        values, top = _as_complex(self.values)
+        object.__setattr__(self, "values", values)
+        _check_grid(self.start, self.step, len(values), self.trapezoid)
+        _check_bound(top, self.bound)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -436,8 +446,10 @@ class BlockSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(complex(s) for s in self.symbols))
-        if self.growth <= 1:
-            raise ValueError("block growth must exceed 1")
+        if not self.symbols:
+            raise ValueError("block sequence needs at least one symbol")
+        if not 1 < self.growth < math.inf:
+            raise ValueError("block growth must be finite and exceed 1")
 
 
 @dataclass(frozen=True)
@@ -504,11 +516,9 @@ def kind_of(spec: GeneratorSpec) -> str:
 
 def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
     """Cumulative block end indices covering [0, n_top]."""
-    ends = []
-    total = 0
-    m = 0
+    ends, total, m, growth = [], 0, 0, spec.growth
     while total <= n_top:
-        total += max(1, int(round(spec.growth ** m)))
+        total += round(growth ** m)  # at least 1, as growth > 1
         ends.append(total)
         m += 1
     return np.asarray(ends)
@@ -805,6 +815,44 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
     return out
 
 
+#: Moves each run start of :func:`_block_runs` may make from its guess.
+_RUN_MOVES = 4
+
+
+def _block_runs(spec: BlockSequence, start, step, count: int) -> Optional[np.ndarray]:
+    """``spec``'s values at ``x_j = start + j*step``, filled run by run.
+
+    ``floor(x_j)`` never decreases along the grid, so each block
+    ``[end_{m-1}, end_m)`` of :func:`_block_boundaries` is one run of
+    indices.  It starts at the first ``j`` with ``start + step*j >= end``,
+    the float expression the per-point path evaluates: each start is
+    guessed as ``ceil((end - start)/step)`` and moved until the grid
+    points on both sides of it agree.  The values have the per-point
+    bits.  None when the grid reaches 2**53, where block ends stop being
+    exact floats, or when a guess is still wrong after
+    :data:`_RUN_MOVES` moves (a grid finer than its floats).
+    """
+    def x(j):
+        return start + step * j
+
+    top = x(count - 1)
+    if not top < 2.0 ** 53:
+        return None
+    ends = _block_boundaries(spec, math.floor(max(top, -1.0)))
+    edges = np.concatenate(([0.0], ends))
+    runs = np.clip(np.ceil((edges - start) / step), 0, count).astype(np.int64)
+    for _ in range(_RUN_MOVES + 1):
+        early = (runs > 0) & (x(np.maximum(runs, 1) - 1) >= edges)
+        late = (runs < count) & (x(np.minimum(runs, count - 1)) < edges)
+        if not (early.any() or late.any()):
+            # the run of x < 0, then block m's symbols[m % len(symbols)]
+            values = np.concatenate(([0j], np.resize(np.asarray(spec.symbols), len(ends))))
+            return np.repeat(values, np.diff(runs, prepend=0))
+        runs += late
+        runs -= early
+    return None
+
+
 def evaluate(spec: GeneratorSpec, point: float) -> complex:
     """Scalar version of :func:`evaluate_many`."""
     return complex(evaluate_many(spec, np.asarray([point]))[0])
@@ -875,7 +923,9 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
     block-turned (:func:`_turned_values`): the first block has the
     per-point bits and is tiled when every whole-block turn is 0; later
     samples are within the rounding bound there.  No sample's bits
-    depend on ``count``.  Every other grid is rendered point by point.
+    depend on ``count``.  A block sequence is filled run by run
+    (:func:`_block_runs`) with the per-point bits.  Every other grid is
+    rendered point by point.
     """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:
@@ -888,10 +938,12 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
             raise UnsupportedPoint("requested range outside the custom samples")
         vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
     else:
-        terms = _rendered_terms(spec)
+        terms, vals = _rendered_terms(spec), None
         if count > BLOCK and terms is not None and getattr(spec, "density", None) is None:
             vals = _turned_values(terms, start, step, count)
-        else:
+        elif isinstance(spec, BlockSequence):
+            vals = _block_runs(spec, start, step, count)
+        if vals is None:
             vals = evaluate_many(spec, start + step * np.arange(count))
     bound = declared_bound(spec)
     if bound is None:

@@ -3,9 +3,11 @@ import pytest
 
 import almostconv as ac
 from almostconv import serialize
+from almostconv.cesaro import cesaro_sweep
 from almostconv.cyclic import CyclicFunction
 from almostconv.errors import ConfigError
-from almostconv.signals import DiscreteSignal, Extension
+from almostconv.signals import DiscreteSignal, Extension, Signal, WindowSchedule, subtract
+from almostconv.spectral import convolve, require_unit_mass
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +72,23 @@ def fejer_kernel(width: int) -> DiscreteSignal:
     w = 1.0 - np.abs(j) / (m + 1.0)
     w /= w.sum()
     return DiscreteSignal(-m, w, float(w.max()), Extension.VALID_ONLY, "kernel")
+
+
+def convolution_invariance_residual(signal: Signal, kernel: Signal,
+                                    schedule: WindowSchedule) -> float:
+    """Size of the uniform-mean functionals on ``signal - kernel*signal``.
+
+    For any nonnegative unit-mass kernel the difference has upper and
+    lower uniform means exactly zero in the limit, so the returned
+    ``max(|p_bar_est|, |p_lower_est|)`` should shrink as the schedule
+    grows; it quantifies how far the finite sweep is from that identity.
+    """
+    vals = np.asarray(kernel.values)
+    if np.any(vals.real < -1e-12) or np.any(np.abs(vals.imag) > 1e-12):
+        raise ValueError("kernel must be nonnegative")
+    require_unit_mass(kernel)
+    sweep = cesaro_sweep(subtract(signal, convolve(signal, kernel)), schedule)
+    return float(max(abs(sweep.p_bar_est), abs(sweep.p_lower_est)))
 
 
 def save_generator(spec, path: str) -> None:

@@ -15,7 +15,7 @@ from almostconv.signals import (
     WindowSchedule,
 )
 
-from conftest import brute_window_mean, fejer_kernel
+from conftest import brute_window_mean, convolution_invariance_residual, fejer_kernel
 
 ONE = Sidedness.ONE_SIDED
 TWO = Sidedness.TWO_SIDED
@@ -169,7 +169,7 @@ def test_verdict_requires_three_windows():
 
 def test_residual_constant_exact_zero():
     sig = ac.render_discrete(ac.TrigPoly(((1.0, 0.0),)), 0, 4096)
-    res = cesaro.convolution_invariance_residual(
+    res = convolution_invariance_residual(
         sig, fejer_kernel(16), WindowSchedule.geometric(8, 64, 2))
     assert res == pytest.approx(0.0, abs=1e-13)
 
@@ -179,7 +179,7 @@ def test_residual_alternating_two_point_kernel():
     kernel = DiscreteSignal(0, [0.5, 0.5], 0.5)
     # the kernel zeroes the alternating signal, so the difference is the
     # signal itself; even windows cancel it exactly
-    res = cesaro.convolution_invariance_residual(
+    res = convolution_invariance_residual(
         sig, kernel, WindowSchedule.geometric(8, 64, 2, ONE))
     assert res == pytest.approx(0.0, abs=1e-12)
 
@@ -190,7 +190,7 @@ def test_residual_random_signal_brute_oracle():
     sig = DiscreteSignal(0, vals.astype(complex), 1.0)
     kernel = fejer_kernel(64)
     sched = WindowSchedule((128, 256, 512))
-    res = cesaro.convolution_invariance_residual(sig, kernel, sched)
+    res = convolution_invariance_residual(sig, kernel, sched)
     # brute-force oracle on the difference signal at the largest window
     smoothed = ac.convolve(sig, kernel)
     diff = ac.signals.subtract(sig, smoothed)

@@ -966,6 +966,34 @@ def test_hostile_specs_leave_one_error_line(tmp_path, capsys, spec, grid, messag
     assert message in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    # used to die in an IndexError traceback
+    ({"kind": "block_sequence", "symbols": []}, "needs at least one symbol"),
+    # used to pass growth <= 1 and fail as "cannot convert float NaN to integer"
+    ({"kind": "block_sequence", "growth": "nan"}, "growth must be finite and exceed 1"),
+    ({"kind": "block_sequence", "growth": "inf"}, "growth must be finite and exceed 1"),
+], ids=["no_symbols", "growth_nan", "growth_inf"])
+@pytest.mark.parametrize("command", [
+    ["generate", "--spec", "{in}", "--out", "{out}/samples.csv"],
+    ["analyze", "--input", "{in}", "--out-dir", "{out}"],
+], ids=["generate", "analyze"])
+def test_block_sequences_that_cannot_render_leave_one_error_line(
+        tmp_path, capsys, spec, message, command):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "run"
+    argv = [a.replace("{in}", str(path)).replace("{out}", str(out_dir))
+            for a in command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert message in err and "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("xs", ["inf", "nan", "0.5,-inf"])
 def test_non_finite_xs_is_a_config_error_before_the_sweep(tmp_path, capsys, xs):
     # --xs inf on a continuous input used to print NumPy's RuntimeWarning

@@ -163,6 +163,24 @@ def test_bound_validation_rejects_lies():
         ac.DiscreteSignal(0, [2.0, 0.0], bound=1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    # the finite check comes before the bound's own check ...
+    (lambda: ac.DiscreteSignal(0, [1.0, math.nan], -1.0),
+     "signal values must be finite"),
+    # ... and before the grid check
+    (lambda: ac.DiscreteSignal(2 ** 53 - 1, [1.0, complex(0.0, math.nan), 2.0], 5.0),
+     "signal values must be finite"),
+    (lambda: ac.DiscreteSignal(2 ** 53 - 1, [1.0, 1.0, 2.0], 5.0),
+     "integer grid positions must lie within"),
+    # finite parts whose modulus overflows are a bound violation
+    (lambda: ac.ContinuousSignal(0.0, 0.5, [1.5e308 + 1.5e308j], 1e308),
+     r"\|values\| reach inf above declared bound 1e\+308"),
+], ids=["nan_negative_bound", "nan_past_2_53", "grid_past_2_53", "modulus_overflow"])
+def test_signal_validation_messages_and_order(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_window_schedule_validation():
     with pytest.raises(ValueError):
         ac.WindowSchedule((4, 4, 8))
@@ -299,6 +317,58 @@ def test_block_rendering_matches_whole_array_bits(spec):
             got = evaluate_many(spec, xs)
             assert np.array_equal(_bits(got), _bits(_whole_array(spec, xs))), \
                 (n, xs[0])
+
+
+def _rendered_block_bits(spec, start, step, count):
+    """A block sequence rendered on a grid, and the whole-array bits there."""
+    if step is None:
+        values = ac.render_discrete(spec, start, start + count - 1).values
+        xs = np.arange(start, start + count).astype(np.float64)
+    else:
+        values = ac.render_continuous(spec, start, step, count).values
+        xs = start + step * np.arange(count)
+    return _bits(values), _bits(_whole_array(spec, xs))
+
+
+@pytest.mark.parametrize("growth", [1.0001, 1.01, 1.7, 2.0, 7.0])
+def test_block_sequence_grid_renders_match_whole_array_bits(growth):
+    # filled run by run: the same grids and sizes as the per-point test,
+    # and two grids on which ceil((end - start)/step) misses some run
+    # starts (every end below ~4,000 is a block end at growth 1.0001)
+    spec = ac.BlockSequence((1 + 2j, -0.5, complex(-0.0, 3.0)), growth)
+    for n in (BLOCK, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17):
+        for start, step in ((-70000, None), (1234, None), (-5.5, 0.0137),
+                            (3.25, 0.0137), (-3.3, 0.3), (0.0, 0.7)):
+            got, want = _rendered_block_bits(spec, start, step, n)
+            assert np.array_equal(got, want), (n, start)
+            # and not by the per-point fallback
+            assert signals._block_runs(spec, start, step or 1.0, n) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(discrete=st.booleans(), start=st.floats(-1e5, 1e5),
+       step=st.floats(1e-3, 50.0), growth=st.floats(1.0005, 9.0),
+       symbols=st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                           allow_infinity=False),
+                        min_size=1, max_size=4),
+       count=st.integers(1, 3 * BLOCK))
+def test_block_sequence_grid_renders_keep_every_bit(discrete, start, step, growth,
+                                                    symbols, count):
+    spec = ac.BlockSequence(tuple(symbols), growth)
+    got, want = _rendered_block_bits(spec, math.floor(start) if discrete else start,
+                                     None if discrete else step, count)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("start, step, count", [
+    (1 - 1e-14, 1e-17, 4000),  # many grid points round to each float
+    (2 ** 53 - 50, None, 51),  # block ends past 2**53 are not all floats
+])
+def test_block_sequence_grids_the_run_fill_declines_keep_every_bit(start, step, count):
+    spec = ac.BlockSequence((1.0, 2.0, 3j), 1.5)
+    assert signals._block_runs(spec, start, step or 1.0, count) is None
+    got, want = _rendered_block_bits(spec, start, step, count)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("spec, start, step, counts", [

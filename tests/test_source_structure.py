@@ -107,7 +107,9 @@ def test_no_full_matrices_factorization():
 # on purpose: library API that tests and callers use directly
 UNREACHED_BY_DESIGN = {
     ("serialize", "generator_to_dict"): "spec -> JSON dict, the inverse of load_generator",
-    ("signals", "scaled"): "signal arithmetic beside subtract, which the package uses",
+    ("signals", "scaled"): "signal arithmetic beside offset, which the package uses",
+    ("signals", "subtract"): "f - g on the common range: the differences f - f_s and "
+                             "f - k*f that the invariance identities take",
 }
 
 

@@ -7,7 +7,7 @@ from almostconv.errors import GapTooWide, KernelTooWide, TooShort
 from almostconv.signals import DiscreteSignal, Sidedness, WindowSchedule
 from almostconv.spectral import Taper
 
-from conftest import delta_kernel, fejer_kernel
+from conftest import convolution_invariance_residual, delta_kernel, fejer_kernel
 
 
 def direct_dft(values):
@@ -285,7 +285,7 @@ def test_unit_mass_check_is_shared():
     with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
         spectral.require_unit_mass(heavy)
     with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
-        cesaro.convolution_invariance_residual(
+        convolution_invariance_residual(
             sig, heavy, WindowSchedule.geometric(2, 8, 2, Sidedness.TWO_SIDED))
     with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
         ac.weak_star_verdict(sig, heavy, [10.0] * 8, 1e-2)

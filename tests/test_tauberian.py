@@ -24,6 +24,8 @@ from almostconv.signals import (
     subtract,
 )
 
+from conftest import convolution_invariance_residual
+
 ONE = Sidedness.ONE_SIDED
 
 
@@ -598,7 +600,7 @@ def test_kernel_mass_raises_as_before_on_every_route():
             (_whole_decay, sig, heavy, 4.0, 1e-2), ValueError)
     schedule = WindowSchedule.geometric(2, 8, 2, ONE)
     with pytest.raises(ValueError, match="kernel mass"):
-        cesaro.convolution_invariance_residual(sig, heavy, schedule)
+        convolution_invariance_residual(sig, heavy, schedule)
 
 
 def test_vanishing_kernel_transform_raises_as_before():

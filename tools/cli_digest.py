@@ -12,7 +12,9 @@ this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
-``-0.0`` samples, ``generate`` at ``BLOCK + 1`` rows, of a character
+``-0.0`` samples, block sequences on grids that straddle 0, on the real
+line and with many short blocks, block sequences with no symbols or a
+NaN growth, ``generate`` at ``BLOCK + 1`` rows, of a character
 whose whole-block turn is not 0 and of custom samples with every float
 the ``repr`` kernel leaves to ``float.__repr__``, and every analysis
 command on sample files with an unknown kind, grid positions that are
@@ -45,6 +47,12 @@ _TRIG = {"kind": "trig_poly", "terms": [
     {"coefficient": {"re": 0.3, "im": 0.0}, "frequency": 0.125}]}
 _CONVERGENT = {"kind": "convergent", "limit": 2.0}
 _BLOCKS = {"kind": "block_sequence"}
+# many short blocks, and blocks of three symbols on grids that start below 0
+_BLOCKS_THREE = {"kind": "block_sequence", "growth": 1.05, "symbols": [
+    {"re": 1.0, "im": 2.0}, -0.5, {"re": -0.0, "im": 3.0}]}
+_BLOCKS_SLOW = {"kind": "block_sequence", "growth": 1.01}
+_BLOCKS_NO_SYMBOLS = {"kind": "block_sequence", "symbols": []}
+_BLOCKS_NAN_GROWTH = {"kind": "block_sequence", "growth": "nan"}
 # exact phases, but f*BLOCK is not whole: block-turned, not tiled
 _CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
@@ -143,6 +151,8 @@ PROBES = [
      ["chain", "--input", "{in}", "--n-max", "40"]),
     ("chain-blocks-z", "blocks.json", _BLOCKS,
      ["chain", "--input", "{in}", "--n-max", "65535"]),
+    ("chain-blocks-z-slow-growth", "blocks_slow.json", _BLOCKS_SLOW,
+     ["chain", "--input", "{in}", "--n-max", "131071"]),
     ("chain-convergent-r", "conv.json", _CONVERGENT,
      ["chain", "--input", "{in}", "--h", "0.25", "--count", "2049"]),
     ("chain-convergent-r-below", "conv.json", _CONVERGENT,
@@ -171,6 +181,16 @@ PROBES = [
      ["tauber", "--input", "{in}", "--xs", "0.5,0.25"]),
     ("generate-blocks-z", "blocks.json", _BLOCKS,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
+    ("generate-blocks-z-straddle", "blocks_three.json", _BLOCKS_THREE,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
+      "--n-min", "-70000", "--n-max", "70000"]),
+    ("generate-blocks-r", "blocks_three.json", _BLOCKS_THREE,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
+      "--x0", "-3.3", "--h", "0.3", "--count", "49159"]),
+    ("generate-blocks-no-symbols", "blocks_none.json", _BLOCKS_NO_SYMBOLS,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv"]),
+    ("analyze-blocks-nan-growth", "blocks_nan.json", _BLOCKS_NAN_GROWTH,
+     ["analyze", "--input", "{in}"]),
     ("generate-trig-z", "trig.json", _TRIG,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
     ("generate-char-exact-nonperiodic", "char.json", _CHAR_EXACT,
