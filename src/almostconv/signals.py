@@ -32,11 +32,12 @@ A grid render of a sum of characters (no density) over more than
 block's unit phases by one exact phase per term, and when every such
 turn is 0 (dyadic frequencies on Z -> Z_{2^k}) the first block is
 tiled.  The first block has the per-point bits; later samples are
-within ``sum |c| * (8*pi*|f|*max|x| + 16*pi) * u``, ``u = 2**-53``, of
-the exact values at the float grid points.  No sample's bits depend on
-the number rendered.  A block sequence on a grid is filled run by run,
-one run of indices per block, with the per-point bits.  Every other grid
-render keeps the per-point bits.
+within ``sum (|c| * (8*pi*|f|*max|x| + 16*pi) * u + 8 * 2**-1074)``,
+``u = 2**-53``, of the exact values at the float grid points.  No
+sample's bits depend on the number rendered.  A block sequence reads one
+table of block ends (:func:`_block_table`) at any points and, run by
+run, on a grid, with the per-point bits.  Every other grid render keeps
+the per-point bits.
 """
 
 from __future__ import annotations
@@ -514,14 +515,40 @@ def kind_of(spec: GeneratorSpec) -> str:
     return _KIND_NAMES[type(spec)]
 
 
-def _block_boundaries(spec: BlockSequence, n_top: int) -> np.ndarray:
-    """Cumulative block end indices covering [0, n_top]."""
+#: Block ends or partial-sum terms a render of n points may make: n + this.
+_TERM_CAP = 2 ** 20
+
+
+def _block_boundaries(spec: BlockSequence, top: float, points: int) -> list:
+    """Cumulative block ends, made one by one from 0, up to the first past
+    ``top``; needing more than ``points + _TERM_CAP`` is a ConfigError."""
     ends, total, m, growth = [], 0, 0, spec.growth
-    while total <= n_top:
+    while total <= top:
+        if m == points + _TERM_CAP:
+            raise ConfigError(f"block sequence needs more than {points} + 2**20 "
+                              f"block ends to reach {top:.17g}")
         total += round(growth ** m)  # at least 1, as growth > 1
         ends.append(total)
         m += 1
-    return np.asarray(ends)
+    return ends
+
+
+def _block_table(spec: BlockSequence, top: float, points: int) -> tuple:
+    """``(edges, values)``: position x holds ``values[searchsorted(edges, x,
+    side="right")]``, for ``points`` positions up to ``top``.
+
+    ``edges`` is ``[0, end_0, ..., end_{B-2}]``, the ends but the last (past
+    ``top``), and ``values`` is ``[0, symbols[m % len(symbols)] for m < B]``.
+    Integer ends make ``x >= end`` the same as ``floor(x) >= end``; they are
+    floats up to 2**53, and a ``top`` past it is a :class:`ConfigError`.
+    """
+    top = float(top)
+    if not top <= 2 ** 53:
+        raise ConfigError(f"block sequence positions must not pass 2**53, got {top:.17g}")
+    ends = _block_boundaries(spec, top, points)
+    edges = np.array([0, *ends][:len(ends)], dtype=np.float64)
+    values = np.concatenate(([0j], np.resize(np.asarray(spec.symbols), len(ends))))
+    return edges, values
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +699,9 @@ def _turned_values(terms, start, step, count: int) -> np.ndarray:
     scalar phase per term per block instead of ``BLOCK`` of them.  If every
     whole-block turn ``frac(f*step*BLOCK)`` is 0, every block's factor is
     ``c`` and the first block is tiled.  The first block has the per-point
-    bits; later samples are within ``sum |c| * (8*pi*|f|*max|x| + 16*pi)
-    * u`` of the exact values at the float grid points.  Terms are added
-    in order, so no sample depends on ``count``.
+    bits; later samples are within ``sum (|c| * (8*pi*|f|*max|x| + 16*pi)
+    * u + 8 * 2**-1074)`` of the exact values at the float grid points.
+    Terms are added in order, so no sample depends on ``count``.
     """
     ratios = [(Fraction(f) * Fraction(step)).as_integer_ratio() for _, f in terms]
     tiled = all(num * BLOCK % den == 0 for num, den in ratios)
@@ -766,15 +793,10 @@ def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
                 _add_density(density, x, o, z, w)
         return fill
     if isinstance(spec, BlockSequence):
-        ends = _block_boundaries(spec, int(np.floor(xs.max(initial=-1.0))))
-        syms = np.asarray(spec.symbols)
+        edges, values = _block_table(spec, xs.max(initial=-1.0), xs.size)
 
         def fill(x, o, z, w):
-            ns = np.floor(x).astype(np.int64)
-            pos = ns >= 0
-            if np.any(pos):
-                blocks = np.searchsorted(ends, ns[pos], side="right")
-                o[pos] = syms[blocks % len(syms)]
+            o[...] = values[np.searchsorted(edges, x, side="right")]
         return fill
     if isinstance(spec, Convergent):
         def fill(x, o, z, w):
@@ -798,59 +820,32 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
     points or on where the blocks fall.  A block-turned grid render
     (:func:`_grid_values`) has these bits in its first block; its later
     samples are within the rounding bound of :func:`_turned_values`.
+    Block positions past 2**53, or more than ``len(points) + 2**20``
+    block ends or partial-sum terms, are a :class:`ConfigError`.
     """
     xs = np.asarray(points, dtype=np.float64)
     out = np.zeros(xs.shape, dtype=np.complex128)
     if isinstance(spec, PartialSums):
-        ns = np.floor(xs).astype(np.int64)
-        pos = ns >= 0
-        if np.any(pos):
-            top = int(ns[pos].max())
-            coeffs = evaluate_many(spec.inner, np.arange(top + 1))
-            sums = np.cumsum(coeffs)
-            out[pos] = sums[ns[pos]]
+        top = float(xs.max(initial=-1.0))  # the sums run from index 0
+        if not top < xs.size + _TERM_CAP:
+            raise ConfigError(f"partial sums to index {top:.17g} take more than "
+                              f"{xs.size} + 2**20 terms")
+        if top >= 0:
+            pos = xs >= 0
+            coeffs = evaluate_many(spec.inner, np.arange(math.floor(top) + 1))
+            out[pos] = np.cumsum(coeffs)[np.floor(xs[pos]).astype(np.int64)]
         return out
     fill = _block_filler(spec, xs)
     _map_blocks(fill, xs.reshape(-1), out.reshape(-1))
     return out
 
 
-#: Moves each run start of :func:`_block_runs` may make from its guess.
-_RUN_MOVES = 4
-
-
-def _block_runs(spec: BlockSequence, start, step, count: int) -> Optional[np.ndarray]:
-    """``spec``'s values at ``x_j = start + j*step``, filled run by run.
-
-    ``floor(x_j)`` never decreases along the grid, so each block
-    ``[end_{m-1}, end_m)`` of :func:`_block_boundaries` is one run of
-    indices.  It starts at the first ``j`` with ``start + step*j >= end``,
-    the float expression the per-point path evaluates: each start is
-    guessed as ``ceil((end - start)/step)`` and moved until the grid
-    points on both sides of it agree.  The values have the per-point
-    bits.  None when the grid reaches 2**53, where block ends stop being
-    exact floats, or when a guess is still wrong after
-    :data:`_RUN_MOVES` moves (a grid finer than its floats).
-    """
-    def x(j):
-        return start + step * j
-
-    top = x(count - 1)
-    if not top < 2.0 ** 53:
-        return None
-    ends = _block_boundaries(spec, math.floor(max(top, -1.0)))
-    edges = np.concatenate(([0.0], ends))
-    runs = np.clip(np.ceil((edges - start) / step), 0, count).astype(np.int64)
-    for _ in range(_RUN_MOVES + 1):
-        early = (runs > 0) & (x(np.maximum(runs, 1) - 1) >= edges)
-        late = (runs < count) & (x(np.minimum(runs, count - 1)) < edges)
-        if not (early.any() or late.any()):
-            # the run of x < 0, then block m's symbols[m % len(symbols)]
-            values = np.concatenate(([0j], np.resize(np.asarray(spec.symbols), len(ends))))
-            return np.repeat(values, np.diff(runs, prepend=0))
-        runs += late
-        runs -= early
-    return None
+def _block_runs(spec: BlockSequence, xs: np.ndarray) -> np.ndarray:
+    """``spec``'s values on a grid ``xs`` that never decreases: each block of
+    :func:`_block_table` is one run of indices, from the first grid point
+    at or above its edge.  The values have the per-point bits."""
+    edges, values = _block_table(spec, xs[-1], len(xs))
+    return np.repeat(values, np.diff(np.searchsorted(xs, edges), prepend=0, append=len(xs)))
 
 
 def evaluate(spec: GeneratorSpec, point: float) -> complex:
@@ -923,9 +918,9 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
     block-turned (:func:`_turned_values`): the first block has the
     per-point bits and is tiled when every whole-block turn is 0; later
     samples are within the rounding bound there.  No sample's bits
-    depend on ``count``.  A block sequence is filled run by run
-    (:func:`_block_runs`) with the per-point bits.  Every other grid is
-    rendered point by point.
+    depend on ``count``.  A block sequence is filled run by run from its
+    table of block ends (:func:`_block_runs`) with the per-point bits.
+    Every other grid is rendered point by point.
     """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:
@@ -938,13 +933,14 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
             raise UnsupportedPoint("requested range outside the custom samples")
         vals = np.asarray(spec.values[lo:lo + count], dtype=np.complex128)
     else:
-        terms, vals = _rendered_terms(spec), None
+        terms = _rendered_terms(spec)
         if count > BLOCK and terms is not None and getattr(spec, "density", None) is None:
             vals = _turned_values(terms, start, step, count)
-        elif isinstance(spec, BlockSequence):
-            vals = _block_runs(spec, start, step, count)
-        if vals is None:
-            vals = evaluate_many(spec, start + step * np.arange(count))
+        else:
+            xs = np.arange(count, dtype=np.float64)
+            xs *= step
+            xs += start  # start + step*j, bit for bit, in one array
+            vals = (_block_runs if isinstance(spec, BlockSequence) else evaluate_many)(spec, xs)
     bound = declared_bound(spec)
     if bound is None:
         bound = float(np.max(np.abs(vals)))

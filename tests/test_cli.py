@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -991,6 +993,45 @@ def test_block_sequences_that_cannot_render_leave_one_error_line(
     assert rc == 1
     assert err.splitlines() == [err.strip()] and err.startswith("error: ")
     assert message in err and "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+_FAR_OUT = ["--n-min", str(10 ** 12), "--n-max", str(10 ** 12 + 4096)]
+
+
+@pytest.mark.parametrize("spec, argv, message", [
+    # about 10^12 blocks of length 1 before the range: this hung while its
+    # list of block ends grew without bound
+    ({"kind": "block_sequence", "growth": 1 + 1e-12},
+     ["analyze", "--analysis", "cesaro", *_FAR_OUT], "4097 + 2**20 block ends"),
+    # every partial sum from index 0: a 745 GiB allocation and a traceback
+    ({"kind": "partial_sums", "inner": {"kind": "character", "frequency": 0.5}},
+     ["analyze", "--analysis", "cesaro", "--n-min", str(10 ** 11),
+      "--n-max", str(10 ** 11 + 4096)], "4097 + 2**20 terms"),
+    ({"kind": "partial_sums", "inner": {"kind": "block_sequence"}},
+     ["generate", *_FAR_OUT], "4097 + 2**20 terms"),
+], ids=["blocks_slow_growth", "partial_sums_cesaro", "partial_sums_generate"])
+def test_renders_far_from_zero_are_refused_under_a_budget(tmp_path, spec, argv,
+                                                          message):
+    # in a child process with a wall-clock bound and an address-space cap,
+    # so that the hang or the huge allocation cannot reach this process
+    pytest.importorskip("resource")
+    path, out_dir = tmp_path / "spec.json", tmp_path / "run"
+    path.write_text(json.dumps(spec))
+    paths = (["--spec", str(path), "--out", str(out_dir / "samples.csv")]
+             if argv[0] == "generate" else ["--input", str(path), "--out-dir", str(out_dir)])
+    cap = 2 ** 30
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from almostconv import cli\n"
+            f"sys.exit(cli.main({[*argv, *paths]!r}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                           capture_output=True, text=True)
+    assert child.returncode == 1
+    assert child.stderr.splitlines() == [child.stderr.strip()]
+    assert child.stderr.startswith("error: ") and message in child.stderr
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

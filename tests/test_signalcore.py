@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import almostconv as ac
 from almostconv import signals
@@ -271,7 +271,7 @@ def _whole_array(spec, xs):
         out = np.zeros(xs.shape, dtype=np.complex128)
         pos = ns >= 0
         if np.any(pos):
-            ends = _block_boundaries(spec, int(ns[pos].max()))
+            ends = _block_boundaries(spec, int(ns[pos].max()), xs.size)
             blocks = np.searchsorted(ends, ns[pos], side="right")
             syms = np.asarray(spec.symbols)
             out[pos] = syms[blocks % len(syms)]
@@ -308,10 +308,14 @@ _POINTWISE_SPECS = [
     "block_sequence", "convergent_exp", "convergent_power"])
 def test_block_rendering_matches_whole_array_bits(spec):
     # whole-array sizes of 2^14 points and more, where NumPy elides the
-    # temporaries; blocks end mid-array, on one point, and on a boundary
+    # temporaries; blocks end mid-array, on one point, and on a boundary;
+    # and points in no order, of both signs, with -0.0 among them
     for n in (BLOCK, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17):
+        mixed = np.random.default_rng(n).permutation(
+            0.37 * np.arange(-(n // 2), n - n // 2))
+        mixed[mixed == 0.0] = -0.0
         grids = [np.arange(-70000, n - 70000), np.arange(1234, n + 1234),
-                 -5.5 + 0.0137 * np.arange(n), 3.25 + 0.0137 * np.arange(n)]
+                 -5.5 + 0.0137 * np.arange(n), 3.25 + 0.0137 * np.arange(n), mixed]
         for xs in grids:
             xs = xs.astype(np.float64)
             got = evaluate_many(spec, xs)
@@ -333,16 +337,14 @@ def _rendered_block_bits(spec, start, step, count):
 @pytest.mark.parametrize("growth", [1.0001, 1.01, 1.7, 2.0, 7.0])
 def test_block_sequence_grid_renders_match_whole_array_bits(growth):
     # filled run by run: the same grids and sizes as the per-point test,
-    # and two grids on which ceil((end - start)/step) misses some run
-    # starts (every end below ~4,000 is a block end at growth 1.0001)
+    # and two grids whose points fall between the block ends (every end
+    # below ~4,000 is a block end at growth 1.0001)
     spec = ac.BlockSequence((1 + 2j, -0.5, complex(-0.0, 3.0)), growth)
     for n in (BLOCK, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17):
         for start, step in ((-70000, None), (1234, None), (-5.5, 0.0137),
                             (3.25, 0.0137), (-3.3, 0.3), (0.0, 0.7)):
             got, want = _rendered_block_bits(spec, start, step, n)
             assert np.array_equal(got, want), (n, start)
-            # and not by the per-point fallback
-            assert signals._block_runs(spec, start, step or 1.0, n) is not None
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,13 +364,25 @@ def test_block_sequence_grid_renders_keep_every_bit(discrete, start, step, growt
 
 @pytest.mark.parametrize("start, step, count", [
     (1 - 1e-14, 1e-17, 4000),  # many grid points round to each float
-    (2 ** 53 - 50, None, 51),  # block ends past 2**53 are not all floats
+    (2 ** 53 - 50, None, 51),  # the block end past 2**53 is not a float
 ])
-def test_block_sequence_grids_the_run_fill_declines_keep_every_bit(start, step, count):
+def test_block_sequence_grids_finer_than_floats_or_up_to_2_53_keep_every_bit(
+        start, step, count):
     spec = ac.BlockSequence((1.0, 2.0, 3j), 1.5)
-    assert signals._block_runs(spec, start, step or 1.0, count) is None
     got, want = _rendered_block_bits(spec, start, step, count)
     assert np.array_equal(got, want)
+
+
+def test_block_sequence_positions_past_2_53_are_refused():
+    # the per-point path cast floor(x) to int64, which wraps past 2**63:
+    # both used to return zeros
+    spec = ac.BlockSequence((1.0, 2.0))
+    with pytest.raises(ConfigError, match=r"must not pass 2\*\*53"):
+        ac.render_continuous(spec, 1e19, 1e17, 5)
+    with pytest.raises(ConfigError, match=r"must not pass 2\*\*53"):
+        evaluate(spec, 1e19)
+    # below 0 every block sequence is 0, however far out
+    assert evaluate(spec, -1e19) == 0
 
 
 @pytest.mark.parametrize("spec, start, step, counts", [
@@ -707,10 +721,11 @@ def _assert_rounded_render(spec, start, step, count, values):
     xs = start + step * np.arange(count)
     assert np.array_equal(_bits(values[:BLOCK]),
                           _bits(evaluate_many(spec, xs[:BLOCK])))
-    # sum |c| * (8*pi*|f|*max|x| + 16*pi) * u, u = 2**-53
+    # sum (|c| * (8*pi*|f|*max|x| + 16*pi) * u + 8 * 2**-1074), u = 2**-53:
+    # products of subnormals round in absolute steps of 2**-1074
     u, top = 2.0 ** -53, float(np.max(np.abs(xs)))
     bound = sum(abs(c) * (8 * math.pi * abs(f) * top + 16 * math.pi) * u
-                for c, f in signals._character_terms(spec))
+                + 8 * 2.0 ** -1074 for c, f in signals._character_terms(spec))
     assert float(np.max(np.abs(values - _reference(spec, xs)))) <= bound
 
 
@@ -734,6 +749,9 @@ def _rounded_sums(draw):
 @settings(max_examples=30, deadline=None)
 @given(case=_rounded_sums(),
        count=st.sampled_from([BLOCK + 1, 3 * BLOCK + 7, 70_001]))
+# a subnormal coefficient: the error, 5e-324, is all absolute
+@example(case=(ac.TrigPoly(((2.2250738585e-313 + 0j, 0.03125),)), 0.0, 0.5),
+         count=BLOCK + 1)
 def test_rounded_phase_renders_meet_the_rounding_bound(case, count):
     spec, start, step = case
     values = _render_bits(spec, start, step, count).view(np.complex128)

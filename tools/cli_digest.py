@@ -13,8 +13,8 @@ on both groups, abscissa lists that are out of order or out of range,
 chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
 ``-0.0`` samples, block sequences on grids that straddle 0, on the real
-line and with many short blocks, block sequences with no symbols or a
-NaN growth, ``generate`` at ``BLOCK + 1`` rows, of a character
+line and with many short blocks, block sequences past 2**53, with no
+symbols or a NaN growth, ``generate`` at ``BLOCK + 1`` rows, of a character
 whose whole-block turn is not 0 and of custom samples with every float
 the ``repr`` kernel leaves to ``float.__repr__``, and every analysis
 command on sample files with an unknown kind, grid positions that are
@@ -187,6 +187,10 @@ PROBES = [
     ("generate-blocks-r", "blocks_three.json", _BLOCKS_THREE,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
       "--x0", "-3.3", "--h", "0.3", "--count", "49159"]),
+    # block ends past 2**53 are not all floats: refused
+    ("generate-blocks-past-2p53", "blocks.json", _BLOCKS,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
+      "--h", "1e17", "--x0", "1e19", "--count", "5"]),
     ("generate-blocks-no-symbols", "blocks_none.json", _BLOCKS_NO_SYMBOLS,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv"]),
     ("analyze-blocks-nan-growth", "blocks_nan.json", _BLOCKS_NAN_GROWTH,
