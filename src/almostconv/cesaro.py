@@ -22,20 +22,25 @@ plain sum for discrete data, a cumulative trapezoid for continuous data)
 and splits it into real and imaginary float arrays, extended with their
 end values so that windows reaching outside the data read zero there.
 It then walks the shifts ``signals.BLOCK`` at a time.  On each block,
-every window length takes its means as one slice difference per part,
-scaled in place by the reciprocal of the window width, in a buffer of
-one block.  So each stretch of the running sum is read from memory once
-for all the lengths whose windows start or end in it, and each block's
-means stay in cache.  The scaling is how NumPy divides a complex array
-by a real number, so the means are the same bits as dividing complex
-window sums (a running sum holding -0.0, which only leading -0.0 data
-gives, takes that complex division itself over the whole grid, so even
-the signs of zero means agree).  Each block keeps the first argmax and
-argmin of both parts; the extremes are the extremes of the block
-extremes, taken from the first block that reaches them, so ties still go
-to the smallest shift.  Only the winning shifts are converted to
-positions.  :func:`window_average` and :func:`shift_extremes` evaluate
-just the windows they are asked for from the same running sum.
+every window length takes its window sums as one slice difference per
+part, in a buffer of one block, and keeps only their largest and
+smallest values.  So each stretch of the running sum is read from memory
+once for all the lengths whose windows start or end in it, and each
+block's sums stay in cache.  A mean is its window sum scaled by the
+reciprocal of the window width, which is how NumPy divides a complex
+array by a real number, so the means are the same bits as dividing
+complex window sums (a running sum holding -0.0, which only leading -0.0
+data gives, takes that complex division itself over the whole grid, so
+even the signs of zero means agree).  Scaling by a positive number is
+correctly rounded and monotone, so the largest mean is the largest sum
+scaled, bit for bit: only the block extremes are scaled.  The extremes
+are the extremes of the scaled block extremes, taken from the first
+block that reaches them.  Two sums 1 ulp apart can scale to one mean, so
+the witness shift is found by scaling the winning block's sums of that
+part again and taking their first argmax or argmin: ties still go to the
+smallest shift.  Only the winning shifts are converted to positions.
+:func:`window_average` and :func:`shift_extremes` evaluate just the
+windows they are asked for from the same running sum.
 
 The verdict logic is a finite-data surrogate, not a theorem: a limit is
 reported when the sup-inf gap at the largest window is below tolerance
@@ -256,28 +261,41 @@ def _sweep_extremes(p: np.ndarray, layouts, shift_of):
     count = max(lay.count for lay in layouts)
     buf = np.empty((2, min(BLOCK, count)))
     rows = np.arange(2)
-    # per layout and block: (maxima, argmaxes, minima, argmins) of both parts
-    found = [[] for _ in layouts]
+
+    def ends(lay, first, part):
+        """The two slices of ``part`` whose difference is the window sums
+        of the block at shift ``first``."""
+        a = pad + lay.lo + first
+        size = min(BLOCK, lay.count - first)
+        return part[..., a + lay.width:a + lay.width + size], part[..., a:a + size]
+
+    # per layout: the largest and smallest window sums of both parts, by block
+    found = [np.empty((2, -(-lay.count // BLOCK), 2)) for lay in layouts]
     for first in range(0, count, BLOCK):
-        for lay, blocks in zip(layouts, found):
-            size = min(BLOCK, lay.count - first)
-            if size < 1:
+        for lay, (tops, bottoms) in zip(layouts, found):
+            if first >= lay.count:
                 continue
-            a = pad + lay.lo + first
-            b = a + lay.width
-            means = buf[:, :size]
-            np.subtract(parts[:, b:b + size], parts[:, a:a + size], out=means)
-            means *= 1.0 / lay.scale
-            top, bottom = means.argmax(axis=1), means.argmin(axis=1)
-            blocks.append((means[rows, top], top, means[rows, bottom], bottom))
-    for lay, blocks in zip(layouts, found):
-        tops, top_at, bottoms, bottom_at = map(np.array, zip(*blocks))
+            b, a = ends(lay, first, parts)
+            sums = np.subtract(b, a, out=buf[:, :a.shape[1]])
+            sums.max(axis=1, out=tops[first // BLOCK])
+            sums.min(axis=1, out=bottoms[first // BLOCK])
+
+    def witness(lay, block, c, pick):
+        # the block's means of part c, scaled as its extremes are
+        b, a = ends(lay, block * BLOCK, parts[c])
+        means = b - a
+        means *= 1.0 / lay.scale
+        return block * BLOCK + int(pick(means))
+
+    for lay, extremes in zip(layouts, found):
+        extremes *= 1.0 / lay.scale
+        tops, bottoms = extremes
         # the first block that reaches an extreme holds its first shift
         up, down = tops.argmax(axis=0), bottoms.argmin(axis=0)
         yield _witnessed(
             tops[up, rows], bottoms[down, rows],
-            lambda c: int(up[c]) * BLOCK + int(top_at[up[c], c]),
-            lambda c: int(down[c]) * BLOCK + int(bottom_at[down[c], c]),
+            lambda c: witness(lay, int(up[c]), c, np.argmax),
+            lambda c: witness(lay, int(down[c]), c, np.argmin),
             lambda j: shift_of(lay, j))
 
 

@@ -449,4 +449,6 @@ def chain_report_to_dict(report: ChainReport) -> dict:
         "oscillation_modulus": report.oscillation_modulus,
         "consistency": report.consistency,
         "violations": list(report.violations),
+        "unconfirmed": [{"implication": name, "gap": gap}
+                        for name, gap in report.unconfirmed],
     }

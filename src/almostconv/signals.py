@@ -840,12 +840,22 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
     return out
 
 
-def _block_runs(spec: BlockSequence, xs: np.ndarray) -> np.ndarray:
-    """``spec``'s values on a grid ``xs`` that never decreases: each block of
-    :func:`_block_table` is one run of indices, from the first grid point
-    at or above its edge.  The values have the per-point bits."""
-    edges, values = _block_table(spec, xs[-1], len(xs))
-    return np.repeat(values, np.diff(np.searchsorted(xs, edges), prepend=0, append=len(xs)))
+def _block_runs(spec: BlockSequence, start: float, step: float,
+                count: int) -> np.ndarray:
+    """``spec``'s values at ``start + step*j`` for ``j < count``: each block of
+    :func:`_block_table` is one run of indices, from the first ``j`` at or
+    above its edge.  Those are found by bisection on ``j`` with the grid's
+    own float expression (``j*step``, then ``+ start``), which never
+    decreases in ``j``.  The values have the per-point bits."""
+    edges, values = _block_table(spec, (count - 1) * step + start, count)
+    lo = np.zeros(len(edges), dtype=np.int64)
+    hi = np.full(len(edges), count, dtype=np.int64)
+    for _ in range(count.bit_length()):
+        mid = (lo + hi) // 2
+        above = mid * step + start >= edges
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid + 1)
+    return np.repeat(values, np.diff(hi, prepend=0, append=count))
 
 
 def evaluate(spec: GeneratorSpec, point: float) -> complex:
@@ -936,11 +946,13 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
         terms = _rendered_terms(spec)
         if count > BLOCK and terms is not None and getattr(spec, "density", None) is None:
             vals = _turned_values(terms, start, step, count)
+        elif isinstance(spec, BlockSequence):
+            vals = _block_runs(spec, start, step, count)
         else:
             xs = np.arange(count, dtype=np.float64)
             xs *= step
             xs += start  # start + step*j, bit for bit, in one array
-            vals = (_block_runs if isinstance(spec, BlockSequence) else evaluate_many)(spec, xs)
+            vals = evaluate_many(spec, xs)
     bound = declared_bound(spec)
     if bound is None:
         bound = float(np.max(np.abs(vals)))

@@ -47,9 +47,11 @@ from .errors import (
     TailNotControlled,
 )
 from .signals import (
+    BLOCK,
     Sidedness,
     Signal,
     WindowSchedule,
+    _deal,
     gaussian_kernel,
     gaussian_kernel_continuous,
 )
@@ -153,8 +155,14 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
 
     Requires the rendering to reach far enough that
     ``bound * exp(-x T) <= 1e-9 * x`` for every abscissa
-    (:class:`TailNotControlled` otherwise), so the dropped tail of the
-    transform is certified from the declared bound.
+    (:class:`TailNotControlled` otherwise, checked for every abscissa
+    before any integral), so the dropped tail of the transform is
+    certified from the declared bound.
+
+    Each integral is ``np.trapezoid`` of ``psi(t) * exp(-x t)`` bit for
+    bit: its terms ``step * (y[j+1] + y[j]) / 2.0`` fill one buffer
+    ``BLOCK`` at a time on the render pool, and one ``np.add.reduce``
+    sums the whole buffer as ``np.trapezoid`` does.
     """
     if not signal.trapezoid:
         raise TypeError("Laplace sweep needs a continuous signal")
@@ -162,15 +170,25 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
         raise ValueError("signal must live on the nonnegative half-line")
     xs = _abscissas(MeanMethod.LAPLACE, x_schedule)
     T = signal.x_end
-    t = signal.x_at(np.arange(len(signal)))
-    values = []
     for x in xs:
         if signal.bound * math.exp(-x * T) > _LAPLACE_TAIL * x:
             raise TailNotControlled(
                 f"range [0, {T}] too short for abscissa {x}: "
                 f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}")
-        integrand = signal.values * np.exp(-x * t)
-        values.append(complex(x * np.trapezoid(integrand, dx=signal.step)))
+    v, step = signal.values, signal.step
+    terms = np.empty(len(v) - 1, dtype=np.complex128)
+    values = []
+    for x in xs:
+        def task(i, z, w):
+            lo, hi = i * BLOCK, min(i * BLOCK + BLOCK, len(terms))
+            y = np.multiply(v[lo:hi + 1], np.exp(-x * signal.x_at(np.arange(lo, hi + 1))),
+                            out=z[:hi + 1 - lo])
+            out = np.add(y[1:], y[:-1], out=terms[lo:hi])
+            np.multiply(step, out, out=out)
+            np.true_divide(out, 2.0, out=out)
+
+        _deal(task, -(-len(terms) // BLOCK), min(BLOCK + 1, len(v)))
+        values.append(complex(x * np.add.reduce(terms)))
     extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.LAPLACE, tuple(xs), tuple(values), extrap,
                      tail_bound=_LAPLACE_TAIL)
@@ -345,9 +363,9 @@ class _View:
     ``lag`` is 0 for the signal itself and a positive step count for a
     difference, which lives on the signal's first ``len - lag`` grid
     points, as :func:`subtract` gives it.  Only the grid (start, step,
-    length) is known up front; samples are formed on request, one index
-    slice at a time, so a route that reads a few windows never builds
-    the whole difference.
+    length) is known up front; samples are gathered on request at the
+    indices a route reads, so a route that reads a few windows never
+    builds the whole difference.
     """
 
     signal: Signal
@@ -360,13 +378,15 @@ class _View:
     def start(self) -> float:
         return self.signal.x_at(0)
 
-    def piece(self, a: int, e: int) -> Signal:
-        """Samples ``a .. e-1`` of the view, as a signal on its grid."""
+    def gathered(self, take: np.ndarray) -> Signal:
+        """Samples at view indices ``take``, as one signal on the view's
+        grid from ``take[0]``."""
         sig, d = self.signal, self.lag
+        start = sig.x_at(int(take[0]))
         if not d:
-            return sig.derived(start=sig.x_at(a), values=sig.values[a:e])
-        return sig.derived(start=sig.x_at(a),
-                           values=sig.values[a:e] - sig.values[a + d:e + d],
+            return sig.derived(start=start, values=sig.values[take])
+        return sig.derived(start=start,
+                           values=sig.values[take] - sig.values[take + d],
                            bound=2 * sig.bound, source=None)
 
     def tail_positions(self, count: int, pad: int) -> np.ndarray:
@@ -423,20 +443,23 @@ def _smoothed_at(view: _View, kernel: Signal, idx: np.ndarray) -> np.ndarray:
     """The kernel-smoothed view at smoothed-grid indices ``idx``.
 
     Smoothed index k reads view samples ``k .. k + len(kernel) - 1``.
-    Indices whose windows overlap are merged into runs, and each run is
-    convolved on just the samples it reads.
+    Indices whose windows overlap are merged into runs; the samples each
+    run reads are laid end to end and convolved once, and each run's
+    values are read at its offset there.  Every value read comes from a
+    window inside its own run's samples.
     """
     width = len(kernel)
     u, inverse = np.unique(idx, return_inverse=True)
-    out = np.empty(len(u), dtype=np.complex128)
     if not len(u):
-        return out
-    cuts = (np.flatnonzero(np.diff(u) >= width) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(u)]):
-        first, last = int(u[lo]), int(u[hi - 1])
-        smoothed = convolve(view.piece(first, last + width), kernel)
-        out[lo:hi] = smoothed.values[u[lo:hi] - first]
-    return out[inverse]
+        return np.empty(0, dtype=np.complex128)
+    starts = np.flatnonzero(np.diff(u, prepend=u[0] - width) >= width)
+    ends = np.append(starts[1:], len(u))
+    lengths = u[ends - 1] - u[starts] + width
+    # how far each run's samples move: from its first index to its offset
+    moved = np.cumsum(lengths) - lengths - u[starts]
+    take = np.arange(int(lengths.sum())) - np.repeat(moved, lengths)
+    smoothed = convolve(view.gathered(take), kernel).values
+    return smoothed[u + np.repeat(moved, ends - starts)][inverse]
 
 
 def _weak_star(view: _View, kernel: Signal, shift_schedule,
@@ -476,9 +499,10 @@ def weak_star_verdict(signal: Signal, kernel: Signal, shift_schedule,
 
     The smoothed signal is computed only on the kernel windows that the
     schedule reads: each shift is placed on the smoothed grid (within
-    1e-6 of a grid point, else :class:`RangeTooShort`), and each run of
-    overlapping windows is convolved on its own slice of the signal.
-    The values read are those of the whole-signal convolution.
+    1e-6 of a grid point, else :class:`RangeTooShort`), runs of
+    overlapping windows are merged, and the slices of the signal that
+    the runs read are laid end to end and convolved in one call.  The
+    values read are those of the whole-signal convolution.
     """
     return _weak_star(_View(signal), kernel, shift_schedule, tol)
 
@@ -553,12 +577,15 @@ class DifferenceDecay:
 class ChainReport:
     """Joint verdicts with chain-monotonicity enforcement.
 
-    ``consistency`` is true when no implication of the chain
-    (ordinary => weak* => almost convergence, plus the conditional
-    converse from translation-difference decay) is contradicted: a
-    positive verdict earlier in the chain must reappear later with the
-    same limit, and almost convergence plus difference decay must come
-    with a positive weak* verdict.
+    Each implication of the chain (ordinary => weak* => almost
+    convergence, plus the conditional converse: almost convergence with
+    decaying translation differences => weak*) applies when its premise
+    verdict is positive.  On finite data only a contradiction counts
+    against it: a negative conclusion verdict, or a positive one whose
+    limit differs from the premise's.  Those are the ``violations``, and
+    ``consistency`` is true when there are none.  An inconclusive
+    conclusion neither confirms nor refutes: ``unconfirmed`` names each
+    such implication with the conclusion's gap.
     """
 
     c_verdict: ACVerdict
@@ -568,6 +595,7 @@ class ChainReport:
     oscillation_modulus: float
     consistency: bool
     violations: tuple
+    unconfirmed: tuple
 
 
 def _limits_match(a: ACVerdict, b: ACVerdict, tol: float) -> bool:
@@ -610,29 +638,26 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     decay = tuple(decay)
     osc = oscillation_modulus(signal, 4 * step, abs(signal.start + span / 2))
 
-    violations = []
-    if c_v.positive:
-        if not w_v.positive:
-            violations.append("ordinary limit present but weak* verdict not positive")
-        elif not _limits_match(c_v, w_v, ctol):
-            violations.append("ordinary and weak* limits disagree")
-        if not ac_v.positive:
-            violations.append("ordinary limit present but window-mean verdict not positive")
-        elif not _limits_match(c_v, ac_v, ctol):
-            violations.append("ordinary and window-mean limits disagree")
-    if w_v.positive:
-        if not ac_v.positive:
-            violations.append("weak* limit present but window-mean verdict not positive")
-        elif not _limits_match(w_v, ac_v, ctol):
-            violations.append("weak* and window-mean limits disagree")
     all_diffs_decay = bool(decay) and all(
         d.verdict.positive and abs(d.verdict.limit) <= ctol for d in decay)
-    if ac_v.positive and all_diffs_decay:
-        if not w_v.positive:
-            violations.append(
-                "window-mean limit with decaying differences but weak* not positive")
-        elif not _limits_match(ac_v, w_v, ctol):
-            violations.append("conditional-converse limits disagree")
+    # (premise, its verdict, conclusion, its verdict, when it applies)
+    implications = (
+        ("ordinary", c_v, "weak*", w_v, c_v.positive),
+        ("ordinary", c_v, "window-mean", ac_v, c_v.positive),
+        ("weak*", w_v, "window-mean", ac_v, w_v.positive),
+        ("window-mean with decaying differences", ac_v, "weak*", w_v,
+         ac_v.positive and all_diffs_decay),
+    )
+    violations, unconfirmed = [], []
+    for premise, pv, conclusion, cv, applies in implications:
+        if not applies:
+            continue
+        if cv.negative:
+            violations.append(f"{premise} limit present but {conclusion} verdict negative")
+        elif not cv.positive:
+            unconfirmed.append((f"{premise} => {conclusion}", cv.uncertainty))
+        elif not _limits_match(pv, cv, ctol):
+            violations.append(f"{premise} and {conclusion} limits disagree")
 
     return ChainReport(
         c_verdict=c_v,
@@ -642,4 +667,5 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
         oscillation_modulus=osc,
         consistency=not violations,
         violations=tuple(violations),
+        unconfirmed=tuple(unconfirmed),
     )

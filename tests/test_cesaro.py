@@ -476,3 +476,23 @@ def test_blocked_sweep_ties_go_to_the_earliest_block():
         assert sweep.sup[i] == 1 / (2 * m + 1) and sweep.inf[i] == -1 / (2 * m + 1)
         assert sweep.argmax[i] == BLOCK + 100 - m
         assert sweep.argmin[i] == BLOCK + 3000 - m
+
+
+@pytest.mark.parametrize("later", [40, BLOCK + 40])
+def test_sweep_witness_is_the_first_shift_of_the_scaled_extreme(later):
+    # two window sums 1 ulp apart, d1 < d2, scale to one mean: the witness
+    # is the earlier shift, where the smaller sum d1 sits, in one block or
+    # in two
+    third = 1.0 / 3.0
+    d1 = 1.75
+    while d1 * third != np.nextafter(d1, 2.0) * third:
+        d1 = np.nextafter(d1, 2.0)
+    d2 = np.nextafter(d1, 2.0)
+    vals = np.zeros(2 * BLOCK + 100)
+    vals[10], vals[20], vals[later] = d1, -d1, d2
+    sig = DiscreteSignal(0, vals, 2.0)
+    sched = WindowSchedule((1, 2, 4), TWO)
+    sweep = cesaro.cesaro_sweep(sig, sched)
+    _assert_same_sweep(sweep, _whole_grid_extremes(sig, sched))
+    assert sweep.sup[0] == d1 * third == d2 * third
+    assert sweep.argmax[0] == 9

@@ -188,6 +188,22 @@ def test_chain_subcommand(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["report"]["consistency"] is True
     assert report["report"]["ac_verdict"]["status"] == "almost_convergent"
+    assert report["report"]["unconfirmed"] == []
+
+
+def test_chain_subcommand_names_unconfirmed_implications(tmp_path):
+    # at the defaults the window-mean verdict is inconclusive: consistent,
+    # with both implications into it unconfirmed at its gap
+    spec = write_spec(tmp_path, ac.Convergent(2.0))
+    out_dir = tmp_path / "ch"
+    assert cli.main(["chain", "--input", spec, "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())["report"]
+    gap = report["ac_verdict"]["uncertainty"]
+    assert report["ac_verdict"]["status"] == "inconclusive"
+    assert report["consistency"] is True and report["violations"] == []
+    assert report["unconfirmed"] == [
+        {"implication": "ordinary => window-mean", "gap": gap},
+        {"implication": "weak* => window-mean", "gap": gap}]
 
 
 def test_config_file_with_flag_override(tmp_path):

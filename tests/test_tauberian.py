@@ -23,8 +23,11 @@ from almostconv.signals import (
     gaussian_kernel_continuous,
     subtract,
 )
+from almostconv.verdict import ACVerdict, VerdictStatus
 
 from conftest import convolution_invariance_residual
+
+BLOCK = ac.signals.BLOCK
 
 ONE = Sidedness.ONE_SIDED
 
@@ -102,6 +105,22 @@ def test_laplace_tail_not_controlled():
     sig = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 101)
     with pytest.raises(TailNotControlled):
         tb.laplace_sweep(sig, (0.01,))
+
+
+@pytest.mark.parametrize("start", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5])
+def test_laplace_sweep_is_numpy_trapezoid_bit_for_bit(n, start):
+    # the terms are filled BLOCK at a time; a whole-array np.trapezoid is
+    # the oracle, at every block edge (a single sample has no term)
+    rng = np.random.default_rng(n)
+    vals = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (1e-12 if n == 1 else 1.0)
+    step = 80.0 / max(n - 1, 1)
+    sig = ContinuousSignal(start, step, vals, float(np.max(np.abs(vals))))
+    xs = (2.0, 1.0, 0.5)
+    t = sig.x_at(np.arange(n))
+    want = [complex(x * np.trapezoid(vals * np.exp(-x * t), dx=step)) for x in xs]
+    got = tb.laplace_sweep(sig, xs).values
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_residue_all_ones_sign_lock():
@@ -398,6 +417,43 @@ def test_chain_blocks():
     assert rep.consistency
 
 
+@pytest.mark.parametrize("spec, h, count", [
+    (ac.Convergent(2.0), 0.05, 4096),  # the chain command's defaults
+    (ac.Convergent(2.0), 0.125, 3001),
+    (ac.Convergent(1.0, "power", 2.0), 0.05, 4096),
+    (ac.Convergent(-1.5, "exp", 0.5), 0.25, 2049),
+    (ac.Convergent(1.0, "power", 1.5), 0.5, 1025),
+])
+def test_chain_inconclusive_window_means_are_unconfirmed_not_violations(spec, h, count):
+    # the largest window still sees the decaying part, so the window-mean
+    # verdict is inconclusive: neither a confirmation nor a contradiction
+    sig = ac.render_continuous(spec, 0.0, h, count)
+    rep = tb.chain_report(sig)
+    assert rep.c_verdict.positive and rep.wstar_verdict.positive
+    assert rep.ac_verdict.status is VerdictStatus.INCONCLUSIVE
+    assert rep.consistency and rep.violations == ()
+    gap = rep.ac_verdict.uncertainty
+    assert rep.unconfirmed == (("ordinary => window-mean", gap),
+                               ("weak* => window-mean", gap))
+
+
+@pytest.mark.parametrize("verdict, violations", [
+    (ACVerdict(VerdictStatus.NOT_ALMOST_CONVERGENT, None, 1.0),
+     ("ordinary limit present but window-mean verdict negative",
+      "weak* limit present but window-mean verdict negative")),
+    (ACVerdict(VerdictStatus.ALMOST_CONVERGENT, 5.0, 0.0),
+     ("ordinary and window-mean limits disagree",
+      "weak* and window-mean limits disagree",
+      "window-mean with decaying differences and weak* limits disagree")),
+])
+def test_chain_contradictions_are_violations(monkeypatch, verdict, violations):
+    monkeypatch.setattr(tb, "ac_verdict", lambda sweep, tol: verdict)
+    sig = ac.render_continuous(ac.Convergent(2.0), 0.0, 0.25, 2049)
+    rep = tb.chain_report(sig)
+    assert not rep.consistency
+    assert rep.violations == violations and rep.unconfirmed == ()
+
+
 def test_chain_consistency_across_corpus(generator_corpus):
     for name, spec, signal, _ in generator_corpus:
         rep = tb.chain_report(signal)
@@ -582,6 +638,31 @@ def _view_decay(sig, kern, d):
     diff = tb._View(sig, d)
     dshifts = diff.tail_positions(64, pad=len(kern) + 2)
     return tb._weak_star(diff, kern, dshifts, 1e-2)
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+@pytest.mark.parametrize("lag", [0, 3])
+def test_smoothed_reads_take_one_convolve_of_the_whole_signal_bits(
+        monkeypatch, continuous, lag):
+    # runs that abut (next index one kernel width on), overlap, repeat and
+    # stand alone, read out of order: one convolve per read, and the
+    # values of the whole-signal convolution bit for bit
+    sig, kern = _random_signal(continuous, 400, "straddle", 11)
+    w = len(kern)
+    idx = np.array([300, 5, 5 + w, 5 + 2 * w, 5 + 2 * w + 1, 90, 90 + w - 1,
+                    5, 90 + 2 * w - 2, 200, 200 + w, 0, len(sig) - lag - w])
+    whole = sig if not lag else subtract(sig, sig.shifted(lag * sig.step))
+    want = ac.convolve(whole, kern).values[idx]
+    calls = []
+
+    def counted(signal, kernel):
+        calls.append(len(signal))
+        return ac.convolve(signal, kernel)
+
+    monkeypatch.setattr(tb, "convolve", counted)
+    got = tb._smoothed_at(tb._View(sig, lag), kern, idx)
+    assert len(calls) == 1
+    assert got.tobytes() == want.tobytes()
 
 
 def test_difference_too_short_for_padding_raises_as_before():

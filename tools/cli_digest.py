@@ -10,7 +10,9 @@ Every job of ``perfbench/workloads.build_jobs(w, seed)`` for the ``scan``,
 ``files`` and ``duality`` workloads goes through ``almostconv.cli.main`` in
 this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
-chains on short, zero-outside and ``-0.0``-led data, ``spectrum`` and
+``tauber`` on a sample file one Laplace term past ``BLOCK``, chains on
+short, zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3``
+samples and on a convergent profile at the defaults, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
 ``-0.0`` samples, block sequences on grids that straddle 0, on the real
 line and with many short blocks, block sequences past 2**53, with no
@@ -86,6 +88,16 @@ _EDGES_R = ("\u2028#signal kind=continuous x0=-0.0\n \x0b# h=0.25 bound=2.0\nx,r
             + "# source=trailing\n")
 
 
+# almostconv.signals.BLOCK: the Laplace sweep and the chain's window-mean
+# sweep work BLOCK samples at a time
+_BLOCK = 16384
+# one Laplace term past a block
+_BLOCK_EDGE_R = ("# signal kind=continuous x0=0.0 h=0.25 bound=3.0 "
+                 "extension=valid_only source=custom\nx,re,im\n"
+                 + "".join(f"{0.25 * j!r},{1.5 + (j % 7) / 7!r},{(j % 3) / 4 - 0.25!r}\n"
+                           for j in range(_BLOCK + 1)))
+
+
 def _hostile(meta: str, grid: str = "x") -> str:
     return (f"# signal {meta} bound=1.0\n{grid},re,im\n"
             + "".join(f"{0.5 * j!r},{(j % 3) / 2},0.0\n" for j in range(1200)))
@@ -142,6 +154,8 @@ PROBES = [
     ("tauber-dirichlet-r", "dirichlet.json", _DIRICHLET,
      ["tauber", "--input", "{in}", "--h", "0.1", "--count", "4096"]),
     ("tauber-csv-z", "zero.csv", _ZERO_OUTSIDE, ["tauber", "--input", "{in}"]),
+    ("tauber-csv-r-block-edge", "block_edge.csv", _BLOCK_EDGE_R,
+     ["tauber", "--input", "{in}"]),
     ("chain-trig-z", "trig.json", _TRIG,
      ["chain", "--input", "{in}", "--n-max", "4095"]),
     ("chain-trig-z-straddle", "trig.json", _TRIG,
@@ -153,6 +167,11 @@ PROBES = [
      ["chain", "--input", "{in}", "--n-max", "65535"]),
     ("chain-blocks-z-slow-growth", "blocks_slow.json", _BLOCKS_SLOW,
      ["chain", "--input", "{in}", "--n-max", "131071"]),
+    ("chain-trig-r-two-blocks", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--h", "0.25", "--count", str(2 * _BLOCK + 3)]),
+    # an inconclusive window-mean verdict: unconfirmed, not a violation
+    ("chain-convergent-r-default", "conv.json", _CONVERGENT,
+     ["chain", "--input", "{in}"]),
     ("chain-convergent-r", "conv.json", _CONVERGENT,
      ["chain", "--input", "{in}", "--h", "0.25", "--count", "2049"]),
     ("chain-convergent-r-below", "conv.json", _CONVERGENT,
