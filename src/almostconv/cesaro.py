@@ -42,12 +42,13 @@ smallest shift.  Only the winning shifts are converted to positions.
 :func:`window_average` and :func:`shift_extremes` evaluate just the
 windows they are asked for from the same running sum.
 
-The verdict logic is a finite-data surrogate, not a theorem: a limit is
-reported when the sup-inf gap at the largest window is below tolerance
-and has been non-increasing over the last three windows; divergence is
-reported when a gap at least ten times the tolerance persists without
-shrinking, together with witness shifts.  Everything else is
-inconclusive.  Real and imaginary parts are tracked separately.
+The verdict logic is a finite-data surrogate, not a theorem, and one
+rule (:func:`almostconv.verdict.judge`) applies it: a limit is reported
+when the sup-inf gap at the largest window is below tolerance and has
+been non-increasing over the last three windows; divergence is reported
+when a gap at least ten times the tolerance persists without shrinking,
+together with witness shifts.  Everything else is inconclusive.  Real
+and imaginary parts are tracked separately.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import EmptyGrid, WindowOutOfRange
 from .signals import BLOCK, Extension, Sidedness, Signal, WindowSchedule
-from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
+from .verdict import ACVerdict, Witness, judge
 
 _MONOTONE_SLACK = 1e-12
 
@@ -333,28 +334,23 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
 def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
     """Tri-state decision from a sweep with at least three window lengths.
 
-    Positive: final gap <= tol and gaps non-increasing over the last
-    three windows; the limit is the midpoint of the final box and the
-    uncertainty is the final gap.  Negative: all of the last three gaps
-    >= 10*tol without shrinking; witness shifts come from the largest
-    window.  Otherwise inconclusive.
+    :func:`~almostconv.verdict.judge` rules on the last three gaps.  They
+    count as steady when none exceeds the one before by more than a
+    relative 1e-12.  A positive verdict's limit is the midpoint of the
+    final box; a negative one's witness is the largest window with its
+    sup and inf shifts.  Custom data gets a note that its extremes are
+    grid sups.
     """
     if len(sweep.lengths) < 3:
         raise ValueError("verdict requires a sweep over at least 3 window lengths")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     gaps = sweep.gaps()
-    g1, g2, g3 = gaps[-3], gaps[-2], gaps[-1]
+    g1, g2, g3 = gaps[-3:]
     slack = _MONOTONE_SLACK * max(1.0, float(gaps.max()))
     notes = ""
     if sweep.source in (None, "custom"):
         notes = "grid-relative: no smoothness info for this data, extremes are grid sups"
-    if g3 <= tol and g3 <= g2 + slack and g2 <= g1 + slack:
-        mid = (sweep.p_bar_est + sweep.p_lower_est) / 2.0
-        return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, mid, float(g3),
-                         None, notes)
-    if min(g1, g2, g3) >= NEGATIVE_FACTOR * tol and g3 >= PERSISTENCE * g1:
-        witness = (sweep.lengths[-1], sweep.argmax[-1], sweep.argmin[-1], float(g3))
-        return ACVerdict(VerdictStatus.NOT_ALMOST_CONVERGENT, None, float(g3),
-                         witness, notes)
-    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, float(g3), None, notes)
+    return judge((g1, g2, g3), tol, (sweep.p_bar_est + sweep.p_lower_est) / 2.0,
+                 Witness(sweep.lengths[-1], sweep.argmax[-1], sweep.argmin[-1], float(g3)),
+                 steady=g3 <= g2 + slack and g2 <= g1 + slack, notes=notes)

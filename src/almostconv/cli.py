@@ -6,8 +6,9 @@ calls; reports are JSON (schema-versioned) and curves are CSV, written
 atomically, and byte-identical for identical (input, config, seed).
 
 Exit codes: 0 - analysis completed (whatever the verdict);
-1 - configuration error (bad files, invalid schedules);
-2 - a declared hypothesis failed on the data.
+1 - configuration error (bad files, invalid schedules, a render too
+large to allocate); 2 - a declared hypothesis failed on the data, that
+is, a :class:`~almostconv.errors.HypothesisViolated` of any subclass.
 """
 
 from __future__ import annotations
@@ -21,29 +22,16 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import cesaro, cyclic, spectral, tauberian
-from .errors import (
-    AlmostconvError,
-    ConfigError,
-    DivergentSeries,
-    HypothesisViolated,
-    InsufficientCoefficients,
-    KernelVanishes,
-    NotAMean,
-    NotInvariant,
-    TailNotControlled,
-)
+from .errors import AlmostconvError, ConfigError, HypothesisViolated
 from .serialize import (
     SCHEMA_VERSION,
-    chain_report_to_dict,
     dump_json,
     load_generator,
     mean_sweep_to_csv,
-    mean_sweep_to_dict,
     signal_from_csv,
     signal_to_csv,
     spectrum_to_csv,
     sweep_to_csv,
-    verdict_to_dict,
 )
 from .signals import (
     Convergent,
@@ -54,11 +42,6 @@ from .signals import (
     render_continuous,
     render_discrete,
 )
-
-_HYPOTHESIS_ERRORS = (HypothesisViolated, TailNotControlled, KernelVanishes,
-                      DivergentSeries, NotAMean, NotInvariant,
-                      InsufficientCoefficients)
-
 
 @dataclass
 class AnalysisConfig:
@@ -174,7 +157,7 @@ def run(config: AnalysisConfig) -> int:
         verdict = cesaro.ac_verdict(sweep, config.tol)
         sweep_to_csv(sweep, _report_path(config, "sweep.csv"))
         dump_json({"schema": SCHEMA_VERSION, "analysis": "cesaro",
-                   "tol": config.tol, "verdict": verdict_to_dict(verdict)},
+                   "tol": config.tol, "verdict": verdict},
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "spectral":
@@ -183,22 +166,22 @@ def run(config: AnalysisConfig) -> int:
         verdict = spectral.spectral_ac_verdict(signal, config.deltas, config.tol)
         spectrum_to_csv(est, _report_path(config, "spectrum.csv"))
         dump_json({"schema": SCHEMA_VERSION, "analysis": "spectral",
-                   "tol": config.tol, "deltas": list(config.deltas),
-                   "verdict": verdict_to_dict(verdict)},
+                   "tol": config.tol, "deltas": config.deltas,
+                   "verdict": verdict},
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "tauber":
         sweep = tauberian.boundary_sweep(load_input_signal(config), config.xs)
         mean_sweep_to_csv(sweep, _report_path(config, "mean_sweep.csv"))
         dump_json({"schema": SCHEMA_VERSION, "analysis": "tauber",
-                   "sweep": mean_sweep_to_dict(sweep)},
+                   "sweep": sweep},
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "chain":
         signal = load_input_signal(config)
         report = tauberian.chain_report(signal, config.tol)
         dump_json({"schema": SCHEMA_VERSION, "analysis": "chain",
-                   "tol": config.tol, "report": chain_report_to_dict(report)},
+                   "tol": config.tol, "report": report},
                   _report_path(config, "report.json"))
         return 0
     if config.analysis == "cyclic-suite":
@@ -328,10 +311,10 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _HYPOTHESIS_ERRORS as exc:
+    except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OverflowError, AlmostconvError, OSError) as exc:
+    except (AlmostconvError, ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line exits 2 on a :class:`HypothesisViolated` (a subclass
+included): the data fail a condition that the analysis relies on.  Any
+other :class:`AlmostconvError` is an error in the input and exits 1.
+"""
 
 
 class AlmostconvError(Exception):
@@ -9,11 +14,15 @@ class ConfigError(AlmostconvError):
     """Malformed input file, invalid schedule, or inconsistent options."""
 
 
+class HypothesisViolated(AlmostconvError):
+    """A user-asserted Tauberian hypothesis fails on the supplied data."""
+
+
 class UnsupportedPoint(AlmostconvError):
     """Requested a closed-form value where none exists (custom samples)."""
 
 
-class DivergentSeries(AlmostconvError):
+class DivergentSeries(HypothesisViolated):
     """Dirichlet-line evaluation requested at or below the declared abscissa."""
 
 
@@ -41,19 +50,15 @@ class GapTooWide(AlmostconvError):
     """High-pass gap half-width at or beyond the Nyquist frequency."""
 
 
-class InsufficientCoefficients(AlmostconvError):
+class InsufficientCoefficients(HypothesisViolated):
     """Coefficient stream shorter than the certified truncation index."""
 
 
-class TailNotControlled(AlmostconvError):
+class TailNotControlled(HypothesisViolated):
     """Rendered range too short to certify the transform truncation error."""
 
 
-class HypothesisViolated(AlmostconvError):
-    """A user-asserted Tauberian hypothesis fails on the supplied data."""
-
-
-class KernelVanishes(AlmostconvError):
+class KernelVanishes(HypothesisViolated):
     """Test kernel's transform dips below the required floor on the band."""
 
 
@@ -61,11 +66,11 @@ class RangeTooShort(AlmostconvError):
     """Tail analysis requested beyond the rendered range."""
 
 
-class NotInvariant(AlmostconvError):
+class NotInvariant(HypothesisViolated):
     """Supplied basis does not span a translation-invariant subspace."""
 
 
-class NotAMean(AlmostconvError):
+class NotAMean(HypothesisViolated):
     """Functional fails the positivity/normalization conditions of a mean."""
 
 

@@ -7,7 +7,8 @@ File formats:
   (continuous) rows after ``#``-prefixed metadata lines;
 - sweeps: CSV ``k,sup_re,sup_im,inf_re,inf_im,argmax,argmin``;
 - spectra: CSV ``freq,magnitude,masked``;
-- verdicts and reports: JSON with a ``"schema"`` version field.
+- verdicts and reports: JSON with a ``"schema"`` version field, each
+  record in them written by field name (:func:`report_fields`).
 
 All writers are deterministic (sorted keys, shortest-roundtrip floats)
 so identical inputs produce byte-identical files.  CSV writers stream
@@ -32,6 +33,8 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from typing import Iterable
 
 import numpy as np
@@ -56,8 +59,7 @@ from .signals import (
 )
 from .cesaro import CesaroSweep
 from .spectral import SpectrumEstimate
-from .tauberian import ChainReport, MeanSweep
-from .verdict import ACVerdict
+from .tauberian import MeanSweep
 
 SCHEMA_VERSION = 1
 
@@ -86,9 +88,30 @@ def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
+def report_fields(obj):
+    """``obj`` as JSON values: a record (dataclass or NamedTuple) as an
+    object of its fields, a complex as ``{"re", "im"}``, an enum as its
+    value, a tuple or list as a list, a dict by value; anything else as
+    it is."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, complex):
+        return _c2j(obj)
+    if is_dataclass(obj):
+        return {f.name: report_fields(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return report_fields(obj._asdict())
+    if isinstance(obj, (tuple, list)):
+        return [report_fields(v) for v in obj]
+    if isinstance(obj, dict):
+        return {key: report_fields(v) for key, v in obj.items()}
+    return obj
+
+
 def dump_json(obj, path: str) -> None:
-    atomic_write_text(path, (json.dumps(obj, sort_keys=True, indent=2,
-                                        allow_nan=False) + "\n",))
+    """Write ``obj``, through :func:`report_fields`, as strict JSON."""
+    text = json.dumps(report_fields(obj), sort_keys=True, indent=2, allow_nan=False)
+    atomic_write_text(path, (text + "\n",))
 
 
 # ---------------------------------------------------------------------------
@@ -408,47 +431,3 @@ def spectrum_to_csv(est: SpectrumEstimate, path: str) -> None:
 def mean_sweep_to_csv(sweep: MeanSweep, path: str) -> None:
     _write_rows(path, "abscissa,re,im\n", _floats(sweep.abscissas),
                 *_parts(sweep.values))
-
-
-def verdict_to_dict(v: ACVerdict) -> dict:
-    out = {
-        "status": v.status.value,
-        "limit": _c2j(v.limit) if v.limit is not None else None,
-        "uncertainty": v.uncertainty,
-        "notes": v.notes,
-    }
-    if v.witness is not None:
-        k, s1, s2, gap = v.witness
-        out["witness"] = {"window": k, "shift_sup": s1, "shift_inf": s2,
-                          "gap": gap}
-    else:
-        out["witness"] = None
-    return out
-
-
-def mean_sweep_to_dict(sweep: MeanSweep) -> dict:
-    return {
-        "method": sweep.method.value,
-        "abscissas": list(sweep.abscissas),
-        "values": [_c2j(v) for v in sweep.values],
-        "extrapolated_limit": (_c2j(sweep.extrapolated_limit)
-                               if sweep.extrapolated_limit is not None else None),
-        "tail_bound": sweep.tail_bound,
-    }
-
-
-def chain_report_to_dict(report: ChainReport) -> dict:
-    return {
-        "c_verdict": verdict_to_dict(report.c_verdict),
-        "wstar_verdict": verdict_to_dict(report.wstar_verdict),
-        "ac_verdict": verdict_to_dict(report.ac_verdict),
-        "difference_decay": [
-            {"shift": d.shift, "verdict": verdict_to_dict(d.verdict)}
-            for d in report.difference_decay
-        ],
-        "oscillation_modulus": report.oscillation_modulus,
-        "consistency": report.consistency,
-        "violations": list(report.violations),
-        "unconfirmed": [{"implication": name, "gap": gap}
-                        for name, gap in report.unconfirmed],
-    }

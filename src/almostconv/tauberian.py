@@ -35,7 +35,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .signals import (
 )
 from .cesaro import ac_verdict, cesaro_sweep
 from .spectral import convolve, require_kernel_fits, require_unit_mass
-from .verdict import NEGATIVE_FACTOR, PERSISTENCE, ACVerdict, VerdictStatus
+from .verdict import ACVerdict, Witness, judge
 
 # weak*: least |kernel transform| accepted on the band below half Nyquist
 _KERNEL_FLOOR = 1e-3
@@ -322,9 +322,10 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
                   tol: float) -> ACVerdict:
     """Stabilization of a sampled trajectory over its last quarter.
 
-    Positive when the last quarter sits within ``tol`` of its mean;
-    negative when oscillation at least ten times the tolerance persists
-    from the previous quarter to the last without shrinking.
+    :func:`~almostconv.verdict.judge` rules on two gaps: the oscillation
+    about its mean of the previous quarter, then of the last.  A positive
+    verdict's limit is the last quarter's mean; a negative one's witness
+    holds the positions of the largest and smallest real parts there.
     """
     n = len(values)
     if n < 8:
@@ -335,17 +336,9 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     center = complex(np.mean(tail))
     osc = float(np.max(np.abs(tail - center)))
     osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
-    if osc <= tol:
-        return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, center, osc)
-    if osc >= NEGATIVE_FACTOR * tol and osc_prev >= NEGATIVE_FACTOR * tol \
-            and osc >= PERSISTENCE * osc_prev:
-        i_hi = int(np.argmax(values[-q:].real))
-        i_lo = int(np.argmin(values[-q:].real))
-        witness = (float(positions[-q:][i_hi]) - float(positions[-q:][i_lo]),
-                   float(positions[-q:][i_hi]), float(positions[-q:][i_lo]),
-                   osc)
-        return ACVerdict(VerdictStatus.NOT_ALMOST_CONVERGENT, None, osc, witness)
-    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, osc)
+    hi = float(positions[-q:][int(np.argmax(tail.real))])
+    lo = float(positions[-q:][int(np.argmin(tail.real))])
+    return judge((osc_prev, osc), tol, center, Witness(hi - lo, hi, lo, osc))
 
 
 def _geometric_indices(lo: int, hi: int, count: int) -> np.ndarray:
@@ -573,6 +566,13 @@ class DifferenceDecay:
     verdict: ACVerdict
 
 
+class Unconfirmed(NamedTuple):
+    """An implication whose conclusion verdict is inconclusive, with its gap."""
+
+    implication: str
+    gap: float
+
+
 @dataclass(frozen=True)
 class ChainReport:
     """Joint verdicts with chain-monotonicity enforcement.
@@ -655,7 +655,7 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
         if cv.negative:
             violations.append(f"{premise} limit present but {conclusion} verdict negative")
         elif not cv.positive:
-            unconfirmed.append((f"{premise} => {conclusion}", cv.uncertainty))
+            unconfirmed.append(Unconfirmed(f"{premise} => {conclusion}", cv.uncertainty))
         elif not _limits_match(pv, cv, ctol):
             violations.append(f"{premise} and {conclusion} limits disagree")
 
