@@ -149,51 +149,41 @@ def _report_path(config: AnalysisConfig, name: str) -> str:
     return os.path.join(config.out_dir, name)
 
 
+def _report(config: AnalysisConfig, **fields) -> int:
+    """Write ``report.json``: the schema, the analysis and ``fields``."""
+    dump_json({"schema": SCHEMA_VERSION, "analysis": config.analysis, **fields},
+              _report_path(config, "report.json"))
+    return 0
+
+
 def run(config: AnalysisConfig) -> int:
     """Dispatch one analysis and write its report files."""
     if config.analysis == "cesaro":
-        signal = load_input_signal(config)
-        sweep = cesaro.cesaro_sweep(signal, config.schedule())
+        sweep = cesaro.cesaro_sweep(load_input_signal(config), config.schedule())
         verdict = cesaro.ac_verdict(sweep, config.tol)
         sweep_to_csv(sweep, _report_path(config, "sweep.csv"))
-        dump_json({"schema": SCHEMA_VERSION, "analysis": "cesaro",
-                   "tol": config.tol, "verdict": verdict},
-                  _report_path(config, "report.json"))
-        return 0
+        return _report(config, tol=config.tol, verdict=verdict)
     if config.analysis == "spectral":
         signal = load_input_signal(config)
         est = spectral.dft_spectrum(signal)
         verdict = spectral.spectral_ac_verdict(signal, config.deltas, config.tol)
         spectrum_to_csv(est, _report_path(config, "spectrum.csv"))
-        dump_json({"schema": SCHEMA_VERSION, "analysis": "spectral",
-                   "tol": config.tol, "deltas": config.deltas,
-                   "verdict": verdict},
-                  _report_path(config, "report.json"))
-        return 0
+        return _report(config, tol=config.tol, deltas=config.deltas, verdict=verdict)
     if config.analysis == "tauber":
         sweep = tauberian.boundary_sweep(load_input_signal(config), config.xs)
         mean_sweep_to_csv(sweep, _report_path(config, "mean_sweep.csv"))
-        dump_json({"schema": SCHEMA_VERSION, "analysis": "tauber",
-                   "sweep": sweep},
-                  _report_path(config, "report.json"))
-        return 0
+        return _report(config, sweep=sweep)
     if config.analysis == "chain":
-        signal = load_input_signal(config)
-        report = tauberian.chain_report(signal, config.tol)
-        dump_json({"schema": SCHEMA_VERSION, "analysis": "chain",
-                   "tol": config.tol, "report": report},
-                  _report_path(config, "report.json"))
-        return 0
+        report = tauberian.chain_report(load_input_signal(config), config.tol)
+        return _report(config, tol=config.tol, report=report)
     if config.analysis == "cyclic-suite":
         tol = min(config.tol, 1e-9)
         floor = cyclic.tolerance_floor(config.order)
         if tol < floor:
             raise ConfigError(f"cyclic tol {tol:.3g} is below the float64 "
                               f"floor {floor:.3g} for N={config.order}")
-        suite = cyclic.random_suite(config.order, config.cases, config.seed, tol)
-        dump_json({"schema": SCHEMA_VERSION, "analysis": "cyclic-suite",
-                   **suite}, _report_path(config, "report.json"))
-        return 0
+        return _report(config, **cyclic.random_suite(config.order, config.cases,
+                                                      config.seed, tol))
     raise ConfigError(f"unknown analysis {config.analysis!r}")
 
 

@@ -338,7 +338,7 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
     hi = float(positions[-q:][int(np.argmax(tail.real))])
     lo = float(positions[-q:][int(np.argmin(tail.real))])
-    return judge((osc_prev, osc), tol, center, Witness(hi - lo, hi, lo, osc))
+    return judge((osc_prev, osc), tol, center, Witness(None, hi, lo, osc))
 
 
 def _geometric_indices(lo: int, hi: int, count: int) -> np.ndarray:

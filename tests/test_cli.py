@@ -5,13 +5,16 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
+from enum import Enum
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import almostconv as ac
-from almostconv import cesaro, cli, cyclic, serialize
+from almostconv import cesaro, cli, cyclic, serialize, tauberian
 from almostconv.errors import ConfigError
 from almostconv.signals import Sidedness, WindowSchedule
 
@@ -204,6 +207,63 @@ def test_chain_subcommand_names_unconfirmed_implications(tmp_path):
     assert report["unconfirmed"] == [
         {"implication": "ordinary => window-mean", "gap": gap},
         {"implication": "weak* => window-mean", "gap": gap}]
+
+
+def test_a_tail_witness_names_no_window(tmp_path):
+    # the tail verdicts used to write shift_sup - shift_inf (here -135)
+    # where a window-mean witness writes its window length
+    signal = ac.render_discrete(ac.Character(0.5), 0, 4095)
+    v = tauberian.ordinary_verdict(signal, 1e-2)
+    assert v.negative
+    assert v.witness.window is None
+    assert v.witness == (None, 698.0, 833.0, v.uncertainty)
+    spec = write_spec(tmp_path, ac.Character(0.5))
+    out_dir = tmp_path / "ch"
+    assert cli.main(["chain", "--input", spec, "--n-max", "4095",
+                     "--out-dir", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())["report"]
+    assert report["c_verdict"]["status"] == "not_almost_convergent"
+    assert report["c_verdict"]["witness"] == {
+        "window": None, "shift_sup": 698.0, "shift_inf": 833.0, "gap": v.uncertainty}
+
+
+class _Colour(Enum):
+    RED = "red"
+
+
+class _Pair(NamedTuple):
+    name: str
+    gap: float
+
+
+@dataclass(frozen=True)
+class _Inner:
+    z: complex
+    note: Optional[str]
+
+
+@dataclass(frozen=True)
+class _Record:
+    value: complex
+    colour: _Colour
+    pair: _Pair
+    pairs: tuple
+    inner: _Inner
+    missing: Optional[float]
+
+
+def test_report_fields_writes_records_by_field():
+    record = _Record(1.5 - 2j, _Colour.RED, _Pair("a", 0.25),
+                     (_Pair("b", 1.0), _Pair("c", 2.0)), _Inner(np.complex128(3j), None),
+                     None)
+    assert serialize.report_fields({"schema": 1, "record": record, "list": [0.5j]}) == {
+        "schema": 1,
+        "record": {"value": {"re": 1.5, "im": -2.0}, "colour": "red",
+                   "pair": {"name": "a", "gap": 0.25},
+                   "pairs": [{"name": "b", "gap": 1.0}, {"name": "c", "gap": 2.0}],
+                   "inner": {"z": {"re": 0.0, "im": 3.0}, "note": None},
+                   "missing": None},
+        "list": [{"re": 0.0, "im": 0.5}]}
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -1026,7 +1086,14 @@ _FAR_OUT = ["--n-min", str(10 ** 12), "--n-max", str(10 ** 12 + 4096)]
       "--n-max", str(10 ** 11 + 4096)], "4097 + 2**20 terms"),
     ({"kind": "partial_sums", "inner": {"kind": "block_sequence"}},
      ["generate", *_FAR_OUT], "4097 + 2**20 terms"),
-], ids=["blocks_slow_growth", "partial_sums_cesaro", "partial_sums_generate"])
+    # counts whose grid alone is too large to allocate: these ended in a
+    # traceback for 8.00 TiB and 16.0 GiB
+    ({"kind": "convergent", "limit": 2.0},
+     ["generate", "--h", "0.5", "--count", str(2 ** 40)], "Unable to allocate 8.00 TiB"),
+    ({"kind": "convergent", "limit": 2.0},
+     ["analyze", "--h", "0.5", "--count", str(2 ** 31)], "Unable to allocate 16.0 GiB"),
+], ids=["blocks_slow_growth", "partial_sums_cesaro", "partial_sums_generate",
+        "count_generate", "count_analyze"])
 def test_renders_far_from_zero_are_refused_under_a_budget(tmp_path, spec, argv,
                                                           message):
     # in a child process with a wall-clock bound and an address-space cap,

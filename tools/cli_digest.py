@@ -16,9 +16,10 @@ samples and on a convergent profile at the defaults, ``spectrum`` and
 ``tauber`` on sample files with indented and trailing metadata lines and
 ``-0.0`` samples, block sequences on grids that straddle 0, on the real
 line and with many short blocks, block sequences past 2**53, with no
-symbols or a NaN growth, ``generate`` at ``BLOCK + 1`` rows, of a character
-whose whole-block turn is not 0 and of custom samples with every float
-the ``repr`` kernel leaves to ``float.__repr__``, and every analysis
+symbols or a NaN growth, a Dirichlet line at its declared abscissa
+(exit 2), ``generate`` at ``BLOCK + 1`` rows, of a character whose
+whole-block turn is not 0 and of custom samples with every float the
+``repr`` kernel leaves to ``float.__repr__``, and every analysis
 command on sample files with an unknown kind, grid positions that are
 not finite floats, or rows off their grid.  A probe whose argv names
 ``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
@@ -58,6 +59,8 @@ _BLOCKS_NAN_GROWTH = {"kind": "block_sequence", "growth": "nan"}
 # exact phases, but f*BLOCK is not whole: block-turned, not tiled
 _CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
+# sigma at the declared abscissa (1.0 by default): a violated hypothesis
+_DIRICHLET_DIVERGENT = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 1.0}
 # more distinct floats than serialize.KERNEL_MIN, among them every kind
 # the repr kernel leaves to float.__repr__ (subnormal, zero, a power of
 # two, an interval-end tie, out of its range); |re + i*im| stays finite
@@ -179,6 +182,8 @@ PROBES = [
       "--count", "3001", "--tol", "0.1"]),
     ("chain-dirichlet-r", "dirichlet.json", _DIRICHLET,
      ["chain", "--input", "{in}", "--h", "0.1", "--count", "8192"]),
+    ("analyze-dirichlet-divergent", "dirichlet_divergent.json", _DIRICHLET_DIVERGENT,
+     ["analyze", "--input", "{in}", "--h", "0.1"]),
     ("chain-csv-zero-outside", "zero.csv", _ZERO_OUTSIDE,
      ["chain", "--input", "{in}"]),
     ("chain-csv-negative-zero", "negzero.csv", _NEG_ZERO,
