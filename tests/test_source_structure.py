@@ -147,7 +147,9 @@ def _definitions_and_references():
         def targets(subtree):
             found = set()
             for node in ast.walk(subtree):
-                if isinstance(node, ast.Name):
+                # a name read: a field or local bound under a definition's
+                # name does not reach it
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     if node.id in local:
                         found.add((module, node.id))
                     elif node.id in imported:

@@ -44,4 +44,3 @@ def test_judge_reads_every_middle_gap():
     assert judge((0.2, 0.2, 0.2), TOL, LIMIT, WITNESS).negative
     v = judge((0.2, np.nextafter(EDGE, 0), 0.2), TOL, LIMIT, WITNESS)
     assert v.status is INCONCLUSIVE and v.witness is None
-
