@@ -17,11 +17,15 @@ Window conventions
 
 How extremes are computed
 -------------------------
-The sweep builds one running sum per signal (``Signal.running_sum``: a
-plain sum for discrete data, a cumulative trapezoid for continuous data)
-and splits it into real and imaginary float arrays, extended with their
-end values so that windows reaching outside the data read zero there.
-It then walks the shifts ``signals.BLOCK`` at a time.  On each block,
+The sweep reads one running sum per signal (a plain sum for discrete
+data, a cumulative trapezoid for continuous data) as two float rows, its
+real and imaginary parts, extended with their end values so that windows
+reaching outside the data read zero there.  The rows are filled straight
+from ``Signal.running_blocks``, one ``signals.BLOCK`` of entries at a
+time, so no whole complex running sum is ever held: the sweep's memory
+is the samples, the rows and a few blocks.  The entries are those of
+``Signal.running_sum`` bit for bit.  It then walks the shifts
+``signals.BLOCK`` at a time.  On each block,
 every window length takes its window sums as one slice difference per
 part, in a buffer of one block, and keeps only their largest and
 smallest values.  So each stretch of the running sum is read from memory
@@ -30,8 +34,9 @@ block's sums stay in cache.  A mean is its window sum scaled by the
 reciprocal of the window width, which is how NumPy divides a complex
 array by a real number, so the means are the same bits as dividing
 complex window sums (a running sum holding -0.0, which only leading -0.0
-data gives, takes that complex division itself over the whole grid, so
-even the signs of zero means agree).  Scaling by a positive number is
+data gives, builds ``Signal.running_sum`` and takes that complex
+division itself over the whole grid, so even the signs of zero means
+agree).  Scaling by a positive number is
 correctly rounded and monotone, so the largest mean is the largest sum
 scaled, bit for bit: only the block extremes are scaled.  The extremes
 are the extremes of the scaled block extremes, taken from the first
@@ -234,31 +239,45 @@ def _witnessed(top, bottom, top_at, bottom_at, shift_of) -> ShiftExtremes:
                          argmin=shift_of(bottom_at(c)))
 
 
-def _sweep_extremes(p: np.ndarray, layouts, shift_of):
-    """Extremes of each layout's means over all its admissible shifts,
-    ``shift_of(lay, j)`` naming shift ``j``.
+def _running_rows(signal: Signal, pad: int, end: int) -> np.ndarray:
+    """The real and imaginary parts of the signal's running sum as two float
+    rows, led by ``pad`` copies of its entry 0 and trailed by ``end`` copies
+    of its last entry, built block by block from ``Signal.running_blocks``."""
+    size = len(signal) + (0 if signal.trapezoid else 1)
+    rows = np.empty((2, pad + size + end))
+    rows[:, :pad + 1] = 0.0
+    for lo, block in signal.running_blocks():
+        at = slice(pad + lo, pad + lo + len(block))
+        rows[0, at] = block.real
+        rows[1, at] = block.imag
+    rows[:, pad + size:] = rows[:, pad + size - 1:pad + size]
+    return rows
+
+
+def _sweep_extremes(signal: Signal, layouts, shift_of):
+    """Extremes of each layout's means over all the signal's admissible
+    shifts, ``shift_of(lay, j)`` naming shift ``j``.
 
     The means equal ``_means_at``'s bit for bit; see the module docstring.
-    A -0.0 in ``p`` reaches the means, where complex division and max/min
-    treat signed zeros their own way: such sums take ``_means_at`` itself.
+    A -0.0 in the running sum reaches the means, where complex division
+    and max/min treat signed zeros their own way: such sums take
+    ``_means_at`` itself.
     """
-    head = p[1:2].view(np.float64)
+    last = len(signal) - (1 if signal.trapezoid else 0)
+    pad = max([0] + [-lay.lo for lay in layouts])
+    end = max([0] + [lay.lo + lay.width + lay.count - 1 - last
+                     for lay in layouts])
+    parts = _running_rows(signal, pad, end)
+    # only leading -0.0 data puts a -0.0 in the running sum, at entry 1
+    head = parts[:, pad + 1:pad + min(2, last + 1)]
     if np.any((head == 0) & np.signbit(head)):
+        del parts
+        p = signal.running_sum()
         for lay in layouts:
             means = _means_at(p, lay, np.arange(lay.count))
             yield _extremes_from(means.real, means.imag,
                                  lambda j: shift_of(lay, j))
         return
-    last = len(p) - 1
-    pad = max([0] + [-lay.lo for lay in layouts])
-    end = max([0] + [lay.lo + lay.width + lay.count - 1 - last
-                     for lay in layouts])
-    parts = np.empty((2, pad + len(p) + end))
-    for row, part in zip(parts, (p.real, p.imag)):
-        row[:pad] = part[0]
-        row[pad:pad + len(p)] = part
-        row[pad + len(p):] = part[-1]
-    del p, head, part
     count = max(lay.count for lay in layouts)
     buf = np.empty((2, min(BLOCK, count)))
     rows = np.arange(2)
@@ -316,7 +335,7 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
         lengths.append(actual)
         layouts.append(lay)
     exts = list(_sweep_extremes(
-        signal.running_sum(), layouts,
+        signal, layouts,
         lambda lay, j: float(signal.x_at(lay.idx0 + j))))
     return CesaroSweep(
         lengths=tuple(lengths),

@@ -197,15 +197,43 @@ class Signal:
 
         Plain sum: ``n + 1`` entries, entry ``j`` the sum of the first ``j``
         values.  Trapezoid: ``n`` entries, entry ``j`` the integral from
-        ``start`` to ``x_j``.
+        ``start`` to ``x_j``.  Entry 0 is 0; the others are those of
+        :meth:`running_blocks`.
+        """
+        out = np.empty(len(self.values) + (0 if self.trapezoid else 1),
+                       dtype=np.complex128)
+        out[0] = 0.0
+        for lo, block in self.running_blocks():
+            out[lo:lo + len(block)] = block
+        return out
+
+    def running_blocks(self):
+        """Yield ``(j, entries)``: the running sum's entries from ``j`` on,
+        one :data:`BLOCK` of increments at a time, from entry 1 to the last.
+
+        An increment is a value, or the trapezoid term ``(v[j+1] + v[j]) *
+        (step / 2)``.  Each block's increments are summed in place by
+        ``np.cumsum`` after the previous block's last entry is added to the
+        first, so the entries are those of one whole-array ``np.cumsum``,
+        bit for bit: the first block starts at its first increment, not at
+        ``0 + it``, which would turn a leading -0.0 into +0.0.  ``entries``
+        is one reused buffer, valid until the next block is asked for.
         """
         v = self.values
-        if self.trapezoid:
-            v = (v[1:] + v[:-1]) * (self.step / 2.0)
-        out = np.empty(len(v) + 1, dtype=np.complex128)
-        out[0] = 0.0
-        np.cumsum(v, out=out[1:])
-        return out
+        n = len(v) - 1 if self.trapezoid else len(v)
+        buf = np.empty(min(BLOCK, n), dtype=np.complex128)
+        for lo in range(0, n, BLOCK):
+            block = buf[:min(BLOCK, n - lo)]
+            if self.trapezoid:
+                np.add(v[lo + 1:lo + 1 + len(block)], v[lo:lo + len(block)], out=block)
+                block *= self.step / 2.0
+            else:
+                block[...] = v[lo:lo + len(block)]
+            if lo:
+                block[0] += block_end
+            np.cumsum(block, out=block)
+            block_end = block[-1]
+            yield lo + 1, block
 
     def weights(self) -> np.ndarray:
         """Quadrature weights: ``values * step`` with the two end weights
@@ -652,8 +680,13 @@ def _unit_phases(freq: float, x: np.ndarray, z: np.ndarray,
 
     Keeps the exp argument O(1) so dyadic frequencies on integer grids
     (e.g. the alternating sequence) come out exact instead of drifting
-    by eps * |freq * x|.  ``t`` is float scratch of ``x``'s length.
+    by eps * |freq * x|.  ``t`` is float scratch of ``x``'s length.  At
+    frequency 0 (or -0.0) every reduced phase is +0.0 and every phase
+    exactly ``1+0j``, which is written without the exponentials.
     """
+    if freq == 0:
+        z[...] = 1.0
+        return
     np.multiply(x, freq, out=t)
     _reduce_phase(t, z.view(np.float64)[:len(t)])
     np.multiply(t, 2j * np.pi, out=z)

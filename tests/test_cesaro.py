@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,3 +497,64 @@ def test_sweep_witness_is_the_first_shift_of_the_scaled_extreme(later):
     _assert_same_sweep(sweep, _whole_grid_extremes(sig, sched))
     assert sweep.sup[0] == d1 * third == d2 * third
     assert sweep.argmax[0] == 9
+
+
+def _whole_array_running_sum(sig):
+    """The running sum as one whole-array ``np.cumsum`` of the increments."""
+    v = sig.values
+    if sig.trapezoid:
+        v = (v[1:] + v[:-1]) * (sig.step / 2.0)
+    return np.concatenate([np.zeros(1, dtype=complex), np.cumsum(v)])
+
+
+def _rows_pads(sig, sched):
+    """The lead and trail pads the sweep gives the rows for ``sched``."""
+    lays = [cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
+            for k in sched.lengths]
+    last = len(sig) - (1 if sig.trapezoid else 0)
+    return (max([0] + [-lay.lo for lay in lays]),
+            max([0] + [lay.lo + lay.width + lay.count - 1 - last for lay in lays]))
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+@pytest.mark.parametrize("ext", list(Extension))
+@pytest.mark.parametrize("lead", ["plain", "negative_zero"])
+def test_running_rows_equal_a_whole_array_cumsum_bitwise(n, kind, ext, lead):
+    rng = np.random.default_rng(n)
+    vals = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    if lead == "negative_zero":
+        vals[:2] = complex(-0.0, -0.0)
+    sig = (DiscreteSignal(-7, vals, 3.0, ext) if kind == "discrete"
+           else ContinuousSignal(-1.75, 0.1, vals, 3.0, ext))
+    want = _whole_array_running_sum(sig)
+    if lead == "negative_zero":
+        # entry 1 keeps the data's -0.0: no block starts at 0 + it
+        assert np.signbit(want[1].imag) and want[1].imag == 0
+    assert np.array_equal(sig.running_sum().view(np.uint64), want.view(np.uint64))
+    pad, end = _rows_pads(sig, WindowSchedule((3 * sig.step, 40 * sig.step), TWO))
+    rows = cesaro._running_rows(sig, pad, end)
+    for row, part in zip(rows, (want.real, want.imag)):
+        padded = np.concatenate([np.full(pad, part[0]), part, np.full(end, part[-1])])
+        assert np.array_equal(row.view(np.uint64), padded.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+@pytest.mark.parametrize("ext", list(Extension))
+def test_sweep_memory_is_the_rows_and_a_few_blocks(kind, ext):
+    # no whole complex running sum beside the rows: at 2^18 samples one
+    # would take 4 MiB, sixteen blocks
+    n = 2 ** 18
+    vals = np.exp(2j * np.pi * 0.1234 * np.arange(n))
+    sig = (DiscreteSignal(0, vals, 1.0, ext) if kind == "discrete"
+           else ContinuousSignal(0.0, 0.25, vals, 1.0, ext))
+    sched = WindowSchedule.geometric(4 * sig.step, 2048 * sig.step, 2.0, TWO)
+    pad, end = _rows_pads(sig, sched)
+    rows = 2 * 8 * (pad + len(sig) + (0 if sig.trapezoid else 1) + end)
+    tracemalloc.start()
+    try:
+        cesaro.cesaro_sweep(sig, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows + 4 * 16 * BLOCK

@@ -802,3 +802,16 @@ def test_realigned_rounded_phases_stay_within_the_declared_bound():
 def test_specs_reject_non_finite_frequencies(build, bad):
     with pytest.raises(ValueError, match="frequency must be finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("freq", [0.0, -0.0])
+def test_zero_frequency_phases_equal_the_exponentials_bitwise(freq):
+    # grids that straddle 0, with signed zeros and extreme finite points
+    x = np.concatenate([np.arange(-3000, 3000) * 0.37, np.arange(-50, 50),
+                        [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308]])
+    t = x * freq
+    want = np.exp(_reduce_phase(t, np.empty_like(t)) * (2j * np.pi))
+    got = np.empty_like(want)
+    signals._unit_phases(freq, x, got, np.empty_like(x))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(got == 1.0)
