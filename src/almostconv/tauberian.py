@@ -55,7 +55,7 @@ from .signals import (
     gaussian_kernel,
     gaussian_kernel_continuous,
 )
-from .cesaro import ac_verdict, cesaro_sweep
+from .cesaro import _extremes_from, ac_verdict, cesaro_sweep
 from .spectral import convolve, require_kernel_fits, require_unit_mass
 from .verdict import ACVerdict, Witness, judge
 
@@ -325,7 +325,9 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     :func:`~almostconv.verdict.judge` rules on two gaps: the oscillation
     about its mean of the previous quarter, then of the last.  A positive
     verdict's limit is the last quarter's mean; a negative one's witness
-    holds the positions of the largest and smallest real parts there.
+    holds the positions of the largest and smallest values there of the
+    part (real or imaginary) with the wider spread, as a window-mean
+    witness does.
     """
     n = len(values)
     if n < 8:
@@ -336,9 +338,9 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     center = complex(np.mean(tail))
     osc = float(np.max(np.abs(tail - center)))
     osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
-    hi = float(positions[-q:][int(np.argmax(tail.real))])
-    lo = float(positions[-q:][int(np.argmin(tail.real))])
-    return judge((osc_prev, osc), tol, center, Witness(None, hi, lo, osc))
+    ext = _extremes_from(tail.real, tail.imag, lambda j: float(positions[-q:][j]))
+    return judge((osc_prev, osc), tol, center,
+                 Witness(None, ext.argmax, ext.argmin, osc))
 
 
 def _geometric_indices(lo: int, hi: int, count: int) -> np.ndarray:

@@ -765,3 +765,18 @@ def test_oscillation_modulus_counts_exactly_the_anchored_pairs():
                         args = (sig, lags * h, T * h)
                         assert _outcome(tb.oscillation_modulus, *args) \
                             == _outcome(_whole_oscillation_modulus, *args), (a, b, args)
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j, 1 + 2j])
+def test_tail_witness_follows_the_wider_part(unit):
+    # an alternating tail along ``unit``: the witness names the positions of
+    # the largest and smallest values of the part that spreads the most
+    sig = ac.render_discrete(
+        ac.Custom(tuple(unit * (-1) ** (n + 1) for n in range(4096))), 0, 4095)
+    v = tb.ordinary_verdict(sig, 1e-2)
+    assert v.status is VerdictStatus.NOT_ALMOST_CONVERGENT
+    hi, lo = v.witness.shift_sup, v.witness.shift_inf
+    assert hi != lo
+    part = np.imag if abs(unit.imag) > abs(unit.real) else np.real
+    assert part(sig.values[int(hi)]) == part(unit)
+    assert part(sig.values[int(lo)]) == -part(unit)
