@@ -233,13 +233,14 @@ def _merge_config(args: argparse.Namespace) -> AnalysisConfig:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = load_generator(args.spec)
+    # the range that analysing the spec itself renders, as far as not given
+    grid = replace(AnalysisConfig(), **{
+        key: getattr(args, key) for key in ("n_min", "n_max", "x0", "count")
+        if getattr(args, key) is not None})
     if args.h is not None:
-        count = args.count if args.count is not None else 4096
-        signal = render_continuous(spec, args.x0 or 0.0, args.h, count)
+        signal = render_continuous(spec, grid.x0, args.h, grid.count)
     else:
-        n_min = args.n_min if args.n_min is not None else 0
-        n_max = args.n_max if args.n_max is not None else 4095
-        signal = render_discrete(spec, n_min, n_max)
+        signal = render_discrete(spec, grid.n_min, grid.n_max)
     signal_to_csv(signal, args.out)
     return 0
 

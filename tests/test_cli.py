@@ -57,6 +57,22 @@ def test_generate_divergent_dirichlet_no_file(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, grid", [
+    (ac.Character(0.125), []),
+    (ac.Convergent(2.0), ["--h", str(cli.AnalysisConfig.h)]),
+], ids=["discrete", "continuous"])
+def test_generate_renders_the_range_that_analysis_reads(tmp_path, spec, grid):
+    # generate, then analyze the samples, sees the data that analysing the
+    # spec itself sees: one default range
+    path = write_spec(tmp_path, spec)
+    out = tmp_path / "samples.csv"
+    assert cli.main(["generate", "--spec", path, "--out", str(out), *grid]) == 0
+    direct = cli.load_input_signal(cli.AnalysisConfig(input=path))
+    sig = serialize.signal_from_csv(str(out))
+    assert (sig.start, sig.step, len(sig)) == (direct.start, direct.step, len(direct))
+    assert np.array_equal(sig.values, direct.values)
+
+
 def test_analyze_cesaro_character(tmp_path):
     spec = write_spec(tmp_path, ac.Character(1 / 7))
     out_dir = tmp_path / "run"
