@@ -25,25 +25,25 @@ from ``Signal.running_blocks``, one ``signals.BLOCK`` of entries at a
 time, so no whole complex running sum is ever held: the sweep's memory
 is the samples, the rows and a few blocks.  The entries are those of
 ``Signal.running_sum`` bit for bit.  It then walks the shifts
-``signals.BLOCK`` at a time.  On each block,
-every window length takes its window sums as one slice difference per
-part, in a buffer of one block, and keeps only their largest and
-smallest values.  So each stretch of the running sum is read from memory
-once for all the lengths whose windows start or end in it, and each
-block's sums stay in cache.  A mean is its window sum scaled by the
-reciprocal of the window width, which is how NumPy divides a complex
-array by a real number, so the means are the same bits as dividing
-complex window sums (a running sum holding -0.0, which only leading -0.0
-data gives, builds ``Signal.running_sum`` and takes that complex
-division itself over the whole grid, so even the signs of zero means
-agree).  Scaling by a positive number is
-correctly rounded and monotone, so the largest mean is the largest sum
-scaled, bit for bit: only the block extremes are scaled.  The extremes
-are the extremes of the scaled block extremes, taken from the first
-block that reaches them.  Two sums 1 ulp apart can scale to one mean, so
-the witness shift is found by scaling the winning block's sums of that
-part again and taking their first argmax or argmin: ties still go to the
-smallest shift.  Only the winning shifts are converted to positions.
+``signals.BLOCK`` at a time.  On each block, every window length takes
+its window sums as one slice difference per part, in a buffer of one
+block, and keeps only their largest and smallest values.  So each
+stretch of the running sum is read from memory once for all the lengths
+whose windows start or end in it, and each block's sums stay in cache.
+A mean is its window sum scaled by the reciprocal of the window width,
+which is how NumPy divides a complex array by a real number, so the
+means are the same bits as dividing complex window sums (a running sum
+holding -0.0, which only leading -0.0 data gives, builds
+``Signal.running_sum`` and takes that complex division itself over the
+whole grid, so even the signs of zero means agree).  Scaling by a
+positive number is correctly rounded and monotone, so the largest mean
+is the largest sum scaled, bit for bit: only the block extremes are
+scaled.  The extremes are the extremes of the scaled block extremes,
+taken from the first block that reaches them.  Two sums 1 ulp apart can
+scale to one mean, so the witness shift is found by scaling the winning
+block's sums of that part again and taking their first argmax or argmin:
+ties still go to the smallest shift.  Only the winning shifts are
+converted to positions.
 :func:`window_average` and :func:`shift_extremes` evaluate just the
 windows they are asked for from the same running sum.
 
@@ -239,11 +239,14 @@ def _witnessed(top, bottom, top_at, bottom_at, shift_of) -> ShiftExtremes:
                          argmin=shift_of(bottom_at(c)))
 
 
-def _running_rows(signal: Signal, pad: int, end: int) -> np.ndarray:
-    """The real and imaginary parts of the signal's running sum as two float
-    rows, led by ``pad`` copies of its entry 0 and trailed by ``end`` copies
-    of its last entry, built block by block from ``Signal.running_blocks``."""
+def _running_rows(signal: Signal, layouts) -> tuple:
+    """``(rows, pad)``: the running sum's real and imaginary parts as two
+    float rows, filled from ``Signal.running_blocks``, with ``pad`` copies
+    of entry 0 before and copies of the last entry after, as far as any
+    layout's windows read."""
     size = len(signal) + (0 if signal.trapezoid else 1)
+    pad = max([0] + [-lay.lo for lay in layouts])
+    end = max([0] + [lay.lo + lay.width + lay.count - size for lay in layouts])
     rows = np.empty((2, pad + size + end))
     rows[:, :pad + 1] = 0.0
     for lo, block in signal.running_blocks():
@@ -251,7 +254,7 @@ def _running_rows(signal: Signal, pad: int, end: int) -> np.ndarray:
         rows[0, at] = block.real
         rows[1, at] = block.imag
     rows[:, pad + size:] = rows[:, pad + size - 1:pad + size]
-    return rows
+    return rows, pad
 
 
 def _sweep_extremes(signal: Signal, layouts, shift_of):
@@ -263,13 +266,10 @@ def _sweep_extremes(signal: Signal, layouts, shift_of):
     and max/min treat signed zeros their own way: such sums take
     ``_means_at`` itself.
     """
-    last = len(signal) - (1 if signal.trapezoid else 0)
-    pad = max([0] + [-lay.lo for lay in layouts])
-    end = max([0] + [lay.lo + lay.width + lay.count - 1 - last
-                     for lay in layouts])
-    parts = _running_rows(signal, pad, end)
-    # only leading -0.0 data puts a -0.0 in the running sum, at entry 1
-    head = parts[:, pad + 1:pad + min(2, last + 1)]
+    parts, pad = _running_rows(signal, layouts)
+    # only leading -0.0 data puts a -0.0 in the running sum, at entry 1 (a
+    # one-entry sum has a +0.0 copy of entry 0 there, or nothing)
+    head = parts[:, pad + 1:pad + 2]
     if np.any((head == 0) & np.signbit(head)):
         del parts
         p = signal.running_sum()

@@ -507,13 +507,9 @@ def _whole_array_running_sum(sig):
     return np.concatenate([np.zeros(1, dtype=complex), np.cumsum(v)])
 
 
-def _rows_pads(sig, sched):
-    """The lead and trail pads the sweep gives the rows for ``sched``."""
-    lays = [cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
+def _layouts(sig, sched):
+    return [cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
             for k in sched.lengths]
-    last = len(sig) - (1 if sig.trapezoid else 0)
-    return (max([0] + [-lay.lo for lay in lays]),
-            max([0] + [lay.lo + lay.width + lay.count - 1 - last for lay in lays]))
 
 
 @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -532,8 +528,10 @@ def test_running_rows_equal_a_whole_array_cumsum_bitwise(n, kind, ext, lead):
         # entry 1 keeps the data's -0.0: no block starts at 0 + it
         assert np.signbit(want[1].imag) and want[1].imag == 0
     assert np.array_equal(sig.running_sum().view(np.uint64), want.view(np.uint64))
-    pad, end = _rows_pads(sig, WindowSchedule((3 * sig.step, 40 * sig.step), TWO))
-    rows = cesaro._running_rows(sig, pad, end)
+    rows, pad = cesaro._running_rows(
+        sig, _layouts(sig, WindowSchedule((3 * sig.step, 40 * sig.step), TWO)))
+    end = rows.shape[1] - pad - len(want)
+    assert pad > 0 if ext is Extension.ZERO_OUTSIDE else pad == end == 0
     for row, part in zip(rows, (want.real, want.imag)):
         padded = np.concatenate([np.full(pad, part[0]), part, np.full(end, part[-1])])
         assert np.array_equal(row.view(np.uint64), padded.view(np.uint64))
@@ -549,8 +547,7 @@ def test_sweep_memory_is_the_rows_and_a_few_blocks(kind, ext):
     sig = (DiscreteSignal(0, vals, 1.0, ext) if kind == "discrete"
            else ContinuousSignal(0.0, 0.25, vals, 1.0, ext))
     sched = WindowSchedule.geometric(4 * sig.step, 2048 * sig.step, 2.0, TWO)
-    pad, end = _rows_pads(sig, sched)
-    rows = 2 * 8 * (pad + len(sig) + (0 if sig.trapezoid else 1) + end)
+    rows = cesaro._running_rows(sig, _layouts(sig, sched))[0].nbytes
     tracemalloc.start()
     try:
         cesaro.cesaro_sweep(sig, sched)
