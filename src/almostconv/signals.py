@@ -122,8 +122,9 @@ class Signal:
 
     Subclasses fix the rule: :class:`DiscreteSignal` sums its values,
     :class:`ContinuousSignal` integrates by the trapezoid rule.  Every
-    window sum, weight vector and mean comes from :meth:`running_sum`,
-    :meth:`weights` and :meth:`mean`.
+    window sum, weight vector and mean comes from :meth:`running_blocks`
+    (or :meth:`running_sum`, which reads it), :meth:`weights` and
+    :meth:`mean`.
 
     Parameters
     ----------
