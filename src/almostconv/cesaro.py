@@ -17,35 +17,28 @@ Window conventions
 
 How extremes are computed
 -------------------------
-The sweep reads one running sum per signal (a plain sum for discrete
-data, a cumulative trapezoid for continuous data) as two float rows, its
-real and imaginary parts, extended with their end values so that windows
-reaching outside the data read zero there.  The rows are filled straight
-from ``Signal.running_blocks``, one ``signals.BLOCK`` of entries at a
-time, so no whole complex running sum is ever held: the sweep's memory
-is the samples, the rows and a few blocks.  The entries are those of
-``Signal.running_sum`` bit for bit.  It then walks the shifts
+Every window mean reads one running sum per signal (a plain sum for
+discrete data, a cumulative trapezoid for continuous data), built by
+``Signal.running_rows`` as two float rows, its real and imaginary parts,
+extended with their end values so that windows reaching outside the data
+read zero there.  A mean is each part's window sum, a slice difference,
+times the reciprocal of the window width.  The sweep's memory is the
+samples, the rows and a few blocks.  It walks the shifts
 ``signals.BLOCK`` at a time.  On each block, every window length takes
 its window sums as one slice difference per part, in a buffer of one
 block, and keeps only their largest and smallest values.  So each
 stretch of the running sum is read from memory once for all the lengths
 whose windows start or end in it, and each block's sums stay in cache.
-A mean is its window sum scaled by the reciprocal of the window width,
-which is how NumPy divides a complex array by a real number, so the
-means are the same bits as dividing complex window sums (a running sum
-holding -0.0, which only leading -0.0 data gives, builds
-``Signal.running_sum`` and takes that complex division itself over the
-whole grid, so even the signs of zero means agree).  Scaling by a
-positive number is correctly rounded and monotone, so the largest mean
-is the largest sum scaled, bit for bit: only the block extremes are
-scaled.  The extremes are the extremes of the scaled block extremes,
-taken from the first block that reaches them.  Two sums 1 ulp apart can
-scale to one mean, so the witness shift is found by scaling the winning
-block's sums of that part again and taking their first argmax or argmin:
-ties still go to the smallest shift.  Only the winning shifts are
-converted to positions.
-:func:`window_average` and :func:`shift_extremes` evaluate just the
-windows they are asked for from the same running sum.
+Scaling by a positive number is correctly rounded and monotone, so the
+largest mean is the largest sum scaled, bit for bit: only the block
+extremes are scaled.  The extremes are the extremes of the scaled block
+extremes, taken from the first block that reaches them.  Two sums 1 ulp
+apart can scale to one mean, so the witness shift is found by scaling
+the winning block's sums of that part again and taking their first
+argmax or argmin: ties still go to the smallest shift.  Only the winning
+shifts are converted to positions.  :func:`shift_extremes` and
+:func:`window_average` evaluate just the windows they are asked for,
+with the same arithmetic.
 
 The verdict logic is a finite-data surrogate, not a theorem, and one
 rule (:func:`almostconv.verdict.judge`) applies it: a limit is reported
@@ -121,8 +114,9 @@ class _Layout:
     """Where one window length's means sit in the running sum ``P``.
 
     The mean at the i-th admissible shift is ``(P[lo + i + width] -
-    P[lo + i]) / scale``, indices clipped into ``P`` (zero outside the
-    data); that shift is the position of sample index ``idx0 + i``.
+    P[lo + i]) * (1.0 / scale)`` per part, indices clipped into ``P``
+    (zero outside the data); that shift is the position of sample index
+    ``idx0 + i``.
     """
 
     lo: int
@@ -174,14 +168,6 @@ def _positions(signal: Signal, lay: _Layout, shifts: np.ndarray) -> tuple:
     return pos, ok
 
 
-def _means_at(p: np.ndarray, lay: _Layout, pos: np.ndarray) -> np.ndarray:
-    """Complex window means at the given grid indices of running sum ``p``."""
-    last = len(p) - 1
-    lo = np.clip(lay.lo + pos, 0, last)
-    hi = np.clip(lay.lo + lay.width + pos, 0, last)
-    return (p[hi] - p[lo]) / lay.scale
-
-
 def window_average(signal: Signal, k, shift,
                    sidedness: Sidedness = Sidedness.TWO_SIDED) -> complex:
     """Mean of the signal over one window anchored at ``shift``.
@@ -191,13 +177,7 @@ def window_average(signal: Signal, k, shift,
     on their grid.  Raises :class:`WindowOutOfRange` when the window does
     not fit under the VALID_ONLY policy.
     """
-    m, _ = _snap_length(signal, k)
-    lay = _layout(signal, m, sidedness)
-    pos, ok = _positions(signal, lay, np.asarray([shift], dtype=np.float64))
-    if not ok[0]:
-        raise WindowOutOfRange(
-            f"shift {shift} not admissible for window length {k}")
-    return complex(_means_at(signal.running_sum(), lay, pos)[0])
+    return shift_extremes(signal, k, [shift], sidedness).sup
 
 
 def shift_extremes(signal: Signal, k, shift_grid,
@@ -218,8 +198,11 @@ def shift_extremes(signal: Signal, k, shift_grid,
     if not ok.all():
         raise WindowOutOfRange(
             f"shifts {grid[~ok][:4]} not admissible for length {k}")
-    means = _means_at(signal.running_sum(), lay, pos)
-    return _extremes_from(means.real, means.imag, lambda j: float(grid[j]))
+    rows, pad = _running_rows(signal, [lay])
+    a = pad + lay.lo + pos
+    means = rows[:, a + lay.width] - rows[:, a]
+    means *= 1.0 / lay.scale
+    return _extremes_from(*means, lambda j: float(grid[j]))
 
 
 def _extremes_from(re: np.ndarray, im: np.ndarray, shift_of) -> ShiftExtremes:
@@ -240,44 +223,20 @@ def _witnessed(top, bottom, top_at, bottom_at, shift_of) -> ShiftExtremes:
 
 
 def _running_rows(signal: Signal, layouts) -> tuple:
-    """``(rows, pad)``: the running sum's real and imaginary parts as two
-    float rows, filled from ``Signal.running_blocks``, with ``pad`` copies
-    of entry 0 before and copies of the last entry after, as far as any
-    layout's windows read."""
+    """``(rows, pad)``: ``Signal.running_rows`` with ``pad`` copies of entry
+    0 before and copies of the last entry after, as far as any layout's
+    windows read."""
     size = len(signal) + (0 if signal.trapezoid else 1)
     pad = max([0] + [-lay.lo for lay in layouts])
     end = max([0] + [lay.lo + lay.width + lay.count - size for lay in layouts])
-    rows = np.empty((2, pad + size + end))
-    rows[:, :pad + 1] = 0.0
-    for lo, block in signal.running_blocks():
-        at = slice(pad + lo, pad + lo + len(block))
-        rows[0, at] = block.real
-        rows[1, at] = block.imag
-    rows[:, pad + size:] = rows[:, pad + size - 1:pad + size]
-    return rows, pad
+    return signal.running_rows(pad, end), pad
 
 
 def _sweep_extremes(signal: Signal, layouts, shift_of):
     """Extremes of each layout's means over all the signal's admissible
-    shifts, ``shift_of(lay, j)`` naming shift ``j``.
-
-    The means equal ``_means_at``'s bit for bit; see the module docstring.
-    A -0.0 in the running sum reaches the means, where complex division
-    and max/min treat signed zeros their own way: such sums take
-    ``_means_at`` itself.
-    """
+    shifts, ``shift_of(lay, j)`` naming shift ``j``; see the module
+    docstring."""
     parts, pad = _running_rows(signal, layouts)
-    # only leading -0.0 data puts a -0.0 in the running sum, at entry 1 (a
-    # one-entry sum has a +0.0 copy of entry 0 there, or nothing)
-    head = parts[:, pad + 1:pad + 2]
-    if np.any((head == 0) & np.signbit(head)):
-        del parts
-        p = signal.running_sum()
-        for lay in layouts:
-            means = _means_at(p, lay, np.arange(lay.count))
-            yield _extremes_from(means.real, means.imag,
-                                 lambda j: shift_of(lay, j))
-        return
     count = max(lay.count for lay in layouts)
     buf = np.empty((2, min(BLOCK, count)))
     rows = np.arange(2)

@@ -117,7 +117,9 @@ def config_from_file(path: str) -> AnalysisConfig:
         kind = fields[key].type
         want, what = _CONFIG_TYPES[kind]
         items = value if kind == "tuple" else [value]
-        if not isinstance(items, list) or not all(isinstance(v, want) for v in items):
+        # a JSON boolean is a Python int, but no number
+        if not isinstance(items, list) or not all(
+                isinstance(v, want) and not isinstance(v, bool) for v in items):
             raise ConfigError(f"bad config: {key} must be {what}")
         if kind == "tuple":
             obj[key] = tuple(value)
@@ -133,15 +135,16 @@ def load_input_signal(config: AnalysisConfig):
     if not path:
         raise ConfigError("no input given")
     if path.endswith(".json"):
-        spec = load_generator(path)
-        if _prefers_continuous(spec):
-            return render_continuous(spec, config.x0, config.h, config.count)
-        return render_discrete(spec, config.n_min, config.n_max)
+        return _render(load_generator(path), config)
     return signal_from_csv(path)
 
 
-def _prefers_continuous(spec) -> bool:
-    return isinstance(spec, (DirichletLine, MeasureTransform, Convergent))
+def _render(spec, config: AnalysisConfig, continuous: bool = False):
+    """The spec on the config's range: on the real line when ``continuous``
+    or when its kind lives there, on the integers otherwise."""
+    if continuous or isinstance(spec, (DirichletLine, MeasureTransform, Convergent)):
+        return render_continuous(spec, config.x0, config.h, config.count)
+    return render_discrete(spec, config.n_min, config.n_max)
 
 
 def _report_path(config: AnalysisConfig, name: str) -> str:
@@ -235,13 +238,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = load_generator(args.spec)
     # the range that analysing the spec itself renders, as far as not given
     grid = replace(AnalysisConfig(), **{
-        key: getattr(args, key) for key in ("n_min", "n_max", "x0", "count")
+        key: getattr(args, key) for key in ("n_min", "n_max", "x0", "h", "count")
         if getattr(args, key) is not None})
-    if args.h is not None:
-        signal = render_continuous(spec, grid.x0, args.h, grid.count)
-    else:
-        signal = render_discrete(spec, grid.n_min, grid.n_max)
-    signal_to_csv(signal, args.out)
+    signal_to_csv(_render(spec, grid, continuous=args.h is not None), args.out)
     return 0
 
 

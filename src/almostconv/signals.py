@@ -122,9 +122,8 @@ class Signal:
 
     Subclasses fix the rule: :class:`DiscreteSignal` sums its values,
     :class:`ContinuousSignal` integrates by the trapezoid rule.  Every
-    window sum, weight vector and mean comes from :meth:`running_blocks`
-    (or :meth:`running_sum`, which reads it), :meth:`weights` and
-    :meth:`mean`.
+    window sum, weight vector and mean comes from :meth:`running_rows`,
+    :meth:`weights` and :meth:`mean`.
 
     Parameters
     ----------
@@ -193,35 +192,27 @@ class Signal:
         signal at x + s."""
         return self.derived(start=self.start - self.lag(s) * self.step)
 
-    def running_sum(self) -> np.ndarray:
-        """Running sum from 0: a window's sum is the difference of two entries.
+    def running_rows(self, pad: int = 0, end: int = 0) -> np.ndarray:
+        """The running sum from 0 as two float rows, its real and imaginary
+        parts: a window's sum is the difference of two entries.
 
         Plain sum: ``n + 1`` entries, entry ``j`` the sum of the first ``j``
         values.  Trapezoid: ``n`` entries, entry ``j`` the integral from
-        ``start`` to ``x_j``.  Entry 0 is 0; the others are those of
-        :meth:`running_blocks`.
-        """
-        out = np.empty(len(self.values) + (0 if self.trapezoid else 1),
-                       dtype=np.complex128)
-        out[0] = 0.0
-        for lo, block in self.running_blocks():
-            out[lo:lo + len(block)] = block
-        return out
-
-    def running_blocks(self):
-        """Yield ``(j, entries)``: the running sum's entries from ``j`` on,
-        one :data:`BLOCK` of increments at a time, from entry 1 to the last.
+        ``start`` to ``x_j``.  Each row holds ``pad`` copies of entry 0 (a
+        zero) before its entries and ``end`` copies of the last one after.
 
         An increment is a value, or the trapezoid term ``(v[j+1] + v[j]) *
-        (step / 2)``.  Each block's increments are summed in place by
-        ``np.cumsum`` after the previous block's last entry is added to the
-        first, so the entries are those of one whole-array ``np.cumsum``,
-        bit for bit: the first block starts at its first increment, not at
-        ``0 + it``, which would turn a leading -0.0 into +0.0.  ``entries``
-        is one reused buffer, valid until the next block is asked for.
+        (step / 2)``.  The increments are summed one :data:`BLOCK` at a time
+        in one buffer, by ``np.cumsum`` after the previous block's last
+        entry is added to the first, so the entries are those of one
+        whole-array ``np.cumsum``, bit for bit: the first block starts at
+        its first increment, not at ``0 + it``, which would turn a leading
+        -0.0 into +0.0.
         """
         v = self.values
         n = len(v) - 1 if self.trapezoid else len(v)
+        rows = np.empty((2, pad + n + 1 + end))
+        rows[:, :pad + 1] = 0.0
         buf = np.empty(min(BLOCK, n), dtype=np.complex128)
         for lo in range(0, n, BLOCK):
             block = buf[:min(BLOCK, n - lo)]
@@ -234,7 +225,11 @@ class Signal:
                 block[0] += block_end
             np.cumsum(block, out=block)
             block_end = block[-1]
-            yield lo + 1, block
+            at = slice(pad + 1 + lo, pad + 1 + lo + len(block))
+            rows[0, at] = block.real
+            rows[1, at] = block.imag
+        rows[:, pad + n + 1:] = rows[:, pad + n:pad + n + 1]
+        return rows
 
     def weights(self) -> np.ndarray:
         """Quadrature weights: ``values * step`` with the two end weights

@@ -299,7 +299,8 @@ def primitive_check(signal: Signal, value: complex, tol: float,
     i = n - 1 if check_index is None else int(check_index)
     if not 0 <= i < n:
         raise ValueError("check index outside the signal")
-    prim = signal.running_sum()[-n:]
+    prim = np.empty(n, dtype=np.complex128)
+    prim.real, prim.imag = signal.running_rows()[:, -n:]
     primitive = signal.derived(values=prim, bound=float(np.max(np.abs(prim))),
                                source="primitive")
     schedule = window_schedule or _one_sided_windows(signal)

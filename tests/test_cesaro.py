@@ -288,7 +288,8 @@ def test_window_average_random_against_oracle(k, shift):
 
 def _gather_means(sig, k, side):
     """Reference: every admissible shift and its window mean, gathered from
-    a complex running sum through clipped index arrays, then ``/ width``."""
+    a complex running sum through clipped index arrays, then each part
+    times ``1.0 / width``."""
     zero = sig.extension is Extension.ZERO_OUTSIDE
     n = len(sig)
     v = sig.values
@@ -308,7 +309,7 @@ def _gather_means(sig, k, side):
             lo = shifts - sig.n_min
             hi = lo + m
         lo, hi = np.clip(lo, 0, n), np.clip(hi, 0, n)
-        return shifts.astype(np.float64), (cs[hi] - cs[lo]) / width
+        return shifts.astype(np.float64), _per_part(cs[hi] - cs[lo], width)
     m = int(round(k / sig.h))
     theta = m * sig.h
     cs = np.concatenate(([0j], np.cumsum((v[1:] + v[:-1]) * (sig.h / 2.0))))
@@ -322,7 +323,16 @@ def _gather_means(sig, k, side):
         idx = np.arange(first, n + m + 1 if zero else n - m)
         lo, hi = idx, idx + m
     lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
-    return sig.x0 + sig.h * idx, (cs[hi] - cs[lo]) / width
+    return sig.x0 + sig.h * idx, _per_part(cs[hi] - cs[lo], width)
+
+
+def _per_part(sums, width):
+    """Each part of the complex window sums times ``1.0 / width``: the
+    means' arithmetic, which keeps the sign of a zero part."""
+    out = np.empty_like(sums)
+    out.real = sums.real * (1.0 / width)
+    out.imag = sums.imag * (1.0 / width)
+    return out
 
 
 def _same(a, b):
@@ -394,8 +404,9 @@ def test_sweep_and_window_average_match_gather_reference(
 
 
 def test_negated_signal_keeps_zero_signs():
-    # negation turns the leading 0.0 into -0.0; the complex division of the
-    # gather formulation still gives the first window's mean as +0.0
+    # negation turns the leading 0.0 into -0.0, and so the running sum's
+    # entry 1: the first window's sum is -0.0 - 0.0, and its mean keeps
+    # that sign
     sig = ac.signals.scaled(
         DiscreteSignal(0, [0.0, 1.0, 2.0, 1.0, 3.0], 3.0), -1.0)
     assert math.copysign(1.0, sig.values[0].real) < 0
@@ -404,20 +415,33 @@ def test_negated_signal_keeps_zero_signs():
         _, means = _gather_means(sig, k, ONE)
         assert _same(sweep.sup[i], complex(means.real.max(), means.imag.max()))
         assert _same(sweep.inf[i], complex(means.real.min(), means.imag.min()))
-    assert _same(sweep.sup[0], 0.0)
+    assert _same(sweep.sup[0], complex(-0.0, 0.0))
+    assert _same(cesaro.window_average(sig, 1, 0, ONE), complex(-0.0, 0.0))
 
 
 BLOCK = ac.signals.BLOCK
 
 
+def _whole_array_running_sum(sig):
+    """The running sum as one whole-array ``np.cumsum`` of the increments."""
+    v = sig.values
+    if sig.trapezoid:
+        v = (v[1:] + v[:-1]) * (sig.step / 2.0)
+    return np.concatenate([np.zeros(1, dtype=complex), np.cumsum(v)])
+
+
 def _whole_grid_extremes(sig, sched):
-    """Each window's extremes from all its means at once, gathered by
-    ``_means_at`` over every shift index."""
-    p = sig.running_sum()
+    """Each window's extremes from all its means at once: every shift's
+    window sum gathered from the whole-array running sum through clipped
+    indices, each part times ``1.0 / scale``."""
+    p = _whole_array_running_sum(sig)
+    last = len(p) - 1
     out = []
     for k in sched.lengths:
         lay = cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
-        means = cesaro._means_at(p, lay, np.arange(lay.count))
+        lo = lay.lo + np.arange(lay.count)
+        means = _per_part(p[np.clip(lo + lay.width, 0, last)] - p[np.clip(lo, 0, last)],
+                          lay.scale)
         out.append(cesaro._extremes_from(
             means.real, means.imag, lambda j: float(sig.x_at(lay.idx0 + j))))
     return out
@@ -499,14 +523,6 @@ def test_sweep_witness_is_the_first_shift_of_the_scaled_extreme(later):
     assert sweep.argmax[0] == 9
 
 
-def _whole_array_running_sum(sig):
-    """The running sum as one whole-array ``np.cumsum`` of the increments."""
-    v = sig.values
-    if sig.trapezoid:
-        v = (v[1:] + v[:-1]) * (sig.step / 2.0)
-    return np.concatenate([np.zeros(1, dtype=complex), np.cumsum(v)])
-
-
 def _layouts(sig, sched):
     return [cesaro._layout(sig, cesaro._snap_length(sig, k)[0], sched.sidedness)
             for k in sched.lengths]
@@ -527,14 +543,17 @@ def test_running_rows_equal_a_whole_array_cumsum_bitwise(n, kind, ext, lead):
     if lead == "negative_zero":
         # entry 1 keeps the data's -0.0: no block starts at 0 + it
         assert np.signbit(want[1].imag) and want[1].imag == 0
-    assert np.array_equal(sig.running_sum().view(np.uint64), want.view(np.uint64))
-    rows, pad = cesaro._running_rows(
+    # the sweep pads only zero-outside data, as far as its windows read
+    swept, pad = cesaro._running_rows(
         sig, _layouts(sig, WindowSchedule((3 * sig.step, 40 * sig.step), TWO)))
-    end = rows.shape[1] - pad - len(want)
+    end = swept.shape[1] - pad - len(want)
     assert pad > 0 if ext is Extension.ZERO_OUTSIDE else pad == end == 0
-    for row, part in zip(rows, (want.real, want.imag)):
-        padded = np.concatenate([np.full(pad, part[0]), part, np.full(end, part[-1])])
-        assert np.array_equal(row.view(np.uint64), padded.view(np.uint64))
+    for rows, pad, end in ((sig.running_rows(), 0, 0),
+                           (sig.running_rows(3, 5), 3, 5), (swept, pad, end)):
+        assert rows.shape == (2, pad + len(want) + end)
+        for row, part in zip(rows, (want.real, want.imag)):
+            padded = np.concatenate([np.full(pad, part[0]), part, np.full(end, part[-1])])
+            assert np.array_equal(row.view(np.uint64), padded.view(np.uint64))
 
 
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])

@@ -60,7 +60,8 @@ def test_generate_divergent_dirichlet_no_file(tmp_path):
 @pytest.mark.parametrize("spec, grid", [
     (ac.Character(0.125), []),
     (ac.Convergent(2.0), ["--h", str(cli.AnalysisConfig.h)]),
-], ids=["discrete", "continuous"])
+    (ac.Convergent(2.0), []),
+], ids=["discrete", "continuous", "continuous-kind"])
 def test_generate_renders_the_range_that_analysis_reads(tmp_path, spec, grid):
     # generate, then analyze the samples, sees the data that analysing the
     # spec itself sees: one default range
@@ -310,7 +311,9 @@ def test_unknown_config_field_rejected(tmp_path):
     {"tol": 10 ** 400}, {"analysis": "cyclic-suite", "seed": "x"},
     {"analysis": "cyclic-suite", "order": 1.5},
     {"analysis": "cyclic-suite", "cases": 1.5},
-], ids=["deltas", "xs", "input", "n_min", "x0", "tol", "seed", "order", "cases"])
+    {"tol": True}, {"analysis": "cyclic-suite", "cases": True}, {"deltas": [0.25, False]},
+], ids=["deltas", "xs", "input", "n_min", "x0", "tol", "seed", "order", "cases",
+        "tol-bool", "cases-bool", "deltas-bool"])
 def test_config_field_of_wrong_type_is_a_config_error(tmp_path, capsys, fields):
     spec = write_spec(tmp_path, ac.Character(0.25))
     cfg = tmp_path / "cfg.json"

@@ -261,8 +261,10 @@ def test_primitive_check_on_both_groups():
         assert rep.oac_verdict.limit == pytest.approx(value, abs=1e-2)
         assert not tb.primitive_check(sig, value + 0.1, 1e-2).passed
     # on Z the primitive is the partial sums, bit for bit
-    sums = disc.running_sum()[-len(disc):]
-    assert np.array_equal(sums.view(np.uint64), np.cumsum(disc.values).view(np.uint64))
+    sums = np.cumsum(disc.values)
+    rows = disc.running_rows()[:, -len(disc):]
+    assert np.array_equal(rows.view(np.uint64),
+                          np.stack([sums.real, sums.imag]).view(np.uint64))
     # a decaying signal's primitive must also converge where it is checked
     early = tb.primitive_check(disc, 2.0, 1e-2, check_index=3)
     assert early.tail_converges is False and not early.passed

@@ -12,17 +12,18 @@ this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 ``tauber`` on a sample file one Laplace term past ``BLOCK``, chains on
 short, zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3``
-samples and on a convergent profile at the defaults, ``spectrum`` and
-``tauber`` on sample files with indented and trailing metadata lines and
-``-0.0`` samples, block sequences on grids that straddle 0, on the real
-line and with many short blocks, block sequences past 2**53, with no
-symbols or a NaN growth, a Dirichlet line at its declared abscissa
-(exit 2), ``generate`` at ``BLOCK + 1`` rows, of a character whose
-whole-block turn is not 0 and of custom samples with every float the
-``repr`` kernel leaves to ``float.__repr__``, and every analysis
-command on sample files with an unknown kind, grid positions that are
-not finite floats, or rows off their grid.  A probe whose argv names
-``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
+samples and on a convergent profile at the defaults, one-sided window
+means on ``-0.0``-led samples whose largest real mean is a zero,
+``spectrum`` and ``tauber`` on sample files with indented and trailing
+metadata lines and ``-0.0`` samples, block sequences on grids that
+straddle 0, on the real line and with many short blocks, block sequences
+past 2**53, with no symbols or a NaN growth, a Dirichlet line at its
+declared abscissa (exit 2), ``generate`` at ``BLOCK + 1`` rows, of a
+character whose whole-block turn is not 0 and of custom samples with
+every float the ``repr`` kernel leaves to ``float.__repr__``, and every
+analysis command on sample files with an unknown kind, grid positions
+that are not finite floats, or rows off their grid.  A probe whose argv
+names ``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
 each job the digest records the exit code, stdout, stderr and the sha256
 of every file written.  The package and the job lists are imported from
 ``--root`` (default: this checkout), so one copy of this script digests
@@ -78,6 +79,12 @@ _NEG_ZERO = ("# signal kind=continuous x0=-0.0 h=0.25 bound=3.0 "
              "extension=valid_only source=custom\nx,re,im\n"
              + "".join(f"{0.25 * j!r},{-0.0 if j < 3 else (j % 7) / 3.5!r},"
                        f"{-0.0 if j < 2 else 0.5!r}\n" for j in range(600)))
+# the negated 0, 1, 2, 1, 3: the first one-sided window's sum is -0.0 - 0.0,
+# so the largest real mean at width 1 is -0.0
+_NEG_ZERO_Z = ("# signal kind=discrete n_min=0 bound=3.0 extension=valid_only "
+               "source=custom\nindex,re,im\n"
+               + "".join(f"{j},{-v!r},0.0\n"
+                         for j, v in enumerate([0.0, 1.0, 2.0, 1.0, 3.0])))
 
 # metadata indented by str.isspace characters and after the last row
 _EDGES_Z = ("  \t# signal kind=discrete n_min=-5\n\x1c # bound=2.5 extension=zero_outside\n"
@@ -195,6 +202,12 @@ PROBES = [
       "--sidedness", "one"]),
     ("cesaro-csv-negative-zero", "negzero.csv", _NEG_ZERO,
      ["analyze", "--input", "{in}", "--k-min", "0.25", "--k-max", "16",
+      "--sidedness", "one"]),
+    # a zero mean keeps the sign of its window sum: this entry's sweep.csv
+    # reads sup_re -0.0 at k = 1, where a complex division of the sums
+    # gives +0.0
+    ("cesaro-csv-negative-zero-z", "negzero_z.csv", _NEG_ZERO_Z,
+     ["analyze", "--input", "{in}", "--k-min", "1", "--k-max", "4",
       "--sidedness", "one"]),
     ("spectrum-trig-z", "trig.json", _TRIG,
      ["spectrum", "--input", "{in}", "--n-max", "1023"]),
