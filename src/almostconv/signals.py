@@ -28,16 +28,18 @@ Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
 thread pool, one thread per CPU.  Each sample has the same bits as the
 whole-array formula gives it, whatever the number of points rendered.
 A grid render of a sum of characters (no density) over more than
-:data:`BLOCK` points is block-turned: each later block turns the first
-block's unit phases by one exact phase per term, and when every such
-turn is 0 (dyadic frequencies on Z -> Z_{2^k}) the first block is
-tiled.  The first block has the per-point bits; later samples are
-within ``sum (|c| * (8*pi*|f|*max|x| + 16*pi) * u + 8 * 2**-1074)``,
-``u = 2**-53``, of the exact values at the float grid points.  No
-sample's bits depend on the number rendered.  A block sequence reads one
-table of block ends (:func:`_block_table`) at any points and, run by
-run, on a grid, with the per-point bits.  Every other grid render keeps
-the per-point bits.
+:data:`BLOCK` points is block-turned.  When every whole-block turn is 0
+(dyadic frequencies on Z -> Z_{2^k}) the first block, with the
+per-point bits, is tiled.  Otherwise the render is one matrix product of
+per-block factors with per-term tables over one block, each an outer
+product of exact turns and a few unit phases, and every sample, the
+first block's among them, is within ``sum (|c| * (8*pi*|f|*max|x| +
+16*pi) * u + 8 * 2**-1074)``, ``u = 2**-53``, of the exact value at its
+float grid point.  No sample of a render of more than one block depends
+on the number rendered, or on the number of BLAS threads.  A block
+sequence reads one table of block ends (:func:`_block_table`) at any
+points and, run by run, on a grid, with the per-point bits.  Every other
+grid render keeps the per-point bits.
 """
 
 from __future__ import annotations
@@ -706,56 +708,71 @@ def _add_characters(terms, x: np.ndarray, out: np.ndarray, z: np.ndarray,
         out += w
 
 
-#: Terms per pass of :func:`_turned_values`: their first-block phase
-#: tables take at most 32 * 256 KiB = 8 MiB.
+#: Terms per pass of :func:`_turned_values`: their phase tables take at
+#: most 32 * 256 KiB = 8 MiB.
 _TERMS_PER_PASS = 32
 
 
-def _turns(ratios, steps: int) -> np.ndarray:
-    """``frac(f*step*steps)`` for each ``f*step`` given as an integer ratio:
-    the phase of ``steps`` whole grid steps, taken exactly, rounded once."""
-    return np.array([num * steps % den / den for num, den in ratios])
+def _turns(ratios, steps) -> np.ndarray:
+    """``frac(f*step*s)`` for each ``s`` in ``steps`` (one row each) and
+    each ``f*step`` given as an integer ratio (one column each): the phase
+    of ``s`` whole grid steps, taken exactly, rounded once."""
+    return np.array([[num * s % den / den for num, den in ratios] for s in steps])
 
 
 def _turned_values(terms, start, step, count: int) -> np.ndarray:
     """``sum c * exp(2*pi*i*f*x)`` over ``(c, f)`` in ``terms`` on the grid
     ``x_j = start + j*step`` of ``count`` points, more than one block.
 
-    The first block is rendered as :func:`_add_characters` renders it, and
-    each term's unit phases ``T_r`` there are kept.  Sample ``qB + r`` sits
-    ``qB`` steps after sample ``r``, so it is ``T_r * (c * exp(2*pi*i*f*
-    step*qB))``, with the phase of the ``qB`` steps taken exactly: one
-    scalar phase per term per block instead of ``BLOCK`` of them.  If every
-    whole-block turn ``frac(f*step*BLOCK)`` is 0, every block's factor is
-    ``c`` and the first block is tiled.  The first block has the per-point
-    bits; later samples are within ``sum (|c| * (8*pi*|f|*max|x| + 16*pi)
-    * u + 8 * 2**-1074)`` of the exact values at the float grid points.
-    Terms are added in order, so no sample depends on ``count``.
+    If every whole-block turn ``frac(f*step*BLOCK)`` is 0, the first block
+    is rendered as :func:`_add_characters` renders it, with the per-point
+    bits, and tiled.  Otherwise each term's table over one block is an
+    outer product: entry ``512a + r`` is the exact turn of ``512a`` steps
+    (:func:`_turns`), ``exp(2*pi*i*frac(f*step*512a))``, times the unit
+    phase (:func:`_unit_phases`) of grid point ``r < 512``.  Sample ``qB +
+    j`` is then row ``q`` of one ``(blocks x terms) @ (terms x BLOCK)``
+    matrix product, of the factors ``c * exp(2*pi*i*frac(f*step*qB))`` with
+    the tables.  It is taken :data:`_TERMS_PER_PASS` terms at a time, and
+    each later pass's product is added a few block rows at a time, in
+    order.  Every sample is within ``sum (|c| * (8*pi*|f|*max|x| + 16*pi)
+    * u + 8 * 2**-1074)`` of the exact value at the float grid point.  A
+    row of a product with two rows or more has the same bits whatever the
+    number of rows, so no sample depends on ``count``.
     """
     ratios = [(Fraction(f) * Fraction(step)).as_integer_ratio() for _, f in terms]
-    tiled = all(num * BLOCK % den == 0 for num, den in ratios)
-    out = np.zeros(BLOCK if tiled else count, dtype=np.complex128)
-    head, n = start + step * np.arange(BLOCK), len(out)
-    for first in range(0, len(terms), _TERMS_PER_PASS):
-        group = terms[first:first + _TERMS_PER_PASS]
-        turns = ratios[first:first + _TERMS_PER_PASS]
-        coeffs = np.array([c for c, _ in group], dtype=np.complex128)
-        tables = np.empty((len(group), BLOCK), dtype=np.complex128)
-
-        def phases(r, z, w):
-            _unit_phases(group[r][1], head, tables[r], w.view(np.float64)[:BLOCK])
-
-        _deal(phases, len(group), BLOCK)
-
-        def fill(q, z, w):
-            lo, hi = q * BLOCK, min(q * BLOCK + BLOCK, n)
-            factors = coeffs * np.exp(_turns(turns, lo) * (2j * np.pi)) if q else coeffs
-            for table, factor in zip(tables, factors):
-                np.multiply(table[:hi - lo], factor, out=w[:hi - lo])
-                out[lo:hi] += w[:hi - lo]
-
-        _deal(fill, -(-n // BLOCK), BLOCK)
-    return np.resize(out, count) if tiled else out
+    # overflow and NaN are left to the Signal's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(num * BLOCK % den == 0 for num, den in ratios):
+            out = np.zeros(BLOCK, dtype=np.complex128)
+            _add_characters(terms, start + step * np.arange(BLOCK), out,
+                            np.empty_like(out), np.empty_like(out))
+            return np.resize(out, count)
+        blocks = -(-count // BLOCK)
+        out = np.empty((blocks, BLOCK), dtype=np.complex128)
+        head, t = start + step * np.arange(512), np.empty(512)
+        size = min(len(terms), _TERMS_PER_PASS)
+        phases = np.empty((size, 512), dtype=np.complex128)
+        tables = np.empty((size, BLOCK // 512, 512), dtype=np.complex128)
+        # later passes are added four block rows at a time, and the last
+        # rows with the ones before when they would be one row alone: BLAS
+        # takes a single row as a vector, with other bits
+        rows = [*range(0, blocks - 1, 4), blocks]
+        for first in range(0, len(terms), _TERMS_PER_PASS):
+            group = terms[first:first + _TERMS_PER_PASS]
+            turns, k = ratios[first:first + _TERMS_PER_PASS], len(group)
+            for row, (_, f) in zip(phases, group):
+                _unit_phases(f, head, row, t)
+            turn = np.exp(_turns(turns, range(0, BLOCK, 512)).T * (2j * np.pi))
+            np.multiply(turn[:, :, None], phases[:k, None, :], out=tables[:k])
+            table = tables[:k].reshape(k, BLOCK)
+            factors = np.array([c for c, _ in group], dtype=np.complex128) * np.exp(
+                _turns(turns, range(0, count, BLOCK)) * (2j * np.pi))
+            if first:
+                for lo, hi in zip(rows, rows[1:]):
+                    out[lo:hi] += factors[lo:hi] @ table
+            else:
+                np.matmul(factors, table, out=out)
+    return out.reshape(-1)[:count]
 
 
 def _add_density(density: Density, x: np.ndarray, out: np.ndarray,
@@ -846,9 +863,9 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
 
     Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
     small thread pool.  A sample's bits do not depend on the number of
-    points or on where the blocks fall.  A block-turned grid render
-    (:func:`_grid_values`) has these bits in its first block; its later
-    samples are within the rounding bound of :func:`_turned_values`.
+    points or on where the blocks fall.  A tiled grid render
+    (:func:`_grid_values`) has these bits; a turned one does not, and each
+    of its samples is within the rounding bound of :func:`_turned_values`.
     Block positions past 2**53, or more than ``len(points) + 2**20``
     block ends or partial-sum terms, are a :class:`ConfigError`.
     """
@@ -955,11 +972,12 @@ def _grid_values(spec: GeneratorSpec, start: float, step: float,
 
     A sum of characters with no density over more than BLOCK points is
     block-turned (:func:`_turned_values`): the first block has the
-    per-point bits and is tiled when every whole-block turn is 0; later
-    samples are within the rounding bound there.  No sample's bits
-    depend on ``count``.  A block sequence is filled run by run from its
-    table of block ends (:func:`_block_runs`) with the per-point bits.
-    Every other grid is rendered point by point.
+    per-point bits and is tiled when every whole-block turn is 0;
+    otherwise every sample, the first block's among them, is within the
+    rounding bound there.  Among renders of more than BLOCK points, no
+    sample's bits depend on ``count``.  A block sequence is filled run by
+    run from its table of block ends (:func:`_block_runs`) with the
+    per-point bits.  Every other grid is rendered point by point.
     """
     if isinstance(spec, Custom):
         if abs(step - spec.step) > 1e-12 * spec.step:

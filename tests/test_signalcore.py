@@ -385,19 +385,29 @@ def test_block_sequence_positions_past_2_53_are_refused():
     assert evaluate(spec, -1e19) == 0
 
 
+# 40 terms: two passes of a turned render's tables
+_DIRICHLET_40 = ac.DirichletLine(tuple(complex(1.0, (-1) ** n / n) for n in range(1, 41)),
+                                 2.0)
+
+
 @pytest.mark.parametrize("spec, start, step, counts", [
     (ac.TrigPoly(((0.7, 0.0), (0.3 - 0.4j, 1 / 3), (-0.2 + 0.9j, -0.0731))),
-     0, 1.0, (100, 2 ** 15)),
+     0, 1.0, (100, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17)),
     (ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
-     0, 1.0, (100, 2 ** 15)),
+     0, 1.0, (100, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17)),
+    # the later pass is added 4, 5 and 2 + 4 block rows at a time
+    (_DIRICHLET_40, -5, 1.0, (100, 4 * BLOCK, 5 * BLOCK, 9 * BLOCK, 10 * BLOCK)),
     # every phase is exact over 2**15 points; past 2**52 the grid rounds
-    (ac.Character(2 ** -16), 2 ** 52 - 2 ** 15, 0.5, (2 ** 15, 2 ** 17)),
-], ids=["trig_poly", "dirichlet_line", "character"])
+    (ac.Character(2 ** -16), 2 ** 52 - 2 ** 15, 0.5, (100, 2 ** 15, 2 ** 17)),
+], ids=["trig_poly", "dirichlet_line", "dirichlet_two_passes", "character"])
 def test_sample_bits_do_not_depend_on_render_length(spec, start, step, counts):
-    short, long = (_render_bits(spec, start, step, n) for n in counts)
-    assert np.array_equal(short, long[:len(short)])
+    # a render of one block or less has the per-point bits; longer ones
+    # are turned, and each is a prefix of the next
+    short, *turned = (_render_bits(spec, start, step, n) for n in counts)
     sample = np.array([evaluate(spec, start + 77 * step)])
-    assert np.array_equal(sample.view(np.uint64), long[154:156])
+    assert np.array_equal(sample.view(np.uint64), short[154:156])
+    for head, longer in zip(turned, turned[1:]):
+        assert np.array_equal(head, longer[:len(head)])
 
 
 def test_reduce_phase_matches_np_mod_bitwise():
@@ -425,6 +435,40 @@ def test_density_render_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 160 * 2 ** 20
+
+
+def test_turned_render_tables_stay_within_8_mib():
+    # 2,000 terms would take 500 MiB of tables over one block at once
+    spec = ac.DirichletLine(tuple(complex(1.0, (-1) ** n / n) for n in range(1, 2001)),
+                            2.0)
+    tracemalloc.start()
+    try:
+        values = ac.render_discrete(spec, 0, 3 * BLOCK + 6).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the output and 8 MiB of tables, a few blocks: the output's
+    # last block, the phases, four block rows of a product, the term lists
+    assert peak <= values.nbytes + 2 ** 23 + 10 * BLOCK * 16
+
+
+_RENDER_SHA = ("import hashlib, almostconv as ac; "
+               "spec = ac.DirichletLine(tuple(complex(1.0, (-1) ** n / n) "
+               "for n in range(1, 51)), 2.0); "
+               "values = ac.render_continuous(spec, 0.0, 0.1, 2 ** 17).values; "
+               "print(hashlib.sha256(values.tobytes()).hexdigest())")
+
+
+def test_turned_render_bits_do_not_depend_on_blas_threads():
+    # the matrix product of a 50-term render, on one BLAS thread and on two
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        digests.append(subprocess.run(
+            [sys.executable, "-c", _RENDER_SHA], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 def test_concurrent_renders_match_serial_ones():
@@ -719,8 +763,7 @@ def _reference(spec, xs):
 
 def _assert_rounded_render(spec, start, step, count, values):
     xs = start + step * np.arange(count)
-    assert np.array_equal(_bits(values[:BLOCK]),
-                          _bits(evaluate_many(spec, xs[:BLOCK])))
+    # every sample, the first block's among them:
     # sum (|c| * (8*pi*|f|*max|x| + 16*pi) * u + 8 * 2**-1074), u = 2**-53:
     # products of subnormals round in absolute steps of 2**-1074
     u, top = 2.0 ** -53, float(np.max(np.abs(xs)))
@@ -770,16 +813,25 @@ def test_rounded_phase_render_turns_one_block_per_term(monkeypatch):
 
     def spy_turns(ratios, steps):
         out = turns(ratios, steps)
-        turned.append((steps, len(out)))
+        turned.append((list(steps), out.shape))
         return out
 
     monkeypatch.setattr(signals, "_unit_phases", spy_phases)
     monkeypatch.setattr(signals, "_turns", spy_turns)
+    table, factors = list(range(0, BLOCK, 512)), list(range(0, 6 * BLOCK, BLOCK))
     spec = _POINTWISE_SPECS[2]
     ac.render_continuous(spec, -3.0, 0.1, 5 * BLOCK + 3)
-    # BLOCK phases per term, then one phase per term per later block
-    assert seen == [BLOCK] * len(spec.coeffs)
-    assert sorted(turned) == [(q * BLOCK, len(spec.coeffs)) for q in range(1, 6)]
+    # 512 phases per term; per term, 32 exact turns for its table and one
+    # for its factor in each block
+    assert seen == [512] * len(spec.coeffs)
+    assert turned == [(table, (32, 4)), (factors, (6, 4))]
+    # 40 terms: the same for each pass of 32 terms and 8 terms
+    seen.clear()
+    turned.clear()
+    ac.render_discrete(_DIRICHLET_40, 0, 6 * BLOCK - 1)
+    assert seen == [512] * 40
+    assert turned == [(table, (32, 32)), (factors, (6, 32)),
+                      (table, (32, 8)), (factors, (6, 8))]
 
 
 def test_realigned_rounded_phases_stay_within_the_declared_bound():

@@ -19,7 +19,9 @@ metadata lines and ``-0.0`` samples, block sequences on grids that
 straddle 0, on the real line and with many short blocks, block sequences
 past 2**53, with no symbols or a NaN growth, a Dirichlet line at its
 declared abscissa (exit 2), ``generate`` at ``BLOCK + 1`` rows, of a
-character whose whole-block turn is not 0 and of custom samples with
+character whose whole-block turn is not 0, of a 12-term Dirichlet line
+at ``3*BLOCK + 7`` samples (every sample of a turned render's matrix
+product) and of custom samples with
 every float the ``repr`` kernel leaves to ``float.__repr__``, and every
 analysis command on sample files with an unknown kind, grid positions
 that are not finite floats, or rows off their grid.  A probe whose argv
@@ -60,6 +62,9 @@ _BLOCKS_NAN_GROWTH = {"kind": "block_sequence", "growth": "nan"}
 # exact phases, but f*BLOCK is not whole: block-turned, not tiled
 _CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
+# twelve terms, so twelve rows of tables in the turned render's product
+_DIRICHLET_12 = {"kind": "dirichlet_line", "sigma": 1.5, "coeffs": [
+    {"re": 1.0 / n, "im": (-1) ** n * 0.5 / (n + 1)} for n in range(1, 13)]}
 # sigma at the declared abscissa (1.0 by default): a violated hypothesis
 _DIRICHLET_DIVERGENT = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 1.0}
 # more distinct floats than serialize.KERNEL_MIN, among them every kind
@@ -236,6 +241,9 @@ PROBES = [
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
     ("generate-char-exact-nonperiodic", "char.json", _CHAR_EXACT,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "65535"]),
+    ("generate-dirichlet-12-r", "dirichlet_12.json", _DIRICHLET_12,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--h", "0.1",
+      "--count", str(3 * _BLOCK + 7)]),
     ("generate-custom-extremes", "extremes.json", _CUSTOM_EXTREMES,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
       "--n-max", str(len(_CUSTOM_EXTREMES["values"]) - 1)]),
