@@ -395,7 +395,7 @@ _DIRICHLET_40 = ac.DirichletLine(tuple(complex(1.0, (-1) ** n / n) for n in rang
      0, 1.0, (100, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17)),
     (ac.DirichletLine((1.0, 0.5 - 0.25j, -0.3j, 0.8 + 0.1j), 1.5),
      0, 1.0, (100, BLOCK + 1, 3 * BLOCK + 7, 2 ** 17)),
-    # the later pass is added 4, 5 and 2 + 4 block rows at a time
+    # its later pass is added as 4, 5, 4 + 5 and 4 + 4 + 2 block rows
     (_DIRICHLET_40, -5, 1.0, (100, 4 * BLOCK, 5 * BLOCK, 9 * BLOCK, 10 * BLOCK)),
     # every phase is exact over 2**15 points; past 2**52 the grid rounds
     (ac.Character(2 ** -16), 2 ** 52 - 2 ** 15, 0.5, (100, 2 ** 15, 2 ** 17)),
@@ -475,7 +475,7 @@ def test_concurrent_renders_match_serial_ones():
     specs = _POINTWISE_SPECS[:4]
     xs = np.arange(5 * BLOCK + 3, dtype=np.float64) - 1000.0
     jobs = [partial(evaluate_many, s, xs) for s in specs]
-    # a rounded-phase render: per-term tables, then one phase per block
+    # a rounded-phase render: one matrix product on the BLAS threads
     jobs.append(lambda: ac.render_continuous(specs[2], -3.0, 0.1, 5 * BLOCK + 3).values)
     want = [_bits(job()) for job in jobs]
     interval = sys.getswitchinterval()
@@ -590,7 +590,7 @@ def _turned(spec, step, count):
 
 def _assert_render_contract(spec, start, step, count):
     """Tiled and per-point renders have the per-point bits; a turned one
-    has them in its first block and meets the rounding bound after it."""
+    meets the rounding bound at every sample."""
     bits = _render_bits(spec, start, step, count)
     if _turned(spec, step, count):
         _assert_rounded_render(spec, start, step, count, bits.view(np.complex128))
@@ -671,8 +671,8 @@ def test_periodic_character_sums_tile(spec, start, step, count):
 ])
 def test_renders_that_cannot_tile_keep_every_bit(spec, start, step, count):
     # A turned render (a non-dyadic grid, a Dirichlet line, a turn that is
-    # not whole) keeps the per-point bits in its first block only; later
-    # blocks are turned by one phase per term and meet the rounding bound.
+    # not whole) is a matrix product of exact turns and rounded phases,
+    # and meets the rounding bound at every sample.
     _assert_render_contract(spec, start, step, count)
 
 
@@ -745,7 +745,8 @@ def test_tiled_render_evaluates_one_block_per_term(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Rounded-phase character sums: one exact block, one phase per term per block
+# Rounded-phase character sums: tables of exact turns times 512 phases per
+# term, one matrix product with a factor per term per block
 # ---------------------------------------------------------------------------
 
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
