@@ -24,9 +24,9 @@ closed forms, so every rendered signal comes with a certified bound and,
 where theory pins it down, a known almost-convergence limit
 (:func:`known_limit`) that the analysis routes can be checked against.
 
-Rendering (:func:`evaluate_many`) runs in cache-sized blocks on a small
-thread pool, one thread per CPU.  Each sample has the same bits as the
-whole-array formula gives it, whatever the number of points rendered.
+Rendering (:func:`evaluate_many`) runs in cache-sized blocks.  Each
+sample has the same bits as the whole-array formula gives it, whatever
+the number of points rendered.
 A grid render of a sum of characters (no density) over more than
 :data:`BLOCK` points is block-turned.  When every whole-block turn is 0
 (dyadic frequencies on Z -> Z_{2^k}) the first block, with the
@@ -45,8 +45,6 @@ grid render keeps the per-point bits.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -587,77 +585,6 @@ def _block_table(spec: BlockSequence, top: float, points: int) -> tuple:
 #: dyadic denominator up to 2^14 divides it).
 BLOCK = 16384
 
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor():
-    """The render pool, created on first use: one thread per extra CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_CPUS - 1,
-                                       thread_name_prefix="almostconv-render")
-        return _pool
-
-
-def _deal(task, tasks: int, size: int) -> None:
-    """Call ``task(i, z, w)`` for every ``i`` in ``range(tasks)``.
-
-    ``z`` and ``w`` are complex scratch buffers of ``size`` entries, reused
-    by one thread across its tasks.  The tasks are dealt out in turn to
-    min(CPUs, tasks) threads, the caller among them; the ufunc loops run
-    with the GIL released.
-    """
-    workers = max(1, min(_CPUS, tasks))
-
-    def work(first: int) -> None:
-        zbuf = np.empty(size, dtype=np.complex128)
-        wbuf = np.empty_like(zbuf)
-        # Overflow and NaN are left to the Signal's finite check.  NumPy's
-        # error state is per context: a pool thread does not inherit it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(first, tasks, workers):
-                task(i, zbuf, wbuf)
-
-    if workers == 1:
-        work(0)
-        return
-    pool = _executor()
-    futures = [pool.submit(work, first) for first in range(1, workers)]
-    try:
-        work(0)
-    finally:
-        for future in futures:
-            future.result()
-
-
-def _map_blocks(fill, xs: np.ndarray, out: np.ndarray) -> None:
-    """Call ``fill(x, o, z, w)`` on every block of ``xs`` and ``out``, on
-    the render pool (:func:`_deal`); ``z`` and ``w`` are complex scratch
-    of the block's length."""
-    n = len(xs)
-
-    def task(i, z, w):
-        lo, hi = i * BLOCK, min(i * BLOCK + BLOCK, n)
-        fill(xs[lo:hi], out[lo:hi], z[:hi - lo], w[:hi - lo])
-
-    _deal(task, -(-n // BLOCK), min(BLOCK, n))
-
 
 def _reduce_phase(t: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``np.mod(t, 1.0)`` in place, with the same bits at a tenth of the cost.
@@ -861,9 +788,9 @@ def _block_filler(spec: GeneratorSpec, xs: np.ndarray):
 def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
     """Closed-form values of the generated function at the given points.
 
-    Pointwise kinds are evaluated in blocks of :data:`BLOCK` points on a
-    small thread pool.  A sample's bits do not depend on the number of
-    points or on where the blocks fall.  A tiled grid render
+    Pointwise kinds are evaluated in blocks of :data:`BLOCK` points.  A
+    sample's bits do not depend on the number of points or on where the
+    blocks fall.  A tiled grid render
     (:func:`_grid_values`) has these bits; a turned one does not, and each
     of its samples is within the rounding bound of :func:`_turned_values`.
     Block positions past 2**53, or more than ``len(points) + 2**20``
@@ -882,7 +809,14 @@ def evaluate_many(spec: GeneratorSpec, points) -> np.ndarray:
             out[pos] = np.cumsum(coeffs)[np.floor(xs[pos]).astype(np.int64)]
         return out
     fill = _block_filler(spec, xs)
-    _map_blocks(fill, xs.reshape(-1), out.reshape(-1))
+    flat_x, flat_out = xs.reshape(-1), out.reshape(-1)
+    z = np.empty(min(BLOCK, xs.size), dtype=np.complex128)
+    w = np.empty_like(z)
+    # overflow and NaN are left to the Signal's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, xs.size, BLOCK):
+            hi = min(lo + BLOCK, xs.size)
+            fill(flat_x[lo:hi], flat_out[lo:hi], z[:hi - lo], w[:hi - lo])
     return out
 
 

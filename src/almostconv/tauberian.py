@@ -51,7 +51,6 @@ from .signals import (
     Sidedness,
     Signal,
     WindowSchedule,
-    _deal,
     gaussian_kernel,
     gaussian_kernel_continuous,
 )
@@ -137,15 +136,17 @@ def abel_sweep(coeffs, bound: float, x_schedule) -> MeanSweep:
         raise ValueError("coefficients exceed the declared bound")
     xs = _abscissas(MeanMethod.ABEL, x_schedule)
     values = []
-    for x in xs:
-        m = int(math.ceil(math.log(_ABEL_TAIL / bound) / math.log(x)))
-        m = max(m, 1)
-        if m >= len(a):
-            raise InsufficientCoefficients(
-                f"need {m + 1} coefficients for x={x}, have {len(a)}")
-        powers = np.power(x, np.arange(m + 1))
-        values.append(complex((1.0 - x) * np.dot(a[:m + 1], powers)))
-    extrap = _extrapolate([1.0 - x for x in xs], values) if len(xs) >= 3 else None
+    # overflow and NaN are left to MeanSweep's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            m = int(math.ceil(math.log(_ABEL_TAIL / bound) / math.log(x)))
+            m = max(m, 1)
+            if m >= len(a):
+                raise InsufficientCoefficients(
+                    f"need {m + 1} coefficients for x={x}, have {len(a)}")
+            powers = np.power(x, np.arange(m + 1))
+            values.append(complex((1.0 - x) * np.dot(a[:m + 1], powers)))
+        extrap = _extrapolate([1.0 - x for x in xs], values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.ABEL, tuple(xs), tuple(values), extrap,
                      tail_bound=_ABEL_TAIL)
 
@@ -161,8 +162,8 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
 
     Each integral is ``np.trapezoid`` of ``psi(t) * exp(-x t)`` bit for
     bit: its terms ``step * (y[j+1] + y[j]) / 2.0`` fill one buffer
-    ``BLOCK`` at a time on the render pool, and one ``np.add.reduce``
-    sums the whole buffer as ``np.trapezoid`` does.
+    ``BLOCK`` at a time, and one ``np.add.reduce`` sums the whole buffer
+    as ``np.trapezoid`` does.
     """
     if not signal.trapezoid:
         raise TypeError("Laplace sweep needs a continuous signal")
@@ -177,19 +178,21 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
                 f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}")
     v, step = signal.values, signal.step
     terms = np.empty(len(v) - 1, dtype=np.complex128)
+    scratch = np.empty(min(BLOCK + 1, len(v)), dtype=np.complex128)
     values = []
-    for x in xs:
-        def task(i, z, w):
-            lo, hi = i * BLOCK, min(i * BLOCK + BLOCK, len(terms))
-            y = np.multiply(v[lo:hi + 1], np.exp(-x * signal.x_at(np.arange(lo, hi + 1))),
-                            out=z[:hi + 1 - lo])
-            out = np.add(y[1:], y[:-1], out=terms[lo:hi])
-            np.multiply(step, out, out=out)
-            np.true_divide(out, 2.0, out=out)
-
-        _deal(task, -(-len(terms) // BLOCK), min(BLOCK + 1, len(v)))
-        values.append(complex(x * np.add.reduce(terms)))
-    extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
+    # overflow and NaN are left to MeanSweep's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            for lo in range(0, len(terms), BLOCK):
+                hi = min(lo + BLOCK, len(terms))
+                y = np.multiply(v[lo:hi + 1],
+                                np.exp(-x * signal.x_at(np.arange(lo, hi + 1))),
+                                out=scratch[:hi + 1 - lo])
+                out = np.add(y[1:], y[:-1], out=terms[lo:hi])
+                np.multiply(step, out, out=out)
+                np.true_divide(out, 2.0, out=out)
+            values.append(complex(x * np.add.reduce(terms)))
+        extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.LAPLACE, tuple(xs), tuple(values), extrap,
                      tail_bound=_LAPLACE_TAIL)
 

@@ -1031,7 +1031,7 @@ _HUGE_TERMS = [{"coefficient": 1e308, "frequency": 0.25},
 
 
 @pytest.mark.parametrize("spec, grid, message", [
-    # 2^17 samples: tiled, and (at 0.1) rendered block by block on the pool
+    # 2^17 samples: tiled, and (at 0.1) turned, one matrix product
     ({"kind": "trig_poly", "terms": _HUGE_TERMS}, ["--n-max", "131071"],
      "signal values must be finite"),
     ({"kind": "trig_poly", "terms": [{**t, "frequency": 0.1} for t in _HUGE_TERMS]},
@@ -1047,7 +1047,7 @@ _HUGE_TERMS = [{"coefficient": 1e308, "frequency": 0.25},
     # a finite x0 and h whose grid end x0 + h*(count-1) passes the float range
     ({"kind": "convergent", "limit": 1.0},
      ["--x0", "1e308", "--h", "1e306", "--count", "20000"], "grid end"),
-], ids=["trig_poly_tiled", "trig_poly_pool", "convergent", "character_inf",
+], ids=["trig_poly_tiled", "trig_poly_turned", "convergent", "character_inf",
         "character_nan", "trig_poly_inf", "trig_poly_nan", "grid_end_overflow"])
 def test_hostile_specs_leave_one_error_line(tmp_path, capsys, spec, grid, message):
     # NumPy's RuntimeWarnings used to come first, with a source path and line
@@ -1061,6 +1061,25 @@ def test_hostile_specs_leave_one_error_line(tmp_path, capsys, spec, grid, messag
     assert rc == 1
     assert err.splitlines() == [err.strip()] and err.startswith("error: ")
     assert message in err
+
+
+@pytest.mark.parametrize("head, row, xs", [
+    ("# signal kind=continuous x0=0.0 h=1.0 bound=1e308\nx,re,im\n",
+     "{j}.0,1e+308,0.0\n", "1,0.5,0.25"),
+    ("# signal kind=discrete n_min=0 bound=1e308\nindex,re,im\n",
+     "{j},1e+308,0.0\n", "0.5,0.6,0.7"),
+], ids=["R", "Z"])
+def test_tauber_near_dbl_max_leaves_one_error_line(tmp_path, capsys, head, row, xs):
+    # the boundary sums overflow; NumPy's RuntimeWarnings used to come first
+    path = tmp_path / "samples.csv"
+    path.write_text(head + "".join(row.format(j=j) for j in range(4000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["tauber", "--input", str(path), "--xs", xs,
+                       "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == ["error: sweep values must be finite"]
 
 
 @pytest.mark.parametrize("spec, message", [

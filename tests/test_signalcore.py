@@ -481,7 +481,7 @@ def test_concurrent_renders_match_serial_ones():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        # more callers than cores, all sharing the render pool
+        # more callers than cores, each rendering in its own thread
         with ThreadPoolExecutor(max_workers=8) as callers:
             futures = [callers.submit(jobs[i % len(jobs)]) for i in range(20)]
             got = [f.result(timeout=300) for f in futures]
@@ -498,7 +498,7 @@ def _render_several_blocks():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 def test_forked_child_can_render():
-    _render_several_blocks()  # the parent's pool threads now exist
+    _render_several_blocks()  # the parent's BLAS threads now exist
     child = multiprocessing.get_context("fork").Process(
         target=_render_several_blocks)
     child.start()
@@ -511,13 +511,18 @@ def test_forked_child_can_render():
 
 
 def test_import_starts_no_thread():
-    code = ("import sys, threading, almostconv; "
+    # nor does a render of five blocks or a Laplace sweep over three
+    code = ("import sys, threading, numpy as np, almostconv as ac; "
             "print(threading.active_count(), "
-            "'concurrent.futures' in sys.modules)")
+            "'concurrent.futures' in sys.modules); "
+            f"ac.signals.evaluate_many(ac.Convergent(2.0), np.arange({5 * BLOCK}.0)); "
+            "ac.laplace_sweep(ac.render_continuous(ac.Convergent(2.0), 0.0, 0.25, "
+            f"{2 * BLOCK + 3}), (0.05, 0.025, 0.0125)); "
+            "print(threading.active_count())")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["1", "False"]
+    assert out.split() == ["1", "False", "1"]
 
 
 @pytest.mark.parametrize("args", [(4, math.inf, 2), (4, math.nan, 2),

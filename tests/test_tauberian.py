@@ -383,9 +383,10 @@ def test_mean_sweep_validation():
                   lambda xs: tb.laplace_sweep(short, xs)):
         with pytest.raises(ValueError, match="empty abscissa schedule"):
             sweep(())
-    # the dot product of near-DBL_MAX coefficients overflows
-    with np.errstate(over="ignore", invalid="ignore"), \
+    # the dot product of near-DBL_MAX coefficients overflows, with no warning
+    with warnings.catch_warnings(), \
             pytest.raises(ValueError, match="sweep values must be finite"):
+        warnings.simplefilter("error")
         tb.abel_sweep(np.full(8000, 1e308), 1e308, (0.9,))
 
 
