@@ -186,7 +186,7 @@ def shift_extremes(signal: Signal, k, shift_grid,
 
     Ties break deterministically toward the smallest shift.  The recorded
     argmax/argmin follow the component (real or imaginary) with the wider
-    spread.
+    spread.  A window mean that overflows is a ``ValueError``.
     """
     grid = np.asarray(list(shift_grid), dtype=np.float64)
     if grid.size == 0:
@@ -200,8 +200,11 @@ def shift_extremes(signal: Signal, k, shift_grid,
             f"shifts {grid[~ok][:4]} not admissible for length {k}")
     rows, pad = _running_rows(signal, [lay])
     a = pad + lay.lo + pos
-    means = rows[:, a + lay.width] - rows[:, a]
-    means *= 1.0 / lay.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = rows[:, a + lay.width] - rows[:, a]
+        means *= 1.0 / lay.scale
+    if not np.isfinite(means).all():
+        raise ValueError("window means must be finite")
     return _extremes_from(*means, lambda j: float(grid[j]))
 
 
@@ -250,14 +253,20 @@ def _sweep_extremes(signal: Signal, layouts, shift_of):
 
     # per layout: the largest and smallest window sums of both parts, by block
     found = [np.empty((2, -(-lay.count // BLOCK), 2)) for lay in layouts]
-    for first in range(0, count, BLOCK):
-        for lay, (tops, bottoms) in zip(layouts, found):
-            if first >= lay.count:
-                continue
-            b, a = ends(lay, first, parts)
-            sums = np.subtract(b, a, out=buf[:, :a.shape[1]])
-            sums.max(axis=1, out=tops[first // BLOCK])
-            sums.min(axis=1, out=bottoms[first // BLOCK])
+    # sums past DBL_MAX are inf or NaN: the check below, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, count, BLOCK):
+            for lay, (tops, bottoms) in zip(layouts, found):
+                if first >= lay.count:
+                    continue
+                b, a = ends(lay, first, parts)
+                sums = np.subtract(b, a, out=buf[:, :a.shape[1]])
+                sums.max(axis=1, out=tops[first // BLOCK])
+                sums.min(axis=1, out=bottoms[first // BLOCK])
+        for lay, extremes in zip(layouts, found):
+            extremes *= 1.0 / lay.scale
+    if not all(np.isfinite(extremes).all() for extremes in found):
+        raise ValueError("window means must be finite")
 
     def witness(lay, block, c, pick):
         # the block's means of part c, scaled as its extremes are
@@ -266,9 +275,7 @@ def _sweep_extremes(signal: Signal, layouts, shift_of):
         means *= 1.0 / lay.scale
         return block * BLOCK + int(pick(means))
 
-    for lay, extremes in zip(layouts, found):
-        extremes *= 1.0 / lay.scale
-        tops, bottoms = extremes
+    for lay, (tops, bottoms) in zip(layouts, found):
         # the first block that reaches an extreme holds its first shift
         up, down = tops.argmax(axis=0), bottoms.argmin(axis=0)
         yield _witnessed(
@@ -284,6 +291,7 @@ def cesaro_sweep(signal: Signal, schedule: WindowSchedule) -> CesaroSweep:
     The shift grid is every admissible grid position.  For continuous
     signals the grid stride equals the sample step, so the sup over the
     grid is within B*O(h*f_max) of the true sup for band-limited inputs.
+    A window mean that overflows is a ``ValueError``.
     """
     lengths, layouts = [], []
     for k in schedule.lengths:

@@ -12,13 +12,15 @@ File formats:
 
 All writers are deterministic (sorted keys, shortest-roundtrip floats)
 so identical inputs produce byte-identical files.  CSV writers stream
-rows in blocks of ``signals.BLOCK``: every float cell is its ``repr``,
-but within a block each distinct float (by bits, so ``-0.0`` is apart
-from ``0.0``) is formatted once and its string reused by every row that
-holds it.  A block with many floats to format sends them to a NumPy
-kernel (:mod:`almostconv._shortest`) that computes the same shortest
-round-trip digits for all of them at once; a float it cannot certify,
-and every float of a small block, is formatted by ``float.__repr__``.
+rows in blocks of ``signals.BLOCK``: every float cell is its ``repr``
+and every int cell its ``str``, written as five NUL-padded 8-byte words
+into a table of the block's rows, whose bytes with the NULs dropped are
+the file's bytes.  Within a block each distinct value of a column with
+repeats (by bits, so ``-0.0`` is apart from ``0.0``) is formatted once
+and its words copied to every row that holds it.  Many values to format
+go to a NumPy kernel (:mod:`almostconv._shortest`) that computes the
+same shortest round-trip digits for all of them at once; a float it
+cannot certify, and every value of a small block, is formatted by Python.
 Sample files are parsed by ``np.loadtxt``, whose float
 conversion is correctly rounded like ``float()``.  Unlike a ``float()``
 per field, it reads a ``#`` after the data on a row as the start of a
@@ -74,12 +76,13 @@ def _j2c(obj) -> complex:
     return complex(obj)
 
 
-def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks, then rename, so readers never see a partial file."""
+def atomic_write_text(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the encoded text's chunks, then rename, so readers never see
+    a partial file."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -111,7 +114,7 @@ def report_fields(obj):
 def dump_json(obj, path: str) -> None:
     """Write ``obj``, through :func:`report_fields`, as strict JSON."""
     text = json.dumps(report_fields(obj), sort_keys=True, indent=2, allow_nan=False)
-    atomic_write_text(path, (text + "\n",))
+    atomic_write_text(path, ((text + "\n").encode(),))
 
 
 # ---------------------------------------------------------------------------
@@ -224,57 +227,74 @@ def _parts(values) -> tuple:
     return z.real, z.imag
 
 
-#: Fewest floats that go to the vectorised ``repr`` kernel: below this,
-#: its fixed cost outweighs a ``float.__repr__`` per float.
+#: Fewest cells that go to the vectorised kernel: below this, its fixed
+#: cost outweighs a ``float.__repr__`` or ``str`` per cell.
 KERNEL_MIN = 512
+_U8 = np.dtype("<u8")
+#: Rows of the table compacted at once, which bounds the copy it takes
+_COMPACT = 4096
 
 
-def _reprs(floats: np.ndarray) -> list:
-    """``repr`` of each float: by ``float.__repr__`` for fewer than
-    :data:`KERNEL_MIN` of them, else by :mod:`almostconv._shortest`."""
-    if len(floats) < KERNEL_MIN:
-        return list(map(float.__repr__, floats.tolist()))
-    from ._shortest import reprs
-    return reprs(floats)
+def _format(values: np.ndarray, out: np.ndarray, end: str) -> None:
+    """Write each value's text, then ``end``, into its row of five
+    NUL-padded words of ``out``: ``repr`` of a float, ``str`` of an int.
+    Fewer than :data:`KERNEL_MIN` values are formatted by Python, more by
+    :mod:`almostconv._shortest`."""
+    if len(values) < KERNEL_MIN:
+        text = map(float.__repr__ if values.dtype.kind == "f" else str, values.tolist())
+        out[:] = np.array([t + end for t in text], "S40").view(_U8).reshape(-1, 5)
+        return
+    from ._shortest import cells
+    cells(values, out, end)
 
 
-def _cells(column) -> list:
-    """The column's cells as strings: ``str`` of an int, ``repr`` of a float.
+def _cells(column, out: np.ndarray, end: str) -> None:
+    """Write the column's cells, each followed by ``end``, into ``out``.
 
-    Where a strided sample of about 1,024 of the floats repeats one (by
-    bits), ``repr`` runs once per distinct float, found by ``np.unique``
-    on the bits, and its string is gathered to every row holding that
-    float.  A column whose sample is all distinct, such as a spectrum's,
-    would share almost nothing, and its floats are formatted as they are.
-    Either way, :data:`KERNEL_MIN` or more floats to format go to the
-    vectorised kernel, which hands the floats it cannot certify to
-    ``float.__repr__``; fewer get ``float.__repr__`` each.
+    Where a strided sample of about 1,024 of the values repeats one (by
+    bits, so ``-0.0`` is apart from ``0.0``), each distinct value (found
+    by ``np.unique`` on the bits) is formatted once and its row of words
+    gathered to every row holding it.  A column whose sample is all
+    distinct, such as a spectrum's frequencies or an index range, would
+    share almost nothing, and its values are formatted as they are.
     """
-    if isinstance(column, range) or column.dtype.kind != "f":
-        return list(map(str, column if isinstance(column, range) else column.tolist()))
+    if isinstance(column, range):
+        column = np.arange(column.start, column.stop, dtype=np.int64)
+    elif column.dtype.kind != "f":
+        column = column.astype(np.int64, copy=False)
     bits = column.view(np.int64)
     sample = bits[::max(1, len(bits) // 1024)]
     if len(np.unique(sample)) == len(sample):
-        return _reprs(column)
+        _format(column, out, end)
+        return
     bits, where = np.unique(bits, return_inverse=True)
-    strings = np.array(_reprs(bits.view(np.float64)), dtype=object)
-    return strings[where].tolist()
+    words = np.empty((len(bits), 5), _U8)
+    _format(bits.view(column.dtype), words, end)
+    np.take(words, where, axis=0, out=out)
 
 
 def _write_rows(path: str, head: str, *columns) -> None:
     """Write ``head``, then one comma-joined line per row of the columns.
 
-    The columns are equal-length float or int arrays, or ranges; rows are
-    formatted and joined ``BLOCK`` at a time, so no string of the whole
-    file is built.  A block's cell strings are freed before its text is
-    yielded: held across the yield (as a ``zip`` of them would be), they
-    overlap the next block's and leave the heap fragmented.
+    The columns are equal-length float or int arrays, or ranges.  Rows
+    are formatted ``BLOCK`` at a time into one table of five NUL-padded
+    8-byte words per cell, reused for every block, whose bytes with the
+    NULs dropped (``_COMPACT`` rows at a time) are the block's lines: no
+    Python object is made per cell, and no string of the whole file is
+    built.
     """
+    n = len(columns[0])
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    table = np.empty((min(n, BLOCK), len(columns), 5), _U8)
+
     def chunks():
-        yield head
-        for lo in range(0, len(columns[0]), BLOCK):
-            yield "\n".join(map(",".join, zip(*(_cells(c[lo:lo + BLOCK])
-                                                 for c in columns)))) + "\n"
+        yield head.encode()
+        for lo in range(0, n, BLOCK):
+            rows = table[:n - lo]
+            for c, (column, end) in enumerate(zip(columns, ends)):
+                _cells(column[lo:lo + BLOCK], rows[:, c], end)
+            for at in range(0, len(rows), _COMPACT):
+                yield rows[at:at + _COMPACT].tobytes().translate(None, b"\0")
 
     atomic_write_text(path, chunks())
 

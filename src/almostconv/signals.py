@@ -207,27 +207,30 @@ class Signal:
         entry is added to the first, so the entries are those of one
         whole-array ``np.cumsum``, bit for bit: the first block starts at
         its first increment, not at ``0 + it``, which would turn a leading
-        -0.0 into +0.0.
+        -0.0 into +0.0.  A sum that overflows is left inf or NaN, without
+        a warning, for the caller's finite checks.
         """
         v = self.values
         n = len(v) - 1 if self.trapezoid else len(v)
         rows = np.empty((2, pad + n + 1 + end))
         rows[:, :pad + 1] = 0.0
         buf = np.empty(min(BLOCK, n), dtype=np.complex128)
-        for lo in range(0, n, BLOCK):
-            block = buf[:min(BLOCK, n - lo)]
-            if self.trapezoid:
-                np.add(v[lo + 1:lo + 1 + len(block)], v[lo:lo + len(block)], out=block)
-                block *= self.step / 2.0
-            else:
-                block[...] = v[lo:lo + len(block)]
-            if lo:
-                block[0] += block_end
-            np.cumsum(block, out=block)
-            block_end = block[-1]
-            at = slice(pad + 1 + lo, pad + 1 + lo + len(block))
-            rows[0, at] = block.real
-            rows[1, at] = block.imag
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n, BLOCK):
+                block = buf[:min(BLOCK, n - lo)]
+                if self.trapezoid:
+                    np.add(v[lo + 1:lo + 1 + len(block)], v[lo:lo + len(block)],
+                           out=block)
+                    block *= self.step / 2.0
+                else:
+                    block[...] = v[lo:lo + len(block)]
+                if lo:
+                    block[0] += block_end
+                np.cumsum(block, out=block)
+                block_end = block[-1]
+                at = slice(pad + 1 + lo, pad + 1 + lo + len(block))
+                rows[0, at] = block.real
+                rows[1, at] = block.imag
         rows[:, pad + n + 1:] = rows[:, pad + n:pad + n + 1]
         return rows
 

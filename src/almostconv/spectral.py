@@ -104,11 +104,16 @@ def dft_spectrum(signal: Signal, taper: Taper = Taper.HANN) -> SpectrumEstimate:
     step = signal.step
     w = _taper_window(taper, n)
     tapered = w * signal.values
-    spec = np.fft.fft(tapered)
-    mags = np.abs(np.fft.fftshift(spec))
-    freqs = np.fft.fftshift(np.fft.fftfreq(n, d=step))
-    energy = float(np.sum(np.abs(tapered) ** 2))
-    par = abs(float(np.sum(mags ** 2)) - n * energy) / max(n * energy, 1e-300)
+    # values near DBL_MAX overflow the transform, the error below; an
+    # energy that overflows leaves only the Parseval error not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.fft(tapered)
+        mags = np.abs(np.fft.fftshift(spec))
+        freqs = np.fft.fftshift(np.fft.fftfreq(n, d=step))
+        energy = float(np.sum(np.abs(tapered) ** 2))
+        par = abs(float(np.sum(mags ** 2)) - n * energy) / max(n * energy, 1e-300)
+    if not np.isfinite(mags).all():
+        raise ValueError("spectrum magnitudes must be finite")
     mask = mags > mask_threshold
     return SpectrumEstimate(freqs=freqs, magnitudes=mags, taper=taper,
                             mask_threshold=float(mask_threshold),

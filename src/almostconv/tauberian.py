@@ -331,7 +331,8 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     verdict's limit is the last quarter's mean; a negative one's witness
     holds the positions of the largest and smallest values there of the
     part (real or imaginary) with the wider spread, as a window-mean
-    witness does.
+    witness does.  A mean or oscillation that overflows is a
+    ``ValueError``.
     """
     n = len(values)
     if n < 8:
@@ -339,9 +340,12 @@ def _tail_verdict(positions: np.ndarray, values: np.ndarray,
     q = max(2, n // 4)
     tail = values[-q:]
     prev = values[-2 * q:-q] if n >= 2 * q else tail
-    center = complex(np.mean(tail))
-    osc = float(np.max(np.abs(tail - center)))
-    osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = complex(np.mean(tail))
+        osc = float(np.max(np.abs(tail - center)))
+        osc_prev = float(np.max(np.abs(prev - np.mean(prev))))
+    if not np.isfinite([center, osc, osc_prev]).all():
+        raise ValueError("trajectory means and oscillations must be finite")
     ext = _extremes_from(tail.real, tail.imag, lambda j: float(positions[-q:][j]))
     return judge((osc_prev, osc), tol, center,
                  Witness(None, ext.argmax, ext.argmin, osc))

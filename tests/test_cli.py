@@ -1082,6 +1082,31 @@ def test_tauber_near_dbl_max_leaves_one_error_line(tmp_path, capsys, head, row, 
     assert err.splitlines() == ["error: sweep values must be finite"]
 
 
+@pytest.mark.parametrize("head, row", [
+    ("# signal kind=continuous x0=0.0 h=1.0 bound=1e308\nx,re,im\n",
+     "{j}.0,1e+308,0.0\n"),
+    ("# signal kind=discrete n_min=0 bound=1e308\nindex,re,im\n", "{j},1e+308,0.0\n"),
+], ids=["R", "Z"])
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum"], "spectrum magnitudes must be finite"),
+    (["chain"], "trajectory means and oscillations must be finite"),
+    (["analyze", "--k-max", "64"], "window means must be finite"),
+], ids=["spectrum", "chain", "analyze"])
+def test_near_dbl_max_leaves_one_error_line(tmp_path, capsys, head, row, argv, message):
+    # the transform, the tail means and the window sums overflow; NumPy's
+    # RuntimeWarnings used to come first, and analyze failed writing NaN
+    # into its JSON report
+    path = tmp_path / "samples.csv"
+    path.write_text(head + "".join(row.format(j=j) for j in range(4000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv + ["--input", str(path), "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+
 @pytest.mark.parametrize("spec, message", [
     # used to die in an IndexError traceback
     ({"kind": "block_sequence", "symbols": []}, "needs at least one symbol"),

@@ -1,8 +1,11 @@
-"""The vectorised ``repr`` kernel against ``float.__repr__``, and which CSV
-blocks go to it."""
+"""The vectorised ``repr`` kernel against ``float.__repr__``, the CSV
+writer's bytes against a plain ``repr``/``str`` reference, and which CSV
+blocks go to the kernel."""
 
 import json
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,13 @@ from hypothesis import given, settings, strategies as st
 import almostconv as ac
 from almostconv import _shortest, cli, serialize
 from almostconv.spectral import SpectrumEstimate, Taper
+
+
+def _reprs(values: np.ndarray) -> list:
+    """The kernel's cells for the floats, as strings."""
+    out = np.empty((len(values), 5), np.uint64)
+    _shortest.cells(values, out, "\n")
+    return out.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
 
 
 def _fallbacks(monkeypatch) -> list:
@@ -30,7 +40,7 @@ def _fallbacks(monkeypatch) -> list:
                           allow_subnormal=True), min_size=1, max_size=64))
 @settings(max_examples=300, deadline=None)
 def test_every_drawn_float_reads_as_its_repr(values):
-    assert _shortest.reprs(np.array(values)) == [repr(v) for v in values]
+    assert _reprs(np.array(values)) == [repr(v) for v in values]
 
 
 def _classes(rng) -> dict:
@@ -58,13 +68,23 @@ def _classes(rng) -> dict:
     "fft magnitudes", "fftfreq grid", "sample grid"])
 def test_seeded_classes_read_as_their_repr(name):
     values = _classes(np.random.default_rng(20230104))[name]
-    assert _shortest.reprs(values) == list(map(float.__repr__, values.tolist()))
+    assert _reprs(values) == list(map(float.__repr__, values.tolist()))
 
 
 def test_fft_magnitudes_need_no_fallback(monkeypatch):
     seen = _fallbacks(monkeypatch)
     values = np.abs(np.fft.fft(np.random.default_rng(5).standard_normal(2 ** 14)))
-    assert _shortest.reprs(values) == list(map(float.__repr__, values.tolist()))
+    assert _reprs(values) == list(map(float.__repr__, values.tolist()))
+    assert seen == []
+
+
+def test_integers_below_1e17_need_no_fallback(monkeypatch):
+    # their interval ends are exact: the significand's parity says whether
+    # round-half-even reads them back to the float
+    seen = _fallbacks(monkeypatch)
+    values = np.random.default_rng(6).integers(-10 ** 17, 10 ** 17, 200_000) \
+        .astype(np.float64)
+    assert _reprs(values) == list(map(float.__repr__, values.tolist()))
     assert seen == []
 
 
@@ -83,7 +103,7 @@ def test_interval_end_ties_go_to_repr(monkeypatch, value, text):
     x = np.float64(value)
     assert Fraction(float(x)) + Fraction(float(np.spacing(x))) / 2 == Fraction(text)
     seen = _fallbacks(monkeypatch)
-    assert _shortest.reprs(np.array([value, 1.5])) == [text, "1.5"]
+    assert _reprs(np.array([value, 1.5])) == [text, "1.5"]
     assert seen == [value]
 
 
@@ -101,13 +121,13 @@ def test_small_tables_never_load_the_kernel(tmp_path, monkeypatch):
 
 
 def test_spectrum_blocks_go_to_the_kernel(tmp_path, monkeypatch):
-    calls, reprs = [], _shortest.reprs
+    calls, cells = [], _shortest.cells
 
-    def spy(values):
-        calls.append(len(values))
-        return reprs(values)
+    def spy(values, out, end):
+        calls.append((values.dtype.kind, len(values)))
+        cells(values, out, end)
 
-    monkeypatch.setattr(_shortest, "reprs", spy)
+    monkeypatch.setattr(_shortest, "cells", spy)
     n = 2 * ac.signals.BLOCK
     rng = np.random.default_rng(3)
     mags = np.abs(np.fft.fft(rng.standard_normal(n)))
@@ -115,8 +135,51 @@ def test_spectrum_blocks_go_to_the_kernel(tmp_path, monkeypatch):
                            mask_threshold=0.5, support_mask=mags > 100,
                            parseval_rel_error=0.0, window_length=n, step=1.0)
     serialize.spectrum_to_csv(est, str(tmp_path / "spectrum.csv"))
-    # both float columns of both blocks
-    assert calls == [ac.signals.BLOCK] * 4
+    # both float columns of both blocks; the two values of the mask go to
+    # Python
+    assert calls == [("f", ac.signals.BLOCK)] * 4
     rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
     assert rows == [f"{f!r},{m!r},{int(b)}" for f, m, b in
                     zip(est.freqs.tolist(), mags.tolist(), est.support_mask)]
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one length: floats with repeats or mostly distinct, ints
+    of up to 18 digits (past 16 they are left to ``str``), and ranges."""
+    block = ac.signals.BLOCK
+    n = draw(st.sampled_from([serialize.KERNEL_MIN - 1, serialize.KERNEL_MIN,
+                              block - 1, block, block + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.array(draw(st.lists(st.floats(allow_subnormal=True), max_size=40))
+                    + [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 2.0 ** -1030])
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["repeats", "distinct", "ints", "range"]),
+                              min_size=1, max_size=4)):
+        if kind == "repeats":
+            columns.append(pool[rng.integers(0, len(pool), n)])
+        elif kind == "distinct":
+            # a strided view, as the real part of complex samples is
+            z = rng.integers(-2 ** 63, 2 ** 63 - 1, 2 * n, dtype=np.int64) \
+                .view(np.complex128)
+            z.real[rng.integers(0, n, len(pool))] = pool
+            columns.append(z.real)
+        elif kind == "ints":
+            top = 10 ** draw(st.integers(1, 18))
+            columns.append(rng.integers(1 - top, top, n))
+        else:
+            start = draw(st.integers(-2 ** 53, 2 ** 53 - n + 1))
+            columns.append(range(start, start + n))
+    return columns
+
+
+@given(_tables())
+@settings(max_examples=40, deadline=None)
+def test_written_rows_are_reprs_and_strs(columns):
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    expected = "h\n" + "".join(",".join(map(repr, row)) + "\n" for row in zip(*cells))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        serialize._write_rows(path, "h\n", *columns)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode()

@@ -15,7 +15,7 @@ SIGNAL_TYPES = {"DiscreteSignal", "ContinuousSignal"}
 # (module, function, imported module) of the relative imports made on
 # first use: the module has no imports of the package, so no cycle hides
 # behind them, and ``import almostconv.cli`` does not pay for it
-LAZY_IMPORTS = {("serialize", "_reprs", "_shortest")}
+LAZY_IMPORTS = {("serialize", "_format", "_shortest")}
 
 
 def _walk(node, scope):

@@ -19,7 +19,8 @@ metadata lines and ``-0.0`` samples, block sequences on grids that
 straddle 0, on the real line and with many short blocks, block sequences
 past 2**53, with no symbols or a NaN growth, a Dirichlet line at its
 declared abscissa (exit 2), ``generate`` at ``BLOCK + 1`` rows, of a
-character whose whole-block turn is not 0, of a 12-term Dirichlet line
+character whose whole-block turn is not 0, of a character of frequency
+1/2 on 16-digit negative indices from ``-2**53``, of a 12-term Dirichlet line
 at ``3*BLOCK + 7`` samples (every sample of a turned render's matrix
 product) and of custom samples with
 every float the ``repr`` kernel leaves to ``float.__repr__``, and every
@@ -61,6 +62,8 @@ _BLOCKS_NO_SYMBOLS = {"kind": "block_sequence", "symbols": []}
 _BLOCKS_NAN_GROWTH = {"kind": "block_sequence", "growth": "nan"}
 # exact phases, but f*BLOCK is not whole: block-turned, not tiled
 _CHAR_EXACT = {"kind": "character", "frequency": 2 ** -16}
+# samples +-1 on 16-digit negative indices: integer cells, deduplicated floats
+_CHAR_HALF = {"kind": "character", "frequency": 0.5}
 _DIRICHLET = {"kind": "dirichlet_line", "coeffs": [1.0, 0.5], "sigma": 2.0}
 # twelve terms, so twelve rows of tables in the turned render's product
 _DIRICHLET_12 = {"kind": "dirichlet_line", "sigma": 1.5, "coeffs": [
@@ -241,6 +244,9 @@ PROBES = [
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "16384"]),
     ("generate-char-exact-nonperiodic", "char.json", _CHAR_EXACT,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--n-max", "65535"]),
+    ("generate-char-half-near-minus-2p53", "char_half.json", _CHAR_HALF,
+     ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
+      "--n-min", str(-2 ** 53), "--n-max", "-9007199254700000"]),
     ("generate-dirichlet-12-r", "dirichlet_12.json", _DIRICHLET_12,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv", "--h", "0.1",
       "--count", str(3 * _BLOCK + 7)]),
