@@ -45,6 +45,7 @@ grid render keeps the per-point bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -100,7 +101,8 @@ def _check_bound(top: float, bound: float) -> None:
     """``top``, the largest ``|value|``, must stay at or below ``bound``."""
     if not math.isfinite(bound) or bound < 0:
         raise ValueError(f"bound must be finite and nonnegative, got {bound}")
-    if top > bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK:
+    # the slack must not lift a bound near the largest float to inf
+    if top > min(bound * (1.0 + _BOUND_SLACK) + _BOUND_SLACK, sys.float_info.max):
         raise ValueError(f"|values| reach {top} above declared bound {bound}")
 
 
@@ -173,11 +175,13 @@ class Signal:
         return self.x_at(len(self.values) - 1)
 
     def derived(self, **fields) -> "Signal":
-        """A signal of this kind and step, with the named fields replaced."""
+        """A signal of this kind and step, with the named fields replaced;
+        a bound that overflowed is capped at the largest float."""
         kept = {"start": self.start, "values": self.values, "bound": self.bound,
-                "extension": self.extension, "source": self.source}
+                "extension": self.extension, "source": self.source, **fields}
+        kept["bound"] = min(kept["bound"], sys.float_info.max)
         out = object.__new__(type(self))
-        Signal.__init__(out, step=self.step, **{**kept, **fields})
+        Signal.__init__(out, step=self.step, **kept)
         return out
 
     def lag(self, s: float) -> int:
@@ -320,11 +324,6 @@ def subtract(a: Signal, b: Signal) -> Signal:
 
 def scaled(signal: Signal, c: complex) -> Signal:
     return signal.derived(values=signal.values * c, bound=signal.bound * abs(c))
-
-
-def offset(signal: Signal, c: complex) -> Signal:
-    """Pointwise ``signal + c`` with the bound enlarged accordingly."""
-    return signal.derived(values=signal.values + c, bound=signal.bound + abs(c))
 
 
 # ---------------------------------------------------------------------------

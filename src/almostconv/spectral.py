@@ -12,7 +12,8 @@ neighborhood of 0.  Numerically this module:
 - turns a shrinking gap schedule into a sufficiency-only verdict
   (:func:`spectral_ac_verdict`): a small residual after removing the
   mean certifies almost convergence to that mean; this route never
-  certifies divergence.
+  certifies divergence.  It takes one transform and, per gap, reads only
+  the residual, with no filtered signal.
 
 The high-pass split works on exact DFT bins of the analysis window with
 a raised-cosine transition (flat removal on ``|f| <= delta/2``, smooth
@@ -34,7 +35,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import GapTooWide, KernelTooWide, TooShort
-from .signals import Extension, GeneratorSpec, Signal, declared_frequencies, offset
+from .signals import Extension, GeneratorSpec, Signal, declared_frequencies
 from .verdict import ACVerdict, VerdictStatus
 
 #: Interior margin for high-pass residuals, in units of 1/delta.
@@ -157,27 +158,25 @@ def convolve(signal: Signal, kernel: Signal) -> Signal:
                           extension=Extension.VALID_ONLY)
 
 
-def _lowpass_bin_mask(freqs: np.ndarray, delta: float) -> np.ndarray:
-    """Raised-cosine mask: 1 on |f|<=delta/2, smooth to 0 at |f|=delta."""
-    a = np.abs(freqs)
-    mask = np.zeros_like(a)
-    mask[a <= delta / 2] = 1.0
-    band = (a > delta / 2) & (a < delta)
-    mask[band] = np.cos(np.pi * (a[band] - delta / 2) / delta) ** 2
-    return mask
-
-
 def _require_below_nyquist(delta: float, step: float) -> None:
     nyquist = 0.5 / step
     if delta >= nyquist:
         raise GapTooWide(f"delta={delta} at or beyond the Nyquist frequency {nyquist}")
 
 
-def highpass_margin(signal: Signal, delta: float) -> int:
-    """Interior margin (in samples) excluded from high-pass residuals."""
-    n = len(signal)
-    margin = int(math.ceil(MARGIN_FACTOR / (delta * signal.step)))
-    return min(margin, n // 4)
+def _low_part(spec: np.ndarray, step: float, delta: float) -> Tuple[np.ndarray, float]:
+    """``(low, residual)`` of :func:`highpass_project`, from the window's DFT."""
+    n = len(spec)
+    a = np.abs(np.fft.fftfreq(n, d=step))
+    # raised cosine: 1 on |f| <= delta/2, smooth to 0 at |f| = delta
+    mask = np.zeros_like(a)
+    mask[a <= delta / 2] = 1.0
+    band = (a > delta / 2) & (a < delta)
+    mask[band] = np.cos(np.pi * (a[band] - delta / 2) / delta) ** 2
+    low = np.fft.ifft(spec * mask)
+    margin = min(int(math.ceil(MARGIN_FACTOR / (delta * step))), n // 4)
+    interior = low[margin: n - margin] if margin > 0 else low
+    return low, float(np.max(np.abs(interior)))
 
 
 def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
@@ -190,7 +189,8 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     ``MARGIN_FACTOR/delta`` x-units is excluded on each side, capped at a
     quarter of the window, because non-bin-aligned content rings near the
     edges).  The rectangular DFT of ``filtered`` is exactly zero on
-    ``(-delta/2, delta/2)``.
+    ``(-delta/2, delta/2)``.  :func:`spectral_ac_verdict` reads the same
+    residual, bit for bit, without forming ``filtered``.
     """
     n = len(signal)
     if n < 2:
@@ -199,12 +199,7 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     if not delta > 0:
         raise ValueError("gap half-width must be positive")
     _require_below_nyquist(delta, step)
-    freqs = np.fft.fftfreq(n, d=step)
-    spec = np.fft.fft(signal.values)
-    low = np.fft.ifft(spec * _lowpass_bin_mask(freqs, delta))
-    margin = highpass_margin(signal, delta)
-    interior = low[margin: n - margin] if margin > 0 else low
-    residual = float(np.max(np.abs(interior)))
+    low, residual = _low_part(np.fft.fft(signal.values), step, delta)
     filtered = signal.values - low
     return signal.derived(values=filtered,
                           bound=float(np.max(np.abs(filtered)))), residual
@@ -221,6 +216,10 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
     no frequency content near 0 plus the constant ``alpha``, which
     certifies almost convergence to ``alpha``.  Otherwise the verdict is
     inconclusive; this route never certifies divergence.
+
+    The centered samples take one forward transform per verdict; each gap
+    reads only its residual, the one :func:`highpass_project` gives for
+    the centered signal.  A residual that is not finite is a ``ValueError``.
     """
     deltas = list(delta_schedule)
     if not deltas:
@@ -230,17 +229,24 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
     if any(d <= 0 for d in deltas):
         raise ValueError("gap half-widths must be positive")
     _require_below_nyquist(deltas[0], signal.step)
-    alpha = signal.mean()
-    centered = offset(signal, -alpha)
-    best = math.inf
-    for delta in deltas:
-        _, residual = highpass_project(centered, delta)
-        best = min(best, residual)
-        if residual <= tol:
-            return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, alpha,
-                             float(residual), None,
-                             f"gap {delta} left residual {residual:.3g}")
-    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, float(best), None,
+    if len(signal) < 2:
+        raise TooShort("high-pass projection needs at least 2 samples")
+    # an overflow is the error below, not a NumPy warning: a centered
+    # sample that is not finite leaves no residual finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = signal.mean()
+        spec = np.fft.fft(signal.values - alpha)
+        best = math.inf
+        for delta in deltas:
+            _, residual = _low_part(spec, signal.step, delta)
+            if not math.isfinite(residual):
+                raise ValueError("centered samples and high-pass residuals must be finite")
+            best = min(best, residual)
+            if residual <= tol:
+                return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, alpha,
+                                 residual, None,
+                                 f"gap {delta} left residual {residual:.3g}")
+    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, best, None,
                      "no gap in the schedule brought the residual under tol")
 
 

@@ -1107,6 +1107,60 @@ def test_near_dbl_max_leaves_one_error_line(tmp_path, capsys, head, row, argv, m
     assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
 
 
+@pytest.mark.parametrize("head, row", [
+    ("# signal kind=continuous x0=0.0 h=1.0 bound=1e308\nx,re,im\n", "{j}.0,1.0,0.0\n"),
+    ("# signal kind=discrete n_min=0 bound=1e308\nindex,re,im\n", "{j},1.0,0.0\n"),
+], ids=["R", "Z"])
+def test_chain_under_a_bound_near_dbl_max(tmp_path, capsys, head, row):
+    # the samples are 1.0: a bound of 1e308 once overflowed the bounds the
+    # weak* route gave its translation differences and smoothed slices
+    path = tmp_path / "samples.csv"
+    path.write_text(head + "".join(row.format(j=j) for j in range(4000)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["chain", "--input", str(path), "--out-dir", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    assert report["consistency"] and report["violations"] == []
+    for name in ("c_verdict", "wstar_verdict", "ac_verdict"):
+        assert report[name]["status"] == "almost_convergent"
+        assert report[name]["limit"] == {"re": 1.0, "im": 0.0}
+    assert all(d["verdict"]["limit"] == {"re": 0.0, "im": 0.0}
+               for d in report["difference_decay"])
+
+
+@pytest.mark.parametrize("argv, signals", [
+    (["generate", "--spec", "{spec}", "--out", "{out}/samples.csv"], 1),
+    (["analyze", "--input", "{spec}", "--out-dir", "{out}"], 1),
+    (["analyze", "--input", "{csv}", "--out-dir", "{out}"], 1),
+    (["spectrum", "--input", "{spec}", "--out-dir", "{out}"], 1),
+    (["spectrum", "--input", "{csv}", "--out-dir", "{out}"], 1),
+    (["tauber", "--input", "{spec}", "--out-dir", "{out}"], 1),
+    (["chain", "--input", "{spec}", "--out-dir", "{out}"], 2),
+    (["chain", "--input", "{csv}", "--out-dir", "{out}"], 2),
+], ids=["generate", "analyze", "analyze-csv", "spectrum", "spectrum-csv", "tauber",
+        "chain", "chain-csv"])
+def test_each_command_validates_its_data_once(tmp_path, monkeypatch, argv, signals):
+    # one data signal enters each command, plus the kernel for chain;
+    # every route then works on their arrays
+    spec = write_spec(tmp_path, ac.TrigPoly(((0.5 + 0.25j, 0.0), (0.3, 0.125))))
+    csv = tmp_path / "samples.csv"
+    serialize.signal_to_csv(ac.render_continuous(ac.Character(0.125), 0.0, 0.25, 4096),
+                            str(csv))
+    argv = [a.format(spec=spec, csv=csv, out=tmp_path / "run") for a in argv]
+    os.makedirs(tmp_path / "run")
+    made = []
+    post_init = ac.signals.Signal.__post_init__
+
+    def counted(self):
+        made.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(ac.signals.Signal, "__post_init__", counted)
+    assert cli.main(argv) == 0
+    assert len(made) == signals, made
+
+
 @pytest.mark.parametrize("spec, message", [
     # used to die in an IndexError traceback
     ({"kind": "block_sequence", "symbols": []}, "needs at least one symbol"),

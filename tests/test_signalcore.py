@@ -201,6 +201,32 @@ def test_shift_and_subtract_alignment():
     assert np.allclose(diff.values, expect)
 
 
+@pytest.mark.parametrize("continuous", [False, True], ids=["Z", "R"])
+def test_derived_bounds_that_overflow_are_capped(continuous):
+    # bounds of 1e308 add and multiply past the float range, though every
+    # value stays far inside it
+    vals = np.arange(6.0) - 2.5
+    sig = (ac.ContinuousSignal(0.0, 0.5, vals, 1e308) if continuous
+           else ac.DiscreteSignal(0, vals, 1e308))
+    diff = ac.signals.subtract(sig, sig.shifted(sig.step))
+    assert diff.bound == sys.float_info.max
+    assert diff.values.tolist() == [-1.0] * 5
+    tripled = ac.signals.scaled(sig, 3.0)
+    assert tripled.bound == sys.float_info.max
+    assert tripled.values.tolist() == (3 * vals).tolist()
+    # a bound that does not overflow is kept as it is
+    assert ac.signals.scaled(sig, 0.5).bound == 0.5e308
+
+
+def test_capped_bound_still_refuses_a_modulus_that_overflows():
+    sig = ac.DiscreteSignal(0, [1e308 + 1e308j], 1.5e308)
+    with pytest.raises(ValueError, match=r"\|values\| reach inf above declared bound "
+                                         r"1\.7976931348623157e\+308"):
+        ac.signals.scaled(sig, 1.3)
+    with pytest.raises(ValueError, match=r"\|values\| reach inf"):
+        ac.DiscreteSignal(0, [1.3e308 + 1.3e308j], sys.float_info.max)
+
+
 def test_known_limits():
     assert ac.known_limit(ac.Character(0.0)) == 1.0
     assert ac.known_limit(ac.Character(0.25)) == 0.0

@@ -117,11 +117,15 @@ PUBLIC_API = {
     ("signals", "evaluate"): "a spec's closed-form value at one point",
     ("signals", "subtract"): "f - g on the common range: the differences f - f_s and "
                              "f - k*f that the invariance identities take",
-    ("signals", "scaled"): "signal arithmetic beside offset, which the package uses",
+    ("signals", "scaled"): "c * f, signal arithmetic beside subtract",
     ("serialize", "generator_to_dict"): "spec -> JSON dict, the inverse of load_generator",
     ("tauberian", "primitive_check"): "the boundary value of a transform from its primitive",
     ("tauberian", "residue_oac_estimate"): "the boundary limit against the window-mean limit",
     ("spectral", "spectrum_support_check"): "a spectrum estimate against a spec's frequencies",
+    ("spectral", "convolve"): "k * f as a signal on the valid range, which the weak* "
+                              "route forms only on the windows it reads",
+    ("spectral", "highpass_project"): "the filtered signal with its residual, of which "
+                                      "the spectral verdict reads only the residual",
 }
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,15 @@ def test_spectral_schedule_validation():
         spectral.spectral_ac_verdict(sig, (0.05, 0.1), 1e-3)
     with pytest.raises(GapTooWide):
         spectral.spectral_ac_verdict(sig, (0.7, 0.1), 1e-3)
+    # the schedule, then the widest gap, then the length
+    one = DiscreteSignal(0, [1.0], 1.0)
+    for deltas, error, message in (((), ValueError, "nonempty"),
+                                   ((0.1, 0.2), ValueError, "strictly decreasing"),
+                                   ((0.1, -0.2), ValueError, "must be positive"),
+                                   ((0.5, 0.25), GapTooWide, "Nyquist"),
+                                   ((0.25,), TooShort, "at least 2 samples")):
+        with pytest.raises(error, match=message):
+            spectral.spectral_ac_verdict(one, deltas, 1e-3)
 
 
 def test_support_check_character():
@@ -290,3 +301,90 @@ def test_unit_mass_check_is_shared():
     with pytest.raises(ValueError, match=r"kernel mass \(1.5\+0j\) is not 1"):
         ac.weak_star_verdict(sig, heavy, [10.0] * 8, 1e-2)
     spectral.require_unit_mass(DiscreteSignal(-1, [0.25, 0.5, 0.25], 0.5))
+
+
+def _centered_signal(signal):
+    """``signal - mean`` as a signal, values and bound offset: the reference
+    whose projections the verdict's residuals must equal."""
+    alpha = signal.mean()
+    return signal.derived(values=signal.values + (-alpha),
+                          bound=signal.bound + abs(alpha))
+
+
+def _gapped_signal(continuous, n, seed):
+    """Noise plus characters that only the wider gaps reach, so the
+    residuals of the schedule ``_GAPS`` (in cycles per step) fall gap by gap."""
+    rng = np.random.default_rng(seed)
+    step = 0.25 if continuous else 1.0
+    x = step * np.arange(n)
+    vals = (0.7 + 0.2j + np.exp(2j * np.pi * 0.16 / step * x)
+            + 0.4 * np.exp(2j * np.pi * 0.07 / step * x)
+            + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    bound = float(np.max(np.abs(vals)))
+    if continuous:
+        return ac.ContinuousSignal(-3.0, step, vals, bound), step
+    return DiscreteSignal(-3, vals, bound), step
+
+
+_GAPS = (0.2, 0.1, 0.05)
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["Z", "R"])
+@pytest.mark.parametrize("n", [257, 600, 4097, 8192])
+def test_verdict_residuals_are_the_projections_bit_for_bit(monkeypatch, continuous, n):
+    # n = 257 caps the margin at n // 4 on every gap, 600 on the two
+    # narrower ones; 4097 and 8192 leave it uncapped
+    sig, step = _gapped_signal(continuous, n, n)
+    deltas = [g / step for g in _GAPS]
+    want = [spectral.highpass_project(_centered_signal(sig), d)[1] for d in deltas]
+    assert want[0] > want[1] > want[2] > 0
+    seen = []
+    low_part = spectral._low_part
+
+    def spy(*args):
+        out = low_part(*args)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(spectral, "_low_part", spy)
+    for tol, used in ((want[0], 1), (want[2], 3), (want[2] / 2, 3)):
+        seen.clear()
+        v = spectral.spectral_ac_verdict(sig, deltas, tol)
+        assert [r.hex() for r in seen] == [r.hex() for r in want[:used]]
+        if tol >= want[used - 1]:
+            assert v.positive and v.limit == sig.mean()
+            assert v.uncertainty.hex() == want[used - 1].hex()
+            assert v.notes == f"gap {deltas[used - 1]} left residual {want[used - 1]:.3g}"
+        else:
+            assert v.status is ac.VerdictStatus.INCONCLUSIVE and v.limit is None
+            assert v.uncertainty.hex() == want[2].hex()
+
+
+def test_verdict_takes_one_forward_transform(monkeypatch):
+    sig, _ = _gapped_signal(False, 1024, 5)
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    v = spectral.spectral_ac_verdict(sig, _GAPS, 1e-12)
+    assert not v.positive
+    assert calls == [1024]
+
+
+@pytest.mark.parametrize("values", [
+    # the mean's partial sums overflow: the centered samples are NaN
+    [1.5e308 * (-1) ** j for j in range(64)],
+    # the mean is 0, but the transform of a square wave overflows
+    [1.5e308 * (-1) ** (j // 4) for j in range(16)],
+], ids=["mean", "transform"])
+def test_verdict_near_dbl_max_raises_without_a_warning(values):
+    sig = DiscreteSignal(0, values, 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="centered samples and high-pass residuals "
+                                             "must be finite"):
+            spectral.spectral_ac_verdict(sig, (0.25, 0.125), 1e-2)

@@ -12,8 +12,9 @@ this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 ``tauber`` on a sample file one Laplace term past ``BLOCK``, chains on
 short, zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3``
-samples and on a convergent profile at the defaults, one-sided window
-means on ``-0.0``-led samples whose largest real mean is a zero,
+samples, on a convergent profile at the defaults and on ones declared
+``bound=1e308``, one-sided window means on ``-0.0``-led samples whose
+largest real mean is a zero,
 ``spectrum`` and ``tauber`` on sample files with indented and trailing
 metadata lines and ``-0.0`` samples, block sequences on grids that
 straddle 0, on the real line and with many short blocks, block sequences
@@ -87,6 +88,10 @@ _NEG_ZERO = ("# signal kind=continuous x0=-0.0 h=0.25 bound=3.0 "
              "extension=valid_only source=custom\nx,re,im\n"
              + "".join(f"{0.25 * j!r},{-0.0 if j < 3 else (j % 7) / 3.5!r},"
                        f"{-0.0 if j < 2 else 0.5!r}\n" for j in range(600)))
+# ones under a bound whose double overflows: the chain once failed on the
+# bounds of its translation differences
+_BIG_BOUND = ("# signal kind=discrete n_min=0 bound=1e308\nindex,re,im\n"
+              + "".join(f"{j},1.0,0.0\n" for j in range(4000)))
 # the negated 0, 1, 2, 1, 3: the first one-sided window's sum is -0.0 - 0.0,
 # so the largest real mean at width 1 is -0.0
 _NEG_ZERO_Z = ("# signal kind=discrete n_min=0 bound=3.0 extension=valid_only "
@@ -202,6 +207,8 @@ PROBES = [
     ("chain-csv-zero-outside", "zero.csv", _ZERO_OUTSIDE,
      ["chain", "--input", "{in}"]),
     ("chain-csv-negative-zero", "negzero.csv", _NEG_ZERO,
+     ["chain", "--input", "{in}"]),
+    ("chain-csv-bound-near-dbl-max", "big_bound.csv", _BIG_BOUND,
      ["chain", "--input", "{in}"]),
     ("cesaro-csv-zero-outside-two", "zero.csv", _ZERO_OUTSIDE,
      ["analyze", "--input", "{in}", "--k-min", "2", "--k-max", "64"]),
