@@ -12,8 +12,7 @@ neighborhood of 0.  Numerically this module:
 - turns a shrinking gap schedule into a sufficiency-only verdict
   (:func:`spectral_ac_verdict`): a small residual after removing the
   mean certifies almost convergence to that mean; this route never
-  certifies divergence.  It takes one transform and, per gap, reads only
-  the residual, with no filtered signal.
+  certifies divergence.
 
 The high-pass split works on exact DFT bins of the analysis window with
 a raised-cosine transition (flat removal on ``|f| <= delta/2``, smooth
@@ -164,21 +163,6 @@ def _require_below_nyquist(delta: float, step: float) -> None:
         raise GapTooWide(f"delta={delta} at or beyond the Nyquist frequency {nyquist}")
 
 
-def _low_part(spec: np.ndarray, step: float, delta: float) -> Tuple[np.ndarray, float]:
-    """``(low, residual)`` of :func:`highpass_project`, from the window's DFT."""
-    n = len(spec)
-    a = np.abs(np.fft.fftfreq(n, d=step))
-    # raised cosine: 1 on |f| <= delta/2, smooth to 0 at |f| = delta
-    mask = np.zeros_like(a)
-    mask[a <= delta / 2] = 1.0
-    band = (a > delta / 2) & (a < delta)
-    mask[band] = np.cos(np.pi * (a[band] - delta / 2) / delta) ** 2
-    low = np.fft.ifft(spec * mask)
-    margin = min(int(math.ceil(MARGIN_FACTOR / (delta * step))), n // 4)
-    interior = low[margin: n - margin] if margin > 0 else low
-    return low, float(np.max(np.abs(interior)))
-
-
 def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     """Split off the frequency content within ``delta`` of 0.
 
@@ -189,8 +173,7 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     ``MARGIN_FACTOR/delta`` x-units is excluded on each side, capped at a
     quarter of the window, because non-bin-aligned content rings near the
     edges).  The rectangular DFT of ``filtered`` is exactly zero on
-    ``(-delta/2, delta/2)``.  :func:`spectral_ac_verdict` reads the same
-    residual, bit for bit, without forming ``filtered``.
+    ``(-delta/2, delta/2)``.
     """
     n = len(signal)
     if n < 2:
@@ -199,7 +182,16 @@ def highpass_project(signal: Signal, delta: float) -> Tuple[Signal, float]:
     if not delta > 0:
         raise ValueError("gap half-width must be positive")
     _require_below_nyquist(delta, step)
-    low, residual = _low_part(np.fft.fft(signal.values), step, delta)
+    a = np.abs(np.fft.fftfreq(n, d=step))
+    # raised cosine: 1 on |f| <= delta/2, smooth to 0 at |f| = delta
+    mask = np.zeros_like(a)
+    mask[a <= delta / 2] = 1.0
+    band = (a > delta / 2) & (a < delta)
+    mask[band] = np.cos(np.pi * (a[band] - delta / 2) / delta) ** 2
+    low = np.fft.ifft(np.fft.fft(signal.values) * mask)
+    margin = min(int(math.ceil(MARGIN_FACTOR / (delta * step))), n // 4)
+    interior = low[margin: n - margin] if margin > 0 else low
+    residual = float(np.max(np.abs(interior)))
     filtered = signal.values - low
     return signal.derived(values=filtered,
                           bound=float(np.max(np.abs(filtered)))), residual
@@ -215,11 +207,8 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
     stays within ``tol``, the signal is within ``tol`` of a function with
     no frequency content near 0 plus the constant ``alpha``, which
     certifies almost convergence to ``alpha``.  Otherwise the verdict is
-    inconclusive; this route never certifies divergence.
-
-    The centered samples take one forward transform per verdict; each gap
-    reads only its residual, the one :func:`highpass_project` gives for
-    the centered signal.  A residual that is not finite is a ``ValueError``.
+    inconclusive; this route never certifies divergence.  A centered or
+    filtered sample that is not finite is a ``ValueError``.
     """
     deltas = list(delta_schedule)
     if not deltas:
@@ -229,24 +218,20 @@ def spectral_ac_verdict(signal: Signal, delta_schedule,
     if any(d <= 0 for d in deltas):
         raise ValueError("gap half-widths must be positive")
     _require_below_nyquist(deltas[0], signal.step)
-    if len(signal) < 2:
-        raise TooShort("high-pass projection needs at least 2 samples")
-    # an overflow is the error below, not a NumPy warning: a centered
-    # sample that is not finite leaves no residual finite
+    # an overflow is the signal's finite check, not a NumPy warning
     with np.errstate(over="ignore", invalid="ignore"):
         alpha = signal.mean()
-        spec = np.fft.fft(signal.values - alpha)
+        centered = signal.derived(values=signal.values - alpha,
+                                  bound=signal.bound + abs(alpha))
         best = math.inf
         for delta in deltas:
-            _, residual = _low_part(spec, signal.step, delta)
-            if not math.isfinite(residual):
-                raise ValueError("centered samples and high-pass residuals must be finite")
+            _, residual = highpass_project(centered, delta)
             best = min(best, residual)
             if residual <= tol:
                 return ACVerdict(VerdictStatus.ALMOST_CONVERGENT, alpha,
-                                 residual, None,
+                                 float(residual), None,
                                  f"gap {delta} left residual {residual:.3g}")
-    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, best, None,
+    return ACVerdict(VerdictStatus.INCONCLUSIVE, None, float(best), None,
                      "no gap in the schedule brought the residual under tol")
 
 

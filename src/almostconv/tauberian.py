@@ -55,7 +55,7 @@ from .signals import (
     gaussian_kernel_continuous,
 )
 from .cesaro import _extremes_from, ac_verdict, cesaro_sweep
-from .spectral import require_kernel_fits, require_unit_mass
+from .spectral import convolve, require_kernel_fits, require_unit_mass
 from .verdict import ACVerdict, Witness, judge
 
 # weak*: least |kernel transform| accepted on the band below half Nyquist
@@ -366,9 +366,9 @@ class _View:
     ``lag`` is 0 for the signal itself and a positive step count for a
     difference, which lives on the signal's first ``len - lag`` grid
     points, as :func:`subtract` gives it.  Only the grid (start, step,
-    length) is known up front; samples are gathered on request, as an
-    array, at the indices a route reads, so a route that reads a few
-    windows never builds the whole difference, nor a signal of it.
+    length) is known up front; samples are gathered on request at the
+    indices a route reads, so a route that reads a few windows never
+    builds the whole difference.
     """
 
     signal: Signal
@@ -377,15 +377,26 @@ class _View:
     def __len__(self) -> int:
         return len(self.signal) - self.lag
 
-    def gathered(self, take: np.ndarray) -> np.ndarray:
-        """The view's samples at view indices ``take``."""
-        v, d = self.signal.values, self.lag
-        return v[take] - v[take + d] if d else v[take]
+    @property
+    def start(self) -> float:
+        return self.signal.x_at(0)
+
+    def gathered(self, take: np.ndarray) -> Signal:
+        """Samples at view indices ``take``, as one signal on the view's
+        grid from ``take[0]``."""
+        sig, d = self.signal, self.lag
+        start = sig.x_at(int(take[0]))
+        if not d:
+            return sig.derived(start=start, values=sig.values[take])
+        return sig.derived(start=start,
+                           values=sig.values[take] - sig.values[take + d],
+                           bound=2 * sig.bound, source=None)
 
     def tail_positions(self, count: int, pad: int) -> np.ndarray:
         """See :func:`geometric_tail_positions`."""
         n = len(self)
-        step, start = self.signal.step, self.signal.start
+        step = self.signal.step
+        start = self.start
         i0 = max(0, pad)
         i1 = n - 1 - pad
         if i1 <= i0:
@@ -432,14 +443,13 @@ def _kernel_transform_floor(kernel: Signal, band: float, floor: float) -> float:
 
 
 def _smoothed_at(view: _View, kernel: Signal, idx: np.ndarray) -> np.ndarray:
-    """The kernel-smoothed view at smoothed-grid indices ``idx``, as an array.
+    """The kernel-smoothed view at smoothed-grid indices ``idx``.
 
     Smoothed index k reads view samples ``k .. k + len(kernel) - 1``.
-    Indices whose windows overlap are merged into runs; the sample arrays
-    the runs read are laid end to end and ``np.convolve``-d once with the
-    kernel's weights, and each run's values are read at its offset there.
-    Every value read comes from a window inside its own run's samples.
-    Smoothed samples that are not finite are a ``ValueError``.
+    Indices whose windows overlap are merged into runs; the samples each
+    run reads are laid end to end and convolved once, and each run's
+    values are read at its offset there.  Every value read comes from a
+    window inside its own run's samples.
     """
     width = len(kernel)
     u, inverse = np.unique(idx, return_inverse=True)
@@ -451,10 +461,7 @@ def _smoothed_at(view: _View, kernel: Signal, idx: np.ndarray) -> np.ndarray:
     # how far each run's samples move: from its first index to its offset
     moved = np.cumsum(lengths) - lengths - u[starts]
     take = np.arange(int(lengths.sum())) - np.repeat(moved, lengths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        smoothed = np.convolve(view.gathered(take), kernel.weights(), mode="valid")
-    if not np.isfinite(smoothed).all():
-        raise ValueError("smoothed samples must be finite")
+    smoothed = convolve(view.gathered(take), kernel).values
     return smoothed[u + np.repeat(moved, ends - starts)][inverse]
 
 
@@ -469,7 +476,7 @@ def _weak_star(view: _View, kernel: Signal, shift_schedule,
     require_kernel_fits(signal, kernel, n)
     positions = np.asarray(shift_schedule, dtype=np.float64)
     # the smoothed grid: the view's grid less the kernel support
-    j = (positions - (signal.start + kernel.x_end)) / signal.step
+    j = (positions - (view.start + kernel.x_end)) / signal.step
     idx = np.round(j)
     # distance to the grid, infinite for a NaN or infinite shift (and
     # never formed there, since inf - inf warns)

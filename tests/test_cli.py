@@ -1129,38 +1129,6 @@ def test_chain_under_a_bound_near_dbl_max(tmp_path, capsys, head, row):
                for d in report["difference_decay"])
 
 
-@pytest.mark.parametrize("argv, signals", [
-    (["generate", "--spec", "{spec}", "--out", "{out}/samples.csv"], 1),
-    (["analyze", "--input", "{spec}", "--out-dir", "{out}"], 1),
-    (["analyze", "--input", "{csv}", "--out-dir", "{out}"], 1),
-    (["spectrum", "--input", "{spec}", "--out-dir", "{out}"], 1),
-    (["spectrum", "--input", "{csv}", "--out-dir", "{out}"], 1),
-    (["tauber", "--input", "{spec}", "--out-dir", "{out}"], 1),
-    (["chain", "--input", "{spec}", "--out-dir", "{out}"], 2),
-    (["chain", "--input", "{csv}", "--out-dir", "{out}"], 2),
-], ids=["generate", "analyze", "analyze-csv", "spectrum", "spectrum-csv", "tauber",
-        "chain", "chain-csv"])
-def test_each_command_validates_its_data_once(tmp_path, monkeypatch, argv, signals):
-    # one data signal enters each command, plus the kernel for chain;
-    # every route then works on their arrays
-    spec = write_spec(tmp_path, ac.TrigPoly(((0.5 + 0.25j, 0.0), (0.3, 0.125))))
-    csv = tmp_path / "samples.csv"
-    serialize.signal_to_csv(ac.render_continuous(ac.Character(0.125), 0.0, 0.25, 4096),
-                            str(csv))
-    argv = [a.format(spec=spec, csv=csv, out=tmp_path / "run") for a in argv]
-    os.makedirs(tmp_path / "run")
-    made = []
-    post_init = ac.signals.Signal.__post_init__
-
-    def counted(self):
-        made.append(type(self).__name__)
-        post_init(self)
-
-    monkeypatch.setattr(ac.signals.Signal, "__post_init__", counted)
-    assert cli.main(argv) == 0
-    assert len(made) == signals, made
-
-
 @pytest.mark.parametrize("spec, message", [
     # used to die in an IndexError traceback
     ({"kind": "block_sequence", "symbols": []}, "needs at least one symbol"),

