@@ -321,8 +321,9 @@ def ac_verdict(sweep: CesaroSweep, tol: float) -> ACVerdict:
     """Tri-state decision from a sweep with at least three window lengths.
 
     :func:`~almostconv.verdict.judge` rules on the last three gaps.  They
-    count as steady when none exceeds the one before by more than a
-    relative 1e-12.  A positive verdict's limit is the midpoint of the
+    count as steady when none exceeds the one before by more than 1e-12
+    times the largest gap of the given sweep, or 1e-12 when that gap is
+    below 1.  A positive verdict's limit is the midpoint of the
     final box; a negative one's witness is the largest window with its
     sup and inf shifts.  Custom data gets a note that its extremes are
     grid sups.

@@ -249,8 +249,14 @@ class Signal:
         return w
 
     def mean(self) -> complex:
+        """The plain or trapezoid mean.  A plain mean whose partial sums
+        overflow is taken again as the sum of ``values / n``."""
         if not self.trapezoid:
-            return complex(np.mean(self.values))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = np.mean(self.values)
+                if not np.isfinite(mean):
+                    mean = np.sum(self.values / len(self.values))
+            return complex(mean)
         if len(self.values) == 1:
             return complex(self.values[0])
         span = (len(self.values) - 1) * self.step

@@ -615,9 +615,11 @@ def _limits_match(a: ACVerdict, b: ACVerdict, tol: float) -> bool:
 def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     """Run ordinary, weak*, and window-mean verdicts and check the chain.
 
-    The pieces come from the signal's grid: two-sided windows doubling
-    from ``max(4 * step, span / 512)`` to ``span / 8``; the kernel
-    ``gaussian_kernel(0.5)`` on Z or ``gaussian_kernel_continuous(2 *
+    The pieces come from the signal's grid: the three largest of the
+    two-sided windows doubling from ``max(4 * step, span / 512)`` to
+    ``span / 8``, the three whose gaps the window-mean verdict judges, so
+    its steadiness slack is relative to the largest of those three; the
+    kernel ``gaussian_kernel(0.5)`` on Z or ``gaussian_kernel_continuous(2 *
     step, step)`` on R; weak* read at 96 tail positions; limits compared
     within ``10 * tol``; the oscillation modulus over 4 steps beyond
     ``|x| >= |midpoint|``.  Difference decay is checked at lags of 1, 4
@@ -629,8 +631,8 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     step = signal.step
     span = step * (len(signal) - 1)
     top = span / 8
-    schedule = WindowSchedule.geometric(max(4 * step, top / 64), top, 2,
-                                        Sidedness.TWO_SIDED)
+    doubling = WindowSchedule.geometric(max(4 * step, top / 64), top, 2).lengths
+    schedule = WindowSchedule(doubling[-3:], Sidedness.TWO_SIDED)
     kernel = (gaussian_kernel_continuous(2 * step, step) if signal.trapezoid
               else gaussian_kernel(0.5))
     shifts = tuple(geometric_tail_positions(signal, 96, pad=len(kernel) + 2))

@@ -168,6 +168,22 @@ def test_verdict_requires_three_windows():
         cesaro.ac_verdict(sweep, 1e-6)
 
 
+def test_verdict_slack_is_relative_to_the_largest_gap_given():
+    # the last gap rises 3e-12 over the one before: within the slack of a
+    # sweep whose largest gap is 5, beyond that of its last three alone
+    def sweep(gaps):
+        n = len(gaps)
+        return cesaro.CesaroSweep(
+            lengths=tuple(range(1, n + 1)), sup=tuple(map(complex, gaps)),
+            inf=(0j,) * n, argmax=(0.0,) * n, argmin=(0.0,) * n, sidedness=TWO,
+            p_bar_est=complex(gaps[-1]), p_lower_est=0j)
+
+    gaps = (5.0, 1e-3, 1e-3, 1e-3 + 3e-12)
+    assert cesaro.ac_verdict(sweep(gaps), 1e-2).positive
+    v = cesaro.ac_verdict(sweep(gaps[1:]), 1e-2)
+    assert v.status is ac.VerdictStatus.INCONCLUSIVE and v.uncertainty == gaps[-1]
+
+
 def test_residual_constant_exact_zero():
     sig = ac.render_discrete(ac.TrigPoly(((1.0, 0.0),)), 0, 4096)
     res = convolution_invariance_residual(

@@ -6,7 +6,7 @@ import pytest
 import almostconv as ac
 from almostconv import cesaro, spectral
 from almostconv.errors import GapTooWide, KernelTooWide, TooShort
-from almostconv.signals import DiscreteSignal, Sidedness, WindowSchedule
+from almostconv.signals import ContinuousSignal, DiscreteSignal, Sidedness, WindowSchedule
 from almostconv.spectral import Taper
 
 from conftest import convolution_invariance_residual, delta_kernel, fejer_kernel
@@ -351,7 +351,8 @@ def test_verdict_residuals_are_the_projections_bit_for_bit(continuous, n):
 
 
 @pytest.mark.parametrize("values", [
-    # the mean's partial sums overflow: the centered samples are NaN
+    # the mean's partial sums overflow, yet the mean is 0: the transform
+    # of the samples at the Nyquist frequency overflows
     [1.5e308 * (-1) ** j for j in range(64)],
     # the mean is 0, but the transform of a square wave overflows
     [1.5e308 * (-1) ** (j // 4) for j in range(16)],
@@ -362,3 +363,18 @@ def test_verdict_near_dbl_max_raises_without_a_warning(values):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="signal values must be finite"):
             spectral.spectral_ac_verdict(sig, (0.25, 0.125), 1e-2)
+
+
+def test_mean_past_overflowing_partial_sums_without_a_warning():
+    # np.mean's partial sums of these overflow; their mean is 0 on Z as on R
+    values = [1.5e308 * (-1) ** j for j in range(64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert DiscreteSignal(0, values, 1.5e308).mean() == 0j
+        assert ContinuousSignal(0.0, 1.0, values, 1.5e308).mean() == 0j
+    # a mean whose partial sums stay finite is np.mean's, bit for bit
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(1001) * 1e300 + 1j * rng.standard_normal(1001)
+    got = DiscreteSignal(-7, values, float(np.abs(values).max())).mean()
+    want = complex(np.mean(values))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())

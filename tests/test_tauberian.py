@@ -597,6 +597,55 @@ def test_weak_star_matches_whole_array_convolution(continuous, n, origin, seed,
         assert got == _outcome(_whole_weak_star, sig, kern, schedule, tol)
 
 
+def _doubling(sig):
+    """The doubling window lengths whose three largest the chain sweeps."""
+    span = sig.step * (len(sig) - 1)
+    return WindowSchedule.geometric(max(4 * sig.step, span / 512), span / 8, 2,
+                                    Sidedness.TWO_SIDED).lengths
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_chain_sweeps_the_three_judged_windows(monkeypatch, continuous):
+    sig, _ = _random_signal(continuous, 4100, "straddle", 3)
+    assert len(_doubling(sig)) == 7
+    seen = []
+
+    def spy(signal, schedule):
+        seen.append(schedule)
+        return cesaro.cesaro_sweep(signal, schedule)
+
+    monkeypatch.setattr(tb, "cesaro_sweep", spy)
+    tb.chain_report(sig)
+    assert seen == [WindowSchedule(_doubling(sig)[-3:], Sidedness.TWO_SIDED)]
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_chain_below_three_windows_is_refused(continuous):
+    sig, _ = _random_signal(continuous, 100, "zero", 5)
+    assert len(_doubling(sig)) == 2
+    with pytest.raises(ValueError, match="at least 3 window lengths"):
+        tb.chain_report(sig)
+
+
+def _judged_verdict_matches(got, sweep, tol):
+    """``got``, the chain's verdict on the three largest windows of
+    ``sweep``, against ``ac_verdict`` on all of ``sweep``.  They differ only
+    where a judged gap rises by more than the slack of the judged gaps but
+    not by more than the slack of all the gaps: steady on the whole sweep,
+    so positive there, and inconclusive on the three."""
+    want = cesaro.ac_verdict(sweep, tol)
+    gaps = sweep.gaps()
+    g1, g2, g3 = gaps[-3:]
+    judged = 1e-12 * max(1.0, float(gaps[-3:].max()))
+    whole = 1e-12 * max(1.0, float(gaps.max()))
+    if any(b > a + judged and b <= a + whole for a, b in ((g1, g2), (g2, g3))) \
+            and want.positive:
+        assert got == ACVerdict(VerdictStatus.INCONCLUSIVE, None, want.uncertainty,
+                                None, want.notes)
+    else:
+        assert got == want
+
+
 @given(continuous=st.booleans(), n=st.integers(140, 500), origin=_ORIGINS,
        seed=st.integers(0, 2 ** 32 - 1), tol=st.sampled_from([1e-6, 1e-2, 0.3]))
 @settings(max_examples=60, deadline=None)
@@ -604,6 +653,8 @@ def test_chain_matches_whole_array_pieces(continuous, n, origin, seed, tol):
     sig, kern = _random_signal(continuous, n, origin, seed)
     shifts = [d * sig.step for d in (1, 4, 16)]
     rep = tb.chain_report(sig, tol)
+    _judged_verdict_matches(rep.ac_verdict, cesaro.cesaro_sweep(
+        sig, WindowSchedule(_doubling(sig), Sidedness.TWO_SIDED)), tol)
     wshifts = tb.geometric_tail_positions(sig, 96, pad=len(kern) + 2)
     assert rep.wstar_verdict == _whole_weak_star(sig, kern, wshifts, tol)
     assert [d.shift for d in rep.difference_decay] == shifts

@@ -11,8 +11,9 @@ Every job of ``perfbench/workloads.build_jobs(w, seed)`` for the ``scan``,
 this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
 ``tauber`` on a sample file one Laplace term past ``BLOCK``, chains on
-short, zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3``
-samples, on a convergent profile at the defaults and on ones declared
+short data, on data with three and four doubling windows, on
+zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3`` samples, on
+a convergent profile at the defaults and on ones declared
 ``bound=1e308``, one-sided window means on ``-0.0``-led samples whose
 largest real mean is a zero,
 ``spectrum`` and ``tauber`` on sample files with indented and trailing
@@ -186,6 +187,12 @@ PROBES = [
       "--tol", "1e-3"]),
     ("chain-trig-z-short", "trig.json", _TRIG,
      ["chain", "--input", "{in}", "--n-max", "40"]),
+    # the chain sweeps the three largest of its doubling windows: here
+    # there are three, and four
+    ("chain-trig-z-three-windows", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--n-max", "255"]),
+    ("chain-trig-z-four-windows", "trig.json", _TRIG,
+     ["chain", "--input", "{in}", "--n-max", "511"]),
     ("chain-blocks-z", "blocks.json", _BLOCKS,
      ["chain", "--input", "{in}", "--n-max", "65535"]),
     ("chain-blocks-z-slow-growth", "blocks_slow.json", _BLOCKS_SLOW,
