@@ -638,8 +638,7 @@ def _judged_verdict_matches(got, sweep, tol):
     g1, g2, g3 = gaps[-3:]
     judged = 1e-12 * max(1.0, float(gaps[-3:].max()))
     whole = 1e-12 * max(1.0, float(gaps.max()))
-    if any(b > a + judged and b <= a + whole for a, b in ((g1, g2), (g2, g3))) \
-            and want.positive:
+    if want.positive and any(a + judged < b <= a + whole for a, b in ((g1, g2), (g2, g3))):
         assert got == ACVerdict(VerdictStatus.INCONCLUSIVE, None, want.uncertainty,
                                 None, want.notes)
     else:

@@ -7,7 +7,7 @@ archive`` so that neither holds compiled bytecode::
     git archive HEAD | tar -x -C ../change
     python3 tools/bench_pairs.py ../parent ../change --seed 61001 \\
         --pairs scan=10 files=6 duality=6 --claim scan:job_s.p90 \\
-        --out BENCH_30.json
+        --out BENCH_<PR>.json
 
 For each workload, pair ``i`` (from 1) runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in each checkout, the parent first
