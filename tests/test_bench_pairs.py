@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on fabricated runs; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -73,14 +74,14 @@ def test_bound_status():
 def test_workload_summary_and_texts():
     parent = _runs([0.044] * 10, [54.6] * 10, [0.17] * 10, [0.15] * 10)
     change = _runs([0.037] * 10, [57.6] * 10, [0.30] * 10, [0.16] * 10)
-    change[3]["failed"] = 2
     summary = bp.workload_summary(parent, change, DECLARED)
     assert summary["pairs"] == 10 and summary["correct"]
-    assert (summary["failed_parent"], summary["failed"]) == (0, 2)
+    assert (summary["failed_parent"], summary["failed"]) == (0, 0)
     assert list(summary["metrics"]) == ["job_s.p90", "jobs_per_s", "setup_s",
                                         bp.UNSCALED_SETUP]
     assert summary["metrics"][bp.UNSCALED_SETUP]["better"] == "lower"
-    claim = bp.claim_text("scan", "job_s.p90", summary["metrics"]["job_s.p90"])
+    assert bp.voided(summary) == "" and bp.claim_met(summary, "job_s.p90")
+    claim = bp.claim_text("scan", "job_s.p90", summary)
     assert claim == ("scan job_s.p90 0.044 -> 0.037 (-15.9%, 10/10), parent quartiles "
                      "0.044-0.044 (0 apart, against a 0.007 median gap). Met.")
     text, ok = bp.regression_text({"scan": summary}, DECLARED)
@@ -89,6 +90,69 @@ def test_workload_summary_and_texts():
     assert text.startswith("Beyond or unresolved against its bound: scan setup_s beyond. "
                            "scan: job_s.p90 0.044 -> 0.037 (-15.9%, 10/10), ")
     assert text.endswith("unscaled.setup_s 0.15 -> 0.16 (+6.7%, 0/10).")
+
+
+def test_failed_jobs_and_incorrect_runs_void_the_claim_and_the_bounds():
+    parent = _runs([0.044] * 10, [54.6] * 10, [0.17] * 10, [0.15] * 10)
+    change = _runs([0.037] * 10, [57.6] * 10, [0.17] * 10, [0.15] * 10)
+    summary = bp.workload_summary(parent, change, DECLARED)
+    text, ok = bp.regression_text({"scan": summary}, DECLARED)
+    assert ok and text.startswith("Every end-to-end metric is within its bound. scan: ")
+    # the change fails more jobs than the parent: the same gain is not met
+    change[3]["failed"] = 2
+    summary = bp.workload_summary(parent, change, DECLARED)
+    assert (summary["failed_parent"], summary["failed"]) == (0, 2)
+    assert bp.gain_met(summary["metrics"]["job_s.p90"])
+    assert not bp.claim_met(summary, "job_s.p90")
+    assert bp.claim_text("scan", "job_s.p90", summary).endswith(
+        "median gap). Not met: the change failed 2 jobs against the parent's 0.")
+    text, ok = bp.regression_text({"scan": summary}, DECLARED)
+    assert not ok
+    assert text.startswith("Every end-to-end metric is within its bound. Failed jobs or "
+                           "incorrect runs: scan (the change failed 2 jobs against the "
+                           "parent's 0). scan: ")
+    # as many failures on both sides void nothing
+    parent[7]["failed"] = 2
+    summary = bp.workload_summary(parent, change, DECLARED)
+    assert bp.claim_met(summary, "job_s.p90")
+    assert bp.regression_text({"scan": summary}, DECLARED)[1]
+    # one run that is not correct, on either side, voids both
+    parent[0]["correct"] = False
+    summary = bp.workload_summary(parent, change, DECLARED)
+    assert not bp.claim_met(summary, "job_s.p90")
+    assert bp.claim_text("scan", "job_s.p90", summary).endswith(
+        "Not met: a run is not correct.")
+    assert not bp.regression_text({"scan": summary}, DECLARED)[1]
+
+
+def test_main_takes_the_run_length_from_benchmark_json(monkeypatch, tmp_path):
+    parent, change = tmp_path.resolve() / "parent", tmp_path.resolve() / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"run_seconds": 12, "end_to_end": ' + str(DECLARED).replace("'", '"') + "}")
+    seen = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        seen.append((checkout, workload, seed, seconds))
+        side = 0.044 if checkout == parent else 0.037
+        return {**_runs([side], [55.0], [0.17], [0.15])[0], "env": {"nproc": 2}}
+
+    monkeypatch.setattr(bp, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--seed", "7", "--pairs", "scan=2",
+            "--claim", "scan:job_s.p90", "--out", str(out)]
+    assert bp.main(argv) == 0
+    assert seen == [(parent, "scan", 7, 12), (change, "scan", 7, 12),
+                    (change, "scan", 7, 12), (parent, "scan", 7, 12)]
+    written = json.loads(out.read_text())
+    assert written["command"].endswith("--seed 7 --seconds 12 --trace 0")
+    assert "change" not in written and written["claim"].endswith("Met.")
+    # the change's checkout is required, and the run length is no option
+    for bad in ([str(parent), "--seed", "7", "--out", str(out)],
+                argv + ["--seconds", "30"],
+                argv[:-4] + ["--claim", "scan:job_s.p99", "--out", str(out)]):
+        with pytest.raises(SystemExit):
+            bp.main(bad)
 
 
 def test_run_reads_the_result_detail_and_env_lines(monkeypatch, tmp_path):

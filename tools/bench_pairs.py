@@ -11,7 +11,8 @@ archive`` so that neither holds compiled bytecode::
 
 For each workload, pair ``i`` (from 1) runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in each checkout, the parent first
-in odd pairs and the change first in even ones.  Every run is a fresh
+in odd pairs and the change first in even ones; ``T`` is the
+``run_seconds`` of the change's ``BENCHMARK.json``.  Every run is a fresh
 process with ``PYTHONDONTWRITEBYTECODE=1``, one at a time.  A run that
 exits nonzero stops the script.
 
@@ -25,10 +26,13 @@ when the parent's quartiles lie further apart than that and not every
 change run beats every parent run.  The claimed metric, if any, is met
 when the change wins at least nine tenths of the pairs and the medians
 differ, in its favour, by more than the parent's interquartile range.
+A workload where some run is not correct, or where the change fails more
+jobs than the parent, meets no claim and fails the bound check.
 
 The output file is rewritten after every workload.  The exit code is 0
-when every declared metric is within its bound and the claim, if any, is
-met; 1 otherwise.
+when every workload passes the bound check and the claim, if any, is
+met; 1 otherwise.  The file's ``change`` description, and any record
+made outside this script, are added by hand and named in its ``made_by``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
 UNSCALED_SETUP = "unscaled.setup_s"
 
 
@@ -125,6 +128,21 @@ def gain_met(entry: dict) -> bool:
     return 10 * entry["change_better_in_pairs"] >= 9 * len(parent) and gain > q3 - q1
 
 
+def voided(summary: dict) -> str:
+    """Why a workload's runs count for no claim and fail the bound check,
+    or '' when every run is correct and the change fails no more jobs."""
+    if not summary["correct"]:
+        return "a run is not correct"
+    if summary["failed"] > summary["failed_parent"]:
+        return (f"the change failed {summary['failed']} jobs against the "
+                f"parent's {summary['failed_parent']}")
+    return ""
+
+
+def claim_met(summary: dict, name: str) -> bool:
+    return not voided(summary) and gain_met(summary["metrics"][name])
+
+
 def workload_summary(parent_runs: list, change_runs: list, declared: list) -> dict:
     """One workload's entry of the output file, ``declared`` being the
     ``end_to_end`` list of ``BENCHMARK.json``."""
@@ -148,54 +166,63 @@ def _change_text(name: str, entry: dict) -> str:
             f"{entry['change_better_in_pairs']}/{len(entry['parent_runs'])})")
 
 
-def claim_text(workload: str, name: str, entry: dict) -> str:
+def claim_text(workload: str, name: str, summary: dict) -> str:
+    entry = summary["metrics"][name]
     q1, q3 = entry["parent"]["q1"], entry["parent"]["q3"]
     gap = abs(entry["parent"]["median"] - entry["change"]["median"])
+    reason = voided(summary)
+    verdict = ("Met" if claim_met(summary, name)
+               else f"Not met: {reason}" if reason else "Not met")
     return (f"{workload} {_change_text(name, entry)}, parent quartiles "
             f"{q1:.4g}-{q3:.4g} ({q3 - q1:.3g} apart, against a {gap:.3g} "
-            f"median gap). {'Met' if gain_met(entry) else 'Not met'}.")
+            f"median gap). {verdict}.")
 
 
 def regression_text(workloads: dict, declared: list) -> tuple:
-    """(text, every declared metric within its bound)."""
-    flagged, rows = [], []
+    """(text, every declared metric within its bound and no workload voided)."""
+    flagged, void, rows = [], [], []
     for workload, summary in workloads.items():
         metrics = summary["metrics"]
+        reason = voided(summary)
+        if reason:
+            void.append(f"{workload} ({reason})")
         for m in declared:
             status = bound_status(metrics[m["name"]], m["bound"])
             if status != "within":
                 flagged.append(f"{workload} {m['name']} {status}")
         rows.append(f"{workload}: " + ", ".join(
             _change_text(name, entry) for name, entry in metrics.items()))
-    lead = (f"Beyond or unresolved against its bound: {'; '.join(flagged)}." if flagged
-            else "Every end-to-end metric is within its bound.")
-    return " ".join([lead] + [row + ";" for row in rows])[:-1] + ".", not flagged
+    lead = [f"Beyond or unresolved against its bound: {'; '.join(flagged)}." if flagged
+            else "Every end-to-end metric is within its bound."]
+    if void:
+        lead.append(f"Failed jobs or incorrect runs: {'; '.join(void)}.")
+    text = " ".join(lead + [row + ";" for row in rows])[:-1] + "."
+    return text, not flagged and not void
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
-    p.add_argument("change", type=Path, nargs="?", default=ROOT,
-                   help="checkout of the change (default: this one)")
+    p.add_argument("change", type=Path, help="checkout of the change")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--pairs", nargs="+", default=["scan=10", "files=10", "duality=10"],
                    metavar="WORKLOAD=N", help="pairs to run per workload, in order")
     p.add_argument("--claim", metavar="WORKLOAD:METRIC",
                    help="the end-to-end metric the change claims to improve")
-    p.add_argument("--change-note", default="", help="what the change does")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     plan = [(w, int(n)) for w, n in (item.split("=") for item in args.pairs)]
     with open(change / "BENCHMARK.json") as fh:
-        declared = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    declared, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    if args.claim and args.claim.split(":")[-1] not in [m["name"] for m in declared]:
+        p.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
     out = {
-        "change": args.change_note,
         "command": ("PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload "
                     f"<{'|'.join(w for w, _ in plan)}> --seed {args.seed} "
-                    f"--seconds {args.seconds:g} --trace 0"),
+                    f"--seconds {seconds:g} --trace 0"),
         "seed": args.seed,
         "pairs": ("alternating parent/change order, parent first in odd pairs; "
                   + ", ".join(f"{w} {n}" for w, n in plan)
@@ -208,16 +235,16 @@ def main(argv=None) -> int:
     }
     for workload, pairs in plan:
         parent_runs, change_runs = run_pairs(parent, change, workload, pairs,
-                                             args.seed, args.seconds)
+                                             args.seed, seconds)
         out.setdefault("environment", change_runs[0]["env"])
         out["workloads"][workload] = workload_summary(parent_runs, change_runs, declared)
         out["no_regression"], ok = regression_text(out["workloads"], declared)
         met, out["claim"] = True, "none"
         if args.claim:
             w, name = args.claim.split(":")
-            entry = out["workloads"].get(w, {}).get("metrics", {}).get(name)
-            met = entry is not None and gain_met(entry)
-            out["claim"] = claim_text(w, name, entry) if entry else "not yet run"
+            summary = out["workloads"].get(w)
+            met = summary is not None and claim_met(summary, name)
+            out["claim"] = claim_text(w, name, summary) if summary else "not yet run"
         args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(out["claim"])
     print(out["no_regression"])
