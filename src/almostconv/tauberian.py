@@ -13,8 +13,10 @@ quadrature rule picks the route:
   group along a schedule approaching the boundary: Abel means
   ``(1-x) * sum a_n x^n`` of a plain-sum signal (:func:`abel_sweep`, Z)
   or Laplace means ``x * integral psi(t) exp(-x t) dt`` of a trapezoid
-  signal (:func:`laplace_sweep`, R), with certified truncation bounds
-  from the declared sup bound, never from the data.
+  signal (:func:`laplace_sweep`, R).  Each mean stops at its abscissa's
+  certified end, where the dropped tail is bounded from the declared sup
+  bound, never from the data: the sum at index ``M(x)``, the integral at
+  the first sample past ``T_x``.
 - :func:`residue_oac_estimate` cross-checks the extrapolated boundary
   limit against the one-sided window-mean limit (they agree for bounded
   data).
@@ -45,6 +47,7 @@ from .errors import (
     KernelVanishes,
     RangeTooShort,
     TailNotControlled,
+    TooShort,
 )
 from .signals import (
     BLOCK,
@@ -74,6 +77,9 @@ class MeanSweep:
     For the Abel method the abscissas increase toward 1; for the Laplace
     method they decrease toward 0.  ``extrapolated_limit`` is the
     three-point polynomial extrapolation to the boundary.
+    ``certified_ends`` holds, per abscissa, where its mean stopped: the
+    index ``M(x)`` of the last Abel coefficient, or the number of samples
+    the Laplace integral read.
     """
 
     method: MeanMethod
@@ -81,6 +87,7 @@ class MeanSweep:
     values: tuple
     extrapolated_limit: Optional[complex]
     tail_bound: float
+    certified_ends: tuple
 
     def __post_init__(self):
         if any(not (math.isfinite(v.real) and math.isfinite(v.imag))
@@ -105,6 +112,23 @@ def _extrapolate(eps: Sequence[float], vals: Sequence[complex]) -> complex:
 # certified truncation error of each boundary mean
 _ABEL_TAIL = 1e-12
 _LAPLACE_TAIL = 1e-9
+
+
+def _abel_end(bound: float, x: float) -> int:
+    """Abel's certified index ``M(x) = ceil(log(1e-12/bound) / log(x))``, at
+    least 1: the dropped tail ``bound * x^M`` is at most 1e-12."""
+    return max(int(math.ceil(math.log(_ABEL_TAIL / bound) / math.log(x))), 1)
+
+
+def _laplace_end(bound: float, x: float) -> float:
+    """Laplace's certified end ``T_x = log(bound / (1e-9 x)) / x``: the
+    dropped tail ``x * integral_{T_x}^inf bound exp(-x t) dt`` is
+    ``bound * exp(-x T_x) = 1e-9 * x``.  A difference of logs, so it does
+    not overflow for a bound near the top of the float range; ``-inf``
+    for a zero bound, which leaves no tail."""
+    if bound == 0:
+        return -math.inf
+    return (math.log(bound) - math.log(_LAPLACE_TAIL) - math.log(x)) / x
 
 
 def _abscissas(method: MeanMethod, x_schedule) -> list:
@@ -135,34 +159,37 @@ def abel_sweep(coeffs, bound: float, x_schedule) -> MeanSweep:
     if np.max(np.abs(a)) > bound * (1 + 1e-12):
         raise ValueError("coefficients exceed the declared bound")
     xs = _abscissas(MeanMethod.ABEL, x_schedule)
-    values = []
+    values, ends = [], []
     # overflow and NaN are left to MeanSweep's finite check
     with np.errstate(over="ignore", invalid="ignore"):
         for x in xs:
-            m = int(math.ceil(math.log(_ABEL_TAIL / bound) / math.log(x)))
-            m = max(m, 1)
+            m = _abel_end(bound, x)
             if m >= len(a):
                 raise InsufficientCoefficients(
                     f"need {m + 1} coefficients for x={x}, have {len(a)}")
             powers = np.power(x, np.arange(m + 1))
             values.append(complex((1.0 - x) * np.dot(a[:m + 1], powers)))
+            ends.append(m)
         extrap = _extrapolate([1.0 - x for x in xs], values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.ABEL, tuple(xs), tuple(values), extrap,
-                     tail_bound=_ABEL_TAIL)
+                     tail_bound=_ABEL_TAIL, certified_ends=tuple(ends))
 
 
 def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
-    """Values of ``x * integral_0^T psi(t) exp(-x t) dt`` along the schedule.
+    """Values of ``x * integral_0^{T_x} psi(t) exp(-x t) dt`` along the schedule.
 
-    Requires the rendering to reach far enough that
-    ``bound * exp(-x T) <= 1e-9 * x`` for every abscissa
-    (:class:`TailNotControlled` otherwise, checked for every abscissa
-    before any integral), so the dropped tail of the transform is
-    certified from the declared bound.
+    Each integral stops at the first sample at or past its abscissa's
+    certified end ``T_x = log(bound / (1e-9 x)) / x``, beyond which the
+    dropped tail is at most ``1e-9 * x`` by the declared bound.  The
+    rendering must reach the end it needs: ``bound * exp(-x T) <= 1e-9 * x``
+    at the rendered end ``T`` for every abscissa (:class:`TailNotControlled`
+    otherwise, naming each abscissa's ``T_x``, checked before any
+    integral); when that holds, an end that rounds past ``T`` is the last
+    sample.
 
-    Each integral is ``np.trapezoid`` of ``psi(t) * exp(-x t)`` bit for
-    bit: its terms ``step * (y[j+1] + y[j]) / 2.0`` fill one buffer
-    ``BLOCK`` at a time, and one ``np.add.reduce`` sums the whole buffer
+    Each integral is ``np.trapezoid`` of ``psi(t) * exp(-x t)`` over its
+    samples, bit for bit: its terms ``step * (y[j+1] + y[j]) / 2.0`` fill
+    one buffer ``BLOCK`` at a time, and one ``np.add.reduce`` sums them
     as ``np.trapezoid`` does.
     """
     if not signal.trapezoid:
@@ -171,39 +198,48 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
         raise ValueError("signal must live on the nonnegative half-line")
     xs = _abscissas(MeanMethod.LAPLACE, x_schedule)
     T = signal.x_end
+    needs = [_laplace_end(signal.bound, x) for x in xs]
     for x in xs:
         if signal.bound * math.exp(-x * T) > _LAPLACE_TAIL * x:
+            reach = ", ".join(f"{t:.6g} for {y}" for y, t in zip(xs, needs))
             raise TailNotControlled(
                 f"range [0, {T}] too short for abscissa {x}: "
-                f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}")
-    v, step = signal.values, signal.step
-    terms = np.empty(len(v) - 1, dtype=np.complex128)
-    scratch = np.empty(min(BLOCK + 1, len(v)), dtype=np.complex128)
+                f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}; "
+                f"the range must reach {reach}")
+    v, step, last = signal.values, signal.step, len(signal.values) - 1
+    # the index of the first sample at or past each end, at most the last
+    cuts = [math.ceil(max(j, 0.0)) if j < last else last
+            for j in ((t - signal.start) / step for t in needs)]
+    terms = np.empty(max(cuts), dtype=np.complex128)
+    scratch = np.empty(min(BLOCK, len(terms)) + 1, dtype=np.complex128)
     values = []
     # overflow and NaN are left to MeanSweep's finite check
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in xs:
-            for lo in range(0, len(terms), BLOCK):
-                hi = min(lo + BLOCK, len(terms))
+        for x, cut in zip(xs, cuts):
+            for lo in range(0, cut, BLOCK):
+                hi = min(lo + BLOCK, cut)
                 y = np.multiply(v[lo:hi + 1],
                                 np.exp(-x * signal.x_at(np.arange(lo, hi + 1))),
                                 out=scratch[:hi + 1 - lo])
                 out = np.add(y[1:], y[:-1], out=terms[lo:hi])
                 np.multiply(step, out, out=out)
                 np.true_divide(out, 2.0, out=out)
-            values.append(complex(x * np.add.reduce(terms)))
+            values.append(complex(x * np.add.reduce(terms[:cut])))
         extrap = _extrapolate(xs, values) if len(xs) >= 3 else None
     return MeanSweep(MeanMethod.LAPLACE, tuple(xs), tuple(values), extrap,
-                     tail_bound=_LAPLACE_TAIL)
+                     tail_bound=_LAPLACE_TAIL,
+                     certified_ends=tuple(cut + 1 for cut in cuts))
 
 
 def boundary_sweep(signal: Signal, x_schedule=()) -> MeanSweep:
     """Boundary means of the signal's group along ``x_schedule``.
 
     A plain-sum signal (Z) gets :func:`abel_sweep` of its values read as
-    the coefficients ``a_0, a_1, ...``; a trapezoid signal (R) gets
-    :func:`laplace_sweep`.  An empty schedule means ``1 - 2^-j`` (Abel)
-    or ``2^-(j+2)`` (Laplace) for j = 3, 4, 5.
+    the coefficients ``a_0, a_1, ...``, summed up to each abscissa's
+    certified index ``M(x)``; a trapezoid signal (R) gets
+    :func:`laplace_sweep`, integrated up to the first sample past each
+    abscissa's certified end ``T_x``.  An empty schedule means ``1 - 2^-j``
+    (Abel) or ``2^-(j+2)`` (Laplace) for j = 3, 4, 5.
     """
     xs = tuple(x_schedule)
     if signal.trapezoid:
@@ -618,9 +654,10 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     The pieces come from the signal's grid: the three largest of the
     two-sided windows doubling from ``max(4 * step, span / 512)`` to
     ``span / 8``, the three whose gaps the window-mean verdict judges, so
-    its steadiness slack is relative to the largest of those three; the
-    kernel ``gaussian_kernel(0.5)`` on Z or ``gaussian_kernel_continuous(2 *
-    step, step)`` on R; weak* read at 96 tail positions; limits compared
+    its steadiness slack is relative to the largest of those three (there
+    are three from 129 samples on, :class:`TooShort` below); the kernel
+    ``gaussian_kernel(0.5)`` on Z or ``gaussian_kernel_continuous(2 * step,
+    step)`` on R; weak* read at 96 tail positions; limits compared
     within ``10 * tol``; the oscillation modulus over 4 steps beyond
     ``|x| >= |midpoint|``.  Difference decay is checked at lags of 1, 4
     and 16 steps.  Each translation difference ``psi(x) - psi(x + s)`` is
@@ -631,7 +668,11 @@ def chain_report(signal: Signal, tol: float = 1e-2) -> ChainReport:
     step = signal.step
     span = step * (len(signal) - 1)
     top = span / 8
-    doubling = WindowSchedule.geometric(max(4 * step, top / 64), top, 2).lengths
+    doubling = (WindowSchedule.geometric(max(4 * step, top / 64), top, 2).lengths
+                if top >= 4 * step else ())
+    if len(doubling) < 3:
+        raise TooShort(f"the chain needs at least 129 samples (three doubling "
+                       f"windows up to an eighth of the span), got {len(signal)}")
     schedule = WindowSchedule(doubling[-3:], Sidedness.TWO_SIDED)
     kernel = (gaussian_kernel_continuous(2 * step, step) if signal.trapezoid
               else gaussian_kernel(0.5))

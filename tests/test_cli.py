@@ -171,6 +171,9 @@ def test_tauber_subcommand_discrete(tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     lim = report["sweep"]["extrapolated_limit"]
     assert lim["re"] == pytest.approx(0.5, abs=1e-3)
+    # each abscissa's certified index M(x) = ceil(log(1e-12) / log(x))
+    assert report["sweep"]["certified_ends"] == [
+        math.ceil(math.log(1e-12) / math.log(1 - 2.0 ** -j)) for j in (3, 4, 5)]
 
 
 @pytest.mark.parametrize("spec, xs, message", [
@@ -186,6 +189,24 @@ def test_abscissa_order_is_checked_before_any_mean(tmp_path, capsys, spec, xs, m
                    "--out-dir", str(out_dir)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out_dir / "report.json").exists()
+
+
+@pytest.mark.parametrize("spec, argv, code, message", [
+    (ac.Convergent(2.0), ["tauber"], 2,
+     "hypothesis violated: range [0, 204.75] too short for abscissa 0.03125: "
+     "tail 0.00499 > 3.13e-11; the range must reach 809.204 for 0.03125, "
+     "1662.77 for 0.015625, 3414.26 for 0.0078125"),
+    (ac.Character(0.25), ["chain", "--n-max", "40"], 1,
+     "error: the chain needs at least 129 samples (three doubling windows up "
+     "to an eighth of the span), got 41"),
+], ids=["tauber-defaults-r", "chain-short"])
+def test_too_little_data_names_what_is_needed(tmp_path, capsys, spec, argv, code, message):
+    out_dir = tmp_path / "run"
+    rc = cli.main([argv[0], "--input", write_spec(tmp_path, spec), *argv[1:],
+                   "--out-dir", str(out_dir)])
+    assert rc == code
+    assert capsys.readouterr().err == message + "\n"
     assert not (out_dir / "report.json").exists()
 
 
@@ -624,7 +645,8 @@ def test_analysis_csv_writers_match_per_row_code(tmp_path_factory, n, data):
         parseval_rel_error=0.0, window_length=n, step=1.0)
     step = data.draw(st.sampled_from([1e-5, 0.1, 1e16]) | st.floats(1e-300, 1e300))
     means = MeanSweep(MeanMethod.LAPLACE, tuple((step * np.arange(n, 0, -1)).tolist()),
-                      tuple(_complex_column(data, n).tolist()), None, 0.0)
+                      tuple(_complex_column(data, n).tolist()), None, 0.0,
+                      tuple(range(2, n + 2)))
     cyc = CyclicFunction(n, _complex_column(data, n))
     tmp = tmp_path_factory.mktemp("csv")
     for new_writer, old_writer, obj in (

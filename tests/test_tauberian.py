@@ -13,6 +13,7 @@ from almostconv.errors import (
     KernelVanishes,
     RangeTooShort,
     TailNotControlled,
+    TooShort,
 )
 from almostconv.signals import (
     ContinuousSignal,
@@ -107,20 +108,98 @@ def test_laplace_tail_not_controlled():
         tb.laplace_sweep(sig, (0.01,))
 
 
+def _certified_samples(sig, x):
+    """How many samples the Laplace mean at ``x`` reads: up to the first at
+    or past ``T_x = log(bound / (1e-9 x)) / x``, and at most all of them."""
+    j = (np.log(sig.bound / (1e-9 * x)) / x - sig.start) / sig.step
+    return len(sig) if not j < len(sig) - 1 else int(np.ceil(max(j, 0.0))) + 1
+
+
 @pytest.mark.parametrize("start", [0.0, 0.3])
-@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5])
-def test_laplace_sweep_is_numpy_trapezoid_bit_for_bit(n, start):
-    # the terms are filled BLOCK at a time; a whole-array np.trapezoid is
-    # the oracle, at every block edge (a single sample has no term)
+@pytest.mark.parametrize("n, cut", [
+    *(pytest.param(n, None, id=str(n))
+      for n in (1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 3 * BLOCK + 5)),
+    *(pytest.param(3 * BLOCK + 5, c, id=f"{3 * BLOCK + 5}-cut{c}")
+      for c in (BLOCK - 1, BLOCK, BLOCK + 1))])
+def test_laplace_sweep_is_numpy_trapezoid_bit_for_bit(n, start, cut):
+    # the terms are filled BLOCK at a time; np.trapezoid over each
+    # abscissa's certified samples is the oracle.  With ``cut`` the bound
+    # puts the last abscissa's end that many terms in, at a block edge (a
+    # single sample has no term)
     rng = np.random.default_rng(n)
     vals = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (1e-12 if n == 1 else 1.0)
     step = 80.0 / max(n - 1, 1)
-    sig = ContinuousSignal(start, step, vals, float(np.max(np.abs(vals))))
     xs = (2.0, 1.0, 0.5)
+    bound = float(np.max(np.abs(vals)))
+    if cut is not None:
+        # bound * exp(-x t) = 1e-9 x half a step before sample ``cut``
+        want_bound = 1e-9 * xs[-1] * np.exp(xs[-1] * (start + (cut - 0.5) * step))
+        vals, bound = vals * (want_bound / bound), want_bound
+    sig = ContinuousSignal(start, step, vals, bound)
+    counts = [_certified_samples(sig, x) for x in xs]
+    if cut is not None:
+        assert counts[-1] == cut + 1
     t = sig.x_at(np.arange(n))
-    want = [complex(x * np.trapezoid(vals * np.exp(-x * t), dx=step)) for x in xs]
-    got = tb.laplace_sweep(sig, xs).values
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    want = [complex(x * np.trapezoid(vals[:m] * np.exp(-x * t[:m]), dx=step))
+            for x, m in zip(xs, counts)]
+    sweep = tb.laplace_sweep(sig, xs)
+    assert np.array(sweep.values).tobytes() == np.array(want).tobytes()
+    assert sweep.certified_ends == tuple(counts)
+
+
+def test_laplace_sweep_reads_samples_only_up_to_each_certified_end(monkeypatch):
+    # the whole range is four times what the last abscissa needs: each
+    # abscissa's blocks read positions from sample 0 up to its own end
+    sig = ac.render_continuous(ac.Convergent(2.0), 0.0, 0.25, 4 * BLOCK)
+    xs = (2.0 ** -5, 2.0 ** -6, 2.0 ** -7)
+    reads = []
+    x_at = ContinuousSignal.x_at
+
+    def spy(self, j):
+        if np.ndim(j):
+            reads.append((int(j[0]), int(j[-1])))
+        return x_at(self, j)
+
+    monkeypatch.setattr(ContinuousSignal, "x_at", spy)
+    sweep = tb.laplace_sweep(sig, xs)
+    runs = []
+    for first, last in reads:
+        if first == 0:
+            runs.append(0)
+        runs[-1] = last + 1
+    counts = [_certified_samples(sig, x) for x in xs]
+    assert runs == counts == list(sweep.certified_ends)
+    assert counts[-1] < len(sig) // 3
+
+
+_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(k=st.integers(10, 14), x_top=st.floats(2.0 ** -6, 0.5),
+       kind=st.sampled_from(["exp", "power", "trig"]),
+       coeffs=st.tuples(_COEFF, _COEFF, _COEFF),
+       rate=st.floats(0.05, 4.0), turns=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+@settings(max_examples=60, deadline=None)
+def test_laplace_cut_is_within_the_tail_bound_of_the_whole_range(k, x_top, kind,
+                                                                 coeffs, rate, turns):
+    # the grid reaches 1.25 times the last abscissa's end for a bound of
+    # sum |coeffs|, which no rendered bound exceeds; trig frequencies stay
+    # inside the aliasing guard
+    n = 2 ** k
+    xs = (x_top, x_top / 2, x_top / 4)
+    upper = max(sum(abs(c) for c in coeffs), 1.0)
+    h = 1.25 * np.log(upper / (1e-9 * xs[-1])) / xs[-1] / (n - 1)
+    if kind == "trig":
+        spec = ac.TrigPoly(((coeffs[0], 0.0), (coeffs[1], 0.1 * turns[0] / h),
+                            (coeffs[2], 0.1 * turns[1] / h)))
+    else:
+        spec = ac.Convergent(coeffs[0], kind, rate, coeffs[1])
+    sig = ac.render_continuous(spec, 0.0, h, n)
+    sweep = tb.laplace_sweep(sig, xs)
+    t = sig.x_at(np.arange(n))
+    for x, got in zip(xs, sweep.values):
+        whole = x * np.trapezoid(sig.values * np.exp(-x * t), dx=sig.step)
+        assert abs(got - whole) <= sweep.tail_bound + 2.0 ** -40 * sig.bound
 
 
 def test_residue_all_ones_sign_lock():
@@ -623,8 +702,22 @@ def test_chain_sweeps_the_three_judged_windows(monkeypatch, continuous):
 def test_chain_below_three_windows_is_refused(continuous):
     sig, _ = _random_signal(continuous, 100, "zero", 5)
     assert len(_doubling(sig)) == 2
-    with pytest.raises(ValueError, match="at least 3 window lengths"):
+    with pytest.raises(TooShort, match="needs at least 129 samples .*, got 100$"):
         tb.chain_report(sig)
+
+
+@pytest.mark.parametrize("n", [1, 33, 128, 129])
+@pytest.mark.parametrize("continuous", [False, True])
+def test_chain_needs_129_samples(continuous, n):
+    # three doubling windows up to span / 8 take 129 samples on either
+    # group; below 33 there is not even one
+    sig, _ = _random_signal(continuous, n, "zero", 5)
+    if n == 129:
+        assert len(_doubling(sig)) == 3
+        tb.chain_report(sig)
+    else:
+        with pytest.raises(TooShort, match=f", got {n}$"):
+            tb.chain_report(sig)
 
 
 def _judged_verdict_matches(got, sweep, tol):

@@ -10,9 +10,10 @@ Every job of ``perfbench/workloads.build_jobs(w, seed)`` for the ``scan``,
 ``files`` and ``duality`` workloads goes through ``almostconv.cli.main`` in
 this process, followed by fixed probes: default and explicit abscissas
 on both groups, abscissa lists that are out of order or out of range,
-``tauber`` on a sample file one Laplace term past ``BLOCK``, chains on
-short data, on data with three and four doubling windows, on
-zero-outside and ``-0.0``-led data, on R at ``2*BLOCK + 3`` samples, on
+``tauber`` on a sample file whose last certified Laplace end is one
+term past ``BLOCK``, chains on short data, on data with three and four
+doubling windows, on zero-outside and ``-0.0``-led data, on R at
+``2*BLOCK + 3`` samples, on
 a convergent profile at the defaults and on ones declared
 ``bound=1e308``, one-sided window means on ``-0.0``-led samples whose
 largest real mean is a zero,
@@ -115,11 +116,14 @@ _EDGES_R = ("\u2028#signal kind=continuous x0=-0.0\n \x0b# h=0.25 bound=2.0\nx,r
 # almostconv.signals.BLOCK: the Laplace sweep and the chain's window-mean
 # sweep work BLOCK samples at a time
 _BLOCK = 16384
-# one Laplace term past a block
-_BLOCK_EDGE_R = ("# signal kind=continuous x0=0.0 h=0.25 bound=3.0 "
+# at the default abscissa 2^-7 a bound of 617.5 puts the certified end
+# T_x = log(617.5 / (1e-9 * 2^-7)) * 2^7 = 4096.12 half a step past
+# x = 0.25 * BLOCK: the integral reads one term past a block, of the file's
+# 64 rows beyond it
+_BLOCK_EDGE_R = ("# signal kind=continuous x0=0.0 h=0.25 bound=617.5 "
                  "extension=valid_only source=custom\nx,re,im\n"
                  + "".join(f"{0.25 * j!r},{1.5 + (j % 7) / 7!r},{(j % 3) / 4 - 0.25!r}\n"
-                           for j in range(_BLOCK + 1)))
+                           for j in range(_BLOCK + 64)))
 
 
 def _hostile(meta: str, grid: str = "x") -> str:
