@@ -15,8 +15,10 @@ which would silently conjugate spectra.
 :func:`annihilator` and :func:`ideal_for` build ann(E) and the ideal
 I(C) explicitly.  :func:`random_suite` never forms ann(E): it checks
 double duality with :func:`double_annihilator_certificate`, which takes
-one SVD of E's reversal matrix, reads rank(E) from it, and pairs E
-against ann(E) kept as Householder reflectors.
+one Householder QR of the conjugate transpose of E's reversal matrix,
+reads rank(E) from the singular values of its small triangle, and pairs
+E against ann(E) kept as that QR's reflectors.  No SVD in the suite is
+wider than the subspace it factors (Chan's R-SVD, ACM TOMS 8, 1982).
 """
 
 from __future__ import annotations
@@ -51,12 +53,6 @@ class CyclicFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def character(N: int, lam: int) -> CyclicFunction:
-    """chi_lam(x) = exp(2*pi*i*lam*x/N)."""
-    x = np.arange(N)
-    return CyclicFunction(N, np.exp(2j * np.pi * (lam % N) * x / N))
 
 
 def delta(N: int, at: int = 0) -> CyclicFunction:
@@ -161,18 +157,25 @@ def _null_space_reflectors(A: np.ndarray, tol: float) -> tuple:
     their product in compact WY form Q = I - Y^T T conj(Y) (Schreiber and
     Van Loan, 1989).  The trailing N - r columns of the unitary Q are an
     orthonormal basis of the null space of ``A``; nothing N x N is
-    formed.  Dependent rows are flagged with a :class:`RankDeficientInput`
-    warning.
+    formed.
+
+    The reflectors are those of one Householder QR, A^H = Q R, and the
+    rank is read from the singular values of the small triangle R, which
+    are A's.  At full rank A v = 0 iff R^H Q^H v = 0 iff v is orthogonal
+    to Q's leading r columns, so that QR is the answer.  Dependent rows
+    are flagged with a :class:`RankDeficientInput` warning, and the
+    reflectors are then those of a QR of the r orthonormal rows that
+    :func:`_orthonormal_rows` finds in A, transposed.
     """
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
-    rank = _numerical_rank(s, A.shape, tol)
-    if rank < A.shape[0]:
-        warnings.warn(f"input spans only {rank} of {A.shape[0]} directions",
+    h, tau = np.linalg.qr(A.conj().T, mode="raw")
+    s = np.linalg.svd(np.triu(h[:, :tau.size].T), compute_uv=False)
+    if _numerical_rank(s, A.shape, tol) < A.shape[0]:
+        rows = _orthonormal_rows(A, tol)
+        warnings.warn(f"input spans only {len(rows)} of {A.shape[0]} directions",
                       RankDeficientInput)
-    # A v = 0 iff v is orthogonal to the columns of V = vh[:rank]^H, and
-    # the QR factorization of V is a product of rank reflectors
-    # I - tau_i y_i y_i^H
-    h, tau = np.linalg.qr(vh[:rank].conj().T, mode="raw")
+        h, tau = np.linalg.qr(rows.conj().T, mode="raw")
+    # Q is the product of the reflectors I - tau_i y_i y_i^H
+    rank = tau.size
     y = np.triu(h, 1)
     np.fill_diagonal(y, 1.0)
     gram = y.conj() @ y.T
@@ -204,8 +207,15 @@ def annihilator(basis: Sequence[CyclicFunction], N: int,
 
 
 def _orthonormal_rows(mat: np.ndarray, tol: float) -> np.ndarray:
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[:_numerical_rank(s, mat.shape, tol)]
+    """Orthonormal rows spanning the numerical row space of ``mat``.
+
+    They are the leading right singular vectors of ``mat``, conjugated,
+    taken by Chan's R-SVD: a QR of mat^H = Q R, then an SVD R = U S W^H
+    of the small triangle, so the rows are (Q U[:, :rank])^H.
+    """
+    q, r = np.linalg.qr(mat.conj().T)
+    u, s, _ = np.linalg.svd(r)
+    return (q @ u[:, :_numerical_rank(s, mat.shape, tol)]).conj().T
 
 
 @dataclass(frozen=True)
@@ -227,6 +237,8 @@ def verify_character_spectrum(phi_basis: Sequence[CyclicFunction], N: int,
     union of the basis transforms' supports.  Independently, the set of
     characters lying in the span is found by projecting each frequency
     indicator onto the span of the transforms.  The two sets must match.
+    The basis is transformed once, as one stack, and the span's
+    orthonormal rows come from :func:`_orthonormal_rows`.
 
     Raises :class:`NotInvariant` when the span is not translation
     invariant (checked by shifting each basis vector one step).
@@ -234,7 +246,7 @@ def verify_character_spectrum(phi_basis: Sequence[CyclicFunction], N: int,
     basis = list(phi_basis)
     if not basis:
         return CharacterSpectrumReport(frozenset(), frozenset(), True, 0)
-    F = np.vstack([np.fft.fft(f.values) for f in basis])
+    F = np.fft.fft(np.vstack([f.values for f in basis]), axis=1)
     Q = _orthonormal_rows(F, tol)
     # translation by one step multiplies the transform by a character
     mod = np.exp(2j * np.pi * np.arange(N) / N)
@@ -319,9 +331,9 @@ def double_annihilator_certificate(basis: Sequence[CyclicFunction], N: int,
     E against ann(E) vanishes, and the dimensions force equality:
     dim ann(ann(E)) = N - dim ann(E) = rank(E).  That dimension holds by
     construction, since ann(E) is the N - r trailing columns of a unitary
-    Q, where r = rank(E) is read from the one SVD of
-    :func:`_null_space_reflectors`.  So ``ok`` is the pairing residual
-    within ``tol``; ``rank`` is r.
+    Q, where r = rank(E) is read from the singular values of the small
+    triangle of the QR in :func:`_null_space_reflectors`.  So ``ok`` is
+    the pairing residual within ``tol``; ``rank`` is r.
 
     ann(E) is kept as the helper's reflectors, Q = I - Y^T T conj(Y),
     whose trailing columns are the rows :func:`annihilator` would return.
@@ -334,6 +346,12 @@ def double_annihilator_certificate(basis: Sequence[CyclicFunction], N: int,
     pairing = A[:, r:] - ((A @ y.T) @ t) @ y[:, r:].conj()
     resid = float(np.max(np.abs(pairing), initial=0.0))
     return {"pairing_residual": resid, "rank": r, "ok": resid <= tol}
+
+
+def _character_rows(N: int, C: Sequence[int]) -> np.ndarray:
+    """The characters chi_lam(x) = exp(2*pi*i*lam*x/N), lam in C, as rows,
+    from one broadcast exponential."""
+    return np.exp(2j * np.pi * (np.asarray(C)[:, None] % N) * np.arange(N) / N)
 
 
 def tolerance_floor(N: int) -> float:
@@ -370,7 +388,7 @@ def random_suite(N: int, cases: int, seed: int, tol: float = DEFAULT_TOL) -> dic
 
         size = int(rng.integers(1, min(8, N) + 1))
         C = sorted(rng.choice(N, size=size, replace=False).tolist())
-        chars = np.vstack([character(N, lam).values for lam in C])
+        chars = _character_rows(N, C)
         mix = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         mix += size * np.eye(size)  # keep the mixing comfortably invertible
         basis = [CyclicFunction(N, row) for row in mix @ chars]
@@ -420,13 +438,15 @@ def mean_annihilator_check(psi: CyclicFunction,
 
     The left side is a direct summation; the right side goes through the
     transform-support spectrum, so the two routes are computationally
-    independent up to the shared tolerance convention.
+    independent up to the shared tolerance convention.  The transform is
+    taken once and serves both the scale and the support.
     """
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
     total = complex(np.sum(psi.values))
-    ph = np.abs(np.fft.fft(psi.values))
-    top = ph.max()
-    vanishes = abs(total) <= tol * max(top, 1e-300)
-    outside = 0 not in spectrum_of(psi, tol)
+    mag = np.abs(np.fft.fft(psi.values))
+    vanishes = abs(total) <= tol * max(mag.max(), 1e-300)
+    outside = 0 not in _support(mag, tol)
     return MeanAnnihilatorReport(
         mean_vanishes=vanishes,
         zero_outside_spectrum=outside,

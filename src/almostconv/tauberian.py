@@ -202,8 +202,9 @@ def laplace_sweep(signal: Signal, x_schedule) -> MeanSweep:
     for x in xs:
         if signal.bound * math.exp(-x * T) > _LAPLACE_TAIL * x:
             reach = ", ".join(f"{t:.6g} for {y}" for y, t in zip(xs, needs))
+            # a start of 0.0 or -0.0 reads 0
             raise TailNotControlled(
-                f"range [0, {T}] too short for abscissa {x}: "
+                f"range [{signal.start or 0}, {T}] too short for abscissa {x}: "
                 f"tail {signal.bound * math.exp(-x * T):.3g} > {_LAPLACE_TAIL * x:.3g}; "
                 f"the range must reach {reach}")
     v, step, last = signal.values, signal.step, len(signal.values) - 1

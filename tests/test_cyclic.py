@@ -10,7 +10,6 @@ from almostconv.cyclic import (
     CyclicFunction,
     CyclicIdealBasis,
     annihilator,
-    character,
     delta,
     ideal_for,
     invariant_mean_check,
@@ -22,6 +21,22 @@ from almostconv.cyclic import (
     zn_inverse,
 )
 from almostconv.errors import NotAMean, NotInvariant, RankDeficientInput
+
+
+def character(N, lam):
+    """chi_lam(x) = exp(2*pi*i*lam*x/N), one character at a time: the
+    reference for the suite's broadcast rows."""
+    x = np.arange(N)
+    return CyclicFunction(N, np.exp(2j * np.pi * (lam % N) * x / N))
+
+
+def test_suite_character_rows_are_the_characters_bit_for_bit():
+    rng = np.random.default_rng(33)
+    for N in (1, 2, 7, 64, 100, 1024):
+        C = sorted(rng.choice(N, size=min(8, N), replace=False).tolist())
+        rows = cyclic._character_rows(N, C)
+        ref = np.vstack([character(N, lam).values for lam in C])
+        assert rows.tobytes() == ref.tobytes()
 
 
 def _convolve_cyclic(f, g):
@@ -246,6 +261,48 @@ def test_annihilator_matches_full_svd_null_space(kind, N, k, seed):
     assert np.max(np.abs(resid), initial=0.0) <= floor
 
 
+@st.composite
+def _dependent_subspaces(draw):
+    """(N, rows, rank): ``rank`` independent random rows of Z_N, filling
+    it in the "fill" kind, plus exact duplicates and power-of-two multiples
+    of them in any order."""
+    kind = draw(st.sampled_from(["full", "deficient", "fill"]))
+    if kind == "fill":
+        N = draw(st.integers(1, 24))
+        rank = N
+    else:
+        N = draw(st.integers(1, 300))
+        rank = draw(st.integers(1, min(N, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((rank, N)) + 1j * rng.standard_normal((rank, N))
+    extra = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(-3, 3)),
+                          min_size=kind == "deficient", max_size=0 if kind == "full" else 4))
+    rows = np.vstack([rows] + [2.0 ** p * rows[i] for i, p in extra])
+    return N, rows[rng.permutation(len(rows))], rank
+
+
+@given(_dependent_subspaces())
+@example((1, np.array([[1.0 + 0j]]), 1))
+@example((2, np.array([[1.0, 2j], [4.0, 8j], [1.0, 2j]]), 1))
+@example((3, np.array([[1.0, 0, 0], [0, 1j, 0], [0, 0, 2.0], [0.5, 0, 0]]), 3))
+@settings(max_examples=200, deadline=None)
+def test_double_duality_with_dependent_rows(case):
+    N, rows, rank = case
+    basis = [CyclicFunction(N, row) for row in rows]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankDeficientInput)
+        cert = cyclic.double_annihilator_certificate(basis, N)
+        ann = annihilator(basis, N)
+    # once from each call, exactly when some row depends on the others
+    assert sum(w.category is RankDeficientInput for w in caught) == 2 * (rank < len(rows))
+    assert cert["ok"] and cert["rank"] == rank
+    assert ann.shape == (N - rank, N)
+    gram = ann @ ann.conj().T
+    assert np.max(np.abs(gram - np.eye(N - rank)), initial=0.0) <= cyclic.tolerance_floor(N)
+    pairing = cyclic._reversal_matrix(basis, N) @ ann.T
+    assert np.max(np.abs(pairing), initial=0.0) <= cyclic.DEFAULT_TOL
+
+
 def test_double_annihilator_recovers_span():
     # the full recomputation the suite certifies instead, up to the
     # largest order at which the suite used to run it
@@ -440,20 +497,54 @@ def test_mean_annihilator_random_zero_sum():
     assert rep.mean_vanishes and rep.zero_outside_spectrum
 
 
-@pytest.mark.parametrize("N, cases", [(16, 5), (256, 3)])
+@pytest.mark.parametrize("N, cases", [(16, 5), (256, 3), (1024, 4)])
 def test_random_suite_takes_two_svds_per_case(monkeypatch, N, cases):
-    # one for the character spectrum, one for the double-duality certificate
+    # one for the character spectrum, one for the double-duality
+    # certificate, each of a triangle no larger than the subspace (at
+    # most 8 vectors), never of the subspace's wide r x N matrix
     svd = np.linalg.svd
-    calls = []
+    shapes = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     out = cyclic.random_suite(N, cases, seed=7)
     assert out["passed"], out["failures"]
-    assert len(calls) == 2 * cases
+    assert len(shapes) == 2 * cases
+    assert max(max(shape) for shape in shapes) <= 8, shapes
+
+
+def _count_forward_transforms(monkeypatch):
+    fft = np.fft.fft
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+def test_character_spectrum_transforms_the_basis_once(monkeypatch):
+    basis = [CyclicFunction(16, row) for row in
+             np.array([[1.0, 2.0], [1j, -1.0], [0.5, 3.0]])
+             @ np.vstack([character(16, lam).values for lam in (1, 4)])]
+    calls = _count_forward_transforms(monkeypatch)
+    rep = verify_character_spectrum(basis, 16)
+    assert rep.equal and rep.spectrum == {1, 4} and rep.dimension == 2
+    assert len(calls) == 1
+
+
+def test_mean_annihilator_check_transforms_once(monkeypatch):
+    calls = _count_forward_transforms(monkeypatch)
+    for psi in (character(8, 2), CyclicFunction(8, np.ones(8))):
+        assert mean_annihilator_check(psi).equivalence_holds
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        mean_annihilator_check(character(8, 2), -1e-9)
 
 
 def test_random_suite_small():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -105,6 +106,14 @@ def test_laplace_scaling():
 def test_laplace_tail_not_controlled():
     sig = ac.render_continuous(ac.TrigPoly(((1.0, 0.0),)), 0.0, 0.05, 101)
     with pytest.raises(TailNotControlled):
+        tb.laplace_sweep(sig, (0.01,))
+
+
+@pytest.mark.parametrize("start, rendered", [(0.3, "[0.3, 25.3]"), (0.0, "[0, 25.0]"),
+                                             (-0.0, "[0, 25.0]")])
+def test_laplace_tail_message_names_the_rendered_range(start, rendered):
+    sig = ContinuousSignal(start, 0.25, [1.0] * 101, 1.0)
+    with pytest.raises(TailNotControlled, match=re.escape(f"range {rendered} too short")):
         tb.laplace_sweep(sig, (0.01,))
 
 

@@ -28,7 +28,9 @@ at ``3*BLOCK + 7`` samples (every sample of a turned render's matrix
 product) and of custom samples with
 every float the ``repr`` kernel leaves to ``float.__repr__``, and every
 analysis command on sample files with an unknown kind, grid positions
-that are not finite floats, or rows off their grid.  A probe whose argv
+that are not finite floats, or rows off their grid, and ``cyclic`` suites
+at orders 1, 2 and 8, where a drawn subspace can fill Z_N, and at order
+1024 with a ``--tol`` below its float64 floor (exit 1).  A probe whose argv
 names ``{out}`` writes there; every other one gets ``--out-dir {out}``.  For
 each job the digest records the exit code, stdout, stderr and the sha256
 of every file written.  The package and the job lists are imported from
@@ -151,7 +153,7 @@ _HOSTILE_ARGV = {
 }
 
 # (name, input file name, input text, argv with {in} and maybe {out}); each
-# writes to its own output directory
+# writes to its own output directory.  A probe with no input file reads none.
 PROBES = [
     ("tauber-trig-z", "trig.json", _TRIG,
      ["tauber", "--input", "{in}", "--n-max", "2047"]),
@@ -271,6 +273,12 @@ PROBES = [
     ("generate-custom-extremes", "extremes.json", _CUSTOM_EXTREMES,
      ["generate", "--spec", "{in}", "--out", "{out}/samples.csv",
       "--n-max", str(len(_CUSTOM_EXTREMES["values"]) - 1)]),
+    # a subspace of up to min(8, N) vectors can fill Z_N
+    *[(f"cyclic-order-{n}", None, None,
+       ["cyclic", "--order", str(n), "--cases", "4", "--seed", "11"]) for n in (1, 2, 8)],
+    # tolerance_floor(1024) is 3.6e-12
+    ("cyclic-tol-below-floor", None, None,
+     ["cyclic", "--order", "1024", "--cases", "2", "--seed", "11", "--tol", "1e-12"]),
 ] + [(f"{command}-csv-{name}", f"{name}.csv", text, argv)
      for name, text in _HOSTILE.items() for command, argv in _HOSTILE_ARGV.items()]
 
@@ -319,10 +327,11 @@ def digest(seed: int, root: Path) -> dict:
         probes = os.path.join(tmp, "probes")
         os.makedirs(probes)
         for name, file_name, content, argv in PROBES:
-            path = os.path.join(probes, file_name)
-            with open(path, "w") as fh:
-                fh.write(content if isinstance(content, str)
-                         else json.dumps(content))
+            path = os.path.join(probes, file_name or "")
+            if file_name:
+                with open(path, "w") as fh:
+                    fh.write(content if isinstance(content, str)
+                             else json.dumps(content))
             if not any("{out}" in a for a in argv):
                 argv = argv + ["--out-dir", "{out}"]
             result[f"probe/{name}"] = _run(
