@@ -276,7 +276,7 @@ def _dependent_subspaces(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = rng.standard_normal((rank, N)) + 1j * rng.standard_normal((rank, N))
     extra = draw(st.lists(st.tuples(st.integers(0, rank - 1), st.integers(-3, 3)),
-                          min_size=kind == "deficient", max_size=0 if kind == "full" else 4))
+                          min_size=int(kind == "deficient"), max_size=0 if kind == "full" else 4))
     rows = np.vstack([rows] + [2.0 ** p * rows[i] for i, p in extra])
     return N, rows[rng.permutation(len(rows))], rank
 
